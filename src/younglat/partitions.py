@@ -154,18 +154,31 @@ def to_multiplicity(a: Partition, shape: Shape) -> WeakComposition:
 
 
 def from_multiplicity(c: WeakComposition, shape: Shape) -> Partition:
-    """Inverse of :func:`to_multiplicity`."""
+    """Inverse of :func:`to_multiplicity`.
+
+    ``c`` is validated with :func:`require_composition`; the canonical tuple
+    is then built directly, part size ``n - j`` repeated ``c[j]`` times for
+    ``j < n``, without passing through :func:`as_partition` again.
+    """
     require_composition(c, shape)
     parts: list[int] = []
-    for j, count in enumerate(c):
+    for j, count in enumerate(c[: shape.n]):
         parts.extend([shape.n - j] * count)
-    return as_partition(parts)
+    return tuple(parts)
 
 
 def weighted_sum(c: Sequence[int]) -> int:
-    """Entries weighted by the part size their slot stands for (no validation)."""
-    top = len(c) - 1
-    return sum((top - i) * v for i, v in enumerate(c))
+    """Entries weighted by the part size their slot stands for (no validation).
+
+    Entry ``i`` of ``len(c)`` has weight ``len(c) - 1 - i``, the number of
+    prefix sums it is part of, so the total is the sum of all proper prefix
+    sums.
+    """
+    total = prefix = 0
+    for v in c[:-1]:
+        prefix += v
+        total += prefix
+    return total
 
 
 def composition_rank(c: WeakComposition, shape: Shape) -> int:
@@ -243,8 +256,8 @@ def format_partition(a: Partition) -> str:
     if not a:
         return "∅"
     if a[0] <= 9:
-        return "".join(str(v) for v in a)
-    return "[" + ",".join(str(v) for v in a) + "]"
+        return "".join(map(str, a))
+    return "[" + ",".join(map(str, a)) + "]"
 
 
 def parse_partition(text: str) -> Partition:
@@ -263,9 +276,9 @@ def parse_partition(text: str) -> Partition:
 
 def format_composition(c: WeakComposition) -> str:
     """Digit-string key ("1120"), bracketed ("[10,0,2,0]") when an entry exceeds 9."""
-    if all(v <= 9 for v in c):
-        return "".join(str(v) for v in c)
-    return "[" + ",".join(str(v) for v in c) + "]"
+    if max(c, default=0) <= 9:
+        return "".join(map(str, c))
+    return "[" + ",".join(map(str, c)) + "]"
 
 
 def parse_composition(text: str) -> WeakComposition:
@@ -276,12 +289,12 @@ def parse_composition(text: str) -> WeakComposition:
             raise ValueError(f"unterminated bracketed composition: {text!r}")
         body = s[1:-1]
         try:
-            entries = tuple(int(v) for v in body.split(","))
+            entries = tuple(map(int, body.split(",")))
         except ValueError:
             raise ValueError(f"not a composition key: {text!r}") from None
-        if any(v < 0 for v in entries):
+        if min(entries) < 0:
             raise ValueError(f"negative entry in composition key: {text!r}")
         return entries
     if not s.isdigit():
         raise ValueError(f"not a composition key: {text!r}")
-    return tuple(int(ch) for ch in s)
+    return tuple(map(int, s))

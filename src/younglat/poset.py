@@ -213,6 +213,16 @@ class GradedPoset:
             return self.elements
         return tuple(to_multiplicity(key, self.shape) for key in self.elements)
 
+    def composition_index(self) -> dict[WeakComposition, int]:
+        """Composition key -> element index; callers must not modify it.
+
+        In composition coordinates this is the poset's own index; in
+        partition coordinates a new dict is built on each call.
+        """
+        if self.coords == "composition":
+            return self._index
+        return {c: i for i, c in enumerate(self.compositions())}
+
     def label(self) -> str:
         prime = "" if self.coords == "partition" else "'"
         return f"L{prime}({self.shape.m},{self.shape.n})"
@@ -237,14 +247,15 @@ def build_lattice(shape: Shape, coordinates: str = "partition") -> GradedPoset:
     if m == 0 or n == 0:
         return GradedPoset(shape, coordinates, (), (), (), 0)
     if coordinates == "partition":
-        elems = sorted(partitions_in_box(m, n), key=lambda a: (sum(a), a))
-        ranks = [sum(a) for a in elems]
+        keys, rank_fn = partitions_in_box(m, n), sum
         cover_fn = lambda key: lower_covers(key, shape)
     else:
-        elems = sorted(enumerate_compositions(m, n + 1),
-                       key=lambda c: (weighted_sum(c), c))
-        ranks = [weighted_sum(c) for c in elems]
+        keys, rank_fn = enumerate_compositions(m, n + 1), weighted_sum
         cover_fn = lambda key: composition_lower_covers(key, shape)
+    ranked = sorted((rank_fn(key), key) for key in keys)
+    ranks = [r for r, _ in ranked]
+    elems = [key for _, key in ranked]
+    del ranked  # free the pairs before the covers are built
     index = {key: i for i, key in enumerate(elems)}
     edges = []
     for hi, key in enumerate(elems):
@@ -349,6 +360,8 @@ def _parse_header(line: str):
         m, n = (int(v) for v in body[1:-1].split(","))
     except ValueError:
         raise ParseError(1, f"bad lattice label: {label!r}") from None
+    if m < 0 or n < 0:
+        raise ParseError(1, f"negative lattice dimension: {label!r}")
     fields = {}
     for chunk in parts[2:]:
         key, _, value = chunk.partition("=")
@@ -365,6 +378,12 @@ def parse_poset(text: str) -> GradedPoset:
 
     The parser is strict: declared counts, ordering, ranks, keys, and edge
     colors are all revalidated, so a file that parses is a faithful lattice.
+    Covers are checked arithmetically.  Each key gets an integer code, its
+    entries read as base-``m + 1`` digits, which is injective on the keys of
+    the lattice.  Moving one unit from 0-based slot ``j`` to slot ``j + 1``
+    lowers the code by ``(m+1)^(n-j) - (m+1)^(n-j-1)``, so a color-``j+1``
+    line is a cover exactly when the upper key has ``upper[j] >= 1`` and the
+    codes differ by that step.
     """
     lines = text.splitlines()
     if not lines:
@@ -379,8 +398,11 @@ def parse_poset(text: str) -> GradedPoset:
     if len(lines) < 1 + count:
         raise ParseError(len(lines), "truncated element section")
 
+    base = m + 1
     comps: list[WeakComposition] = []
     ranks: list[int] = []
+    codes: list[int] = []
+    degree_total = 0
     for i in range(count):
         line_no = i + 2
         fields = lines[1 + i].split()
@@ -399,32 +421,36 @@ def parse_poset(text: str) -> GradedPoset:
             raise ParseError(line_no, f"rank {r} does not match key {fields[2]}")
         if comps and (ranks[-1], comps[-1]) >= (r, key):
             raise ParseError(line_no, "elements out of order")
+        code = 0
+        for v in key:
+            code = code * base + v
         comps.append(key)
         ranks.append(r)
+        codes.append(code)
+        degree_total += n - key[:n].count(0)
 
-    index = {key: i for i, key in enumerate(comps)}
+    step = [0] + [base ** (n - j) - base ** (n - j - 1) for j in range(n)]
     covers: list[tuple[int, int, int]] = []
-    degree_total = sum(sum(1 for j in range(n) if c[j] >= 1) for c in comps)
-    for offset, line in enumerate(lines[1 + count :]):
-        line_no = count + 2 + offset
+    prev = (-1, -1)
+    for line_no, line in enumerate(lines[1 + count :], count + 2):
         fields = line.split()
         if len(fields) != 3:
             raise ParseError(line_no, f"bad cover line: {line!r}")
         try:
-            lo, hi, color = (int(v) for v in fields)
+            lo, hi, color = map(int, fields)
         except ValueError:
             raise ParseError(line_no, f"bad cover line: {line!r}") from None
         if not (0 <= lo < count and 0 <= hi < count):
             raise ParseError(line_no, "cover index out of range")
         if not 1 <= color <= n:
             raise ParseError(line_no, f"color {color} out of range 1..{n}")
-        upper, lower = comps[hi], comps[lo]
-        j = color - 1
-        moved = upper[:j] + (upper[j] - 1, upper[j + 1] + 1) + upper[j + 2 :]
-        if moved != lower:
-            raise ParseError(line_no, f"{lower} is not the color-{color} cover below {upper}")
-        if covers and covers[-1][:2] >= (lo, hi):
+        if comps[hi][color - 1] < 1 or codes[hi] - codes[lo] != step[color]:
+            raise ParseError(
+                line_no, f"{comps[lo]} is not the color-{color} cover below {comps[hi]}"
+            )
+        if prev >= (lo, hi):
             raise ParseError(line_no, "covers out of order")
+        prev = (lo, hi)
         covers.append((lo, hi, color))
     if len(covers) != degree_total:
         raise ParseError(len(lines), f"expected {degree_total} covers, got {len(covers)}")

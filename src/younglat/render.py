@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .partitions import format_composition, format_partition, from_multiplicity
+from .partitions import format_composition, from_multiplicity
 from .poset import GradedPoset
 from .roots import ColorMap
 from .scd import ChainDecomposition
@@ -34,23 +34,42 @@ def _young_rows(partition) -> list[str]:
     return ["■" * v for v in partition]
 
 
+def _repeat_join(c, tokens: list[str], sep: str) -> str:
+    # token j repeated c[j] times; every token ends in sep, the last one is cut
+    text = "".join([t * k for t, k in zip(tokens, c)])
+    return text[: len(text) - len(sep)]
+
+
 def _node_labels(p: GradedPoset, spec: RenderSpec) -> list[str]:
+    """One label per element, in element order.
+
+    Partition and Young labels are built straight from the composition, part
+    size ``n - j`` repeated ``c[j]`` times for ``j < n``; they equal
+    ``format_partition`` and ``_young_rows`` of ``from_multiplicity(c)``.
+    """
     comps = p.compositions()
     if spec.labels == "composition":
         return [format_composition(c) for c in comps]
-    parts = [from_multiplicity(c, p.shape) for c in comps]
-    if spec.labels == "partition":
-        return [format_partition(a) for a in parts]
+    n = p.shape.n if comps else 0
     if spec.labels == "young":
-        return ["\\n".join(_young_rows(a)) or "∅" for a in parts]
+        rows = ["■" * (n - j) + "\\n" for j in range(n)]
+        return [_repeat_join(c, rows, "\\n") or "∅" for c in comps]
+    if spec.labels == "partition":
+        digits = [str(n - j) for j in range(n)]
+        items = [d + "," for d in digits]
+        wide = max(n - 9, 0)  # leading slots whose part size exceeds 9
+        return [
+            "[" + _repeat_join(c, items, ",") + "]" if any(c[:wide])
+            else _repeat_join(c, digits, "") or "∅"
+            for c in comps
+        ]
     raise ValueError(f"unknown label mode {spec.labels!r}")
 
 
 def _highlight_edges(p: GradedPoset, spec: RenderSpec) -> set[tuple[int, int]] | None:
     if spec.highlight is None:
         return None
-    comps = p.compositions()
-    index = {key: i for i, key in enumerate(comps)}
+    index = p.composition_index()
     pairs = set()
     for chain in spec.highlight.chains:
         for upper, lower in zip(chain, chain[1:]):
@@ -108,7 +127,8 @@ def to_svg(p: GradedPoset, spec: RenderSpec | None = None) -> str:
         )
     colors = _colormap(p, spec)
     chain_edges = _highlight_edges(p, spec)
-    labels = _node_labels(p, spec)
+    young = spec.labels == "young"
+    labels = None if young else _node_labels(p, spec)
     comps = p.compositions()
     levels = p.levels()
     widest = max((len(level) for level in levels), default=1) or 1
@@ -146,7 +166,7 @@ def to_svg(p: GradedPoset, spec: RenderSpec | None = None) -> str:
     for i in range(len(p)):
         x, y = pos[i]
         out.append(f'    <g class="node" data-key="{format_composition(comps[i])}">')
-        if spec.labels == "young":
+        if young:
             rows = _young_rows(from_multiplicity(comps[i], p.shape))
             if not rows:
                 out.append(

@@ -85,15 +85,13 @@ def as_partition_chains(d: ChainDecomposition) -> list[tuple]:
 def is_symmetric_chain(chain, p: GradedPoset) -> bool:
     """True when the top-down ``chain`` is saturated in ``p`` and its endpoint
     ranks add up to the poset height.  Unknown elements raise ``KeyError``."""
-    comps = p.compositions()
-    index = {key: i for i, key in enumerate(comps)}
+    index = p.composition_index()
     keys = [tuple(key) for key in chain]
     for key in keys:
         if key not in index:
             raise KeyError(f"unknown element {key}")
-    edge_set = {(lo, hi) for lo, hi, _ in p.covers}
     for upper, lower in zip(keys, keys[1:]):
-        if (index[lower], index[upper]) not in edge_set:
+        if (index[lower], index[upper]) not in p._edge_colors:
             return False
     top, bottom = keys[0], keys[-1]
     return p.ranks[index[top]] + p.ranks[index[bottom]] == p.height
@@ -157,9 +155,8 @@ def verify_scd(d: ChainDecomposition, p: GradedPoset) -> ScdReport:
     chains whose endpoint ranks do not mirror.  The report also counts how
     many chains start (bottom out) at each rank.
     """
-    comps = p.compositions()
-    index = {key: i for i, key in enumerate(comps)}
-    edge_set = {(lo, hi) for lo, hi, _ in p.covers}
+    index = p.composition_index()
+    edge_colors = p._edge_colors
     seen: Counter = Counter()
     unknown: list = []
     unsaturated: list[int] = []
@@ -176,7 +173,7 @@ def verify_scd(d: ChainDecomposition, p: GradedPoset) -> ScdReport:
             unsaturated.append(ci)
             continue
         saturated = all(
-            (index[lower], index[upper]) in edge_set
+            (index[lower], index[upper]) in edge_colors
             for upper, lower in zip(chain, chain[1:])
         )
         if not saturated:
@@ -186,7 +183,7 @@ def verify_scd(d: ChainDecomposition, p: GradedPoset) -> ScdReport:
         if top_rank + bottom_rank != p.height:
             asymmetric.append(ci)
         profile[bottom_rank] += 1
-    missing = tuple(sorted(set(comps) - set(seen)))
+    missing = tuple(sorted(index.keys() - seen.keys()))
     duplicated = tuple(sorted(k for k, v in seen.items() if v > 1))
     return ScdReport(
         shape=d.shape,

@@ -162,3 +162,14 @@ class TestErrorPaths:
         code, _, err = run(capsys, "render", "/nonexistent/p.poset")
         assert code == 2
         assert err
+
+    def test_negative_dimension_header_is_a_parse_error(self, tmp_path, capsys):
+        bad = tmp_path / "neg.poset"
+        bad.write_text("poset L'(-1,3) height=0 count=0\n")
+        scd_file = tmp_path / "d.scd"
+        assert run(capsys, "scd", "lindstrom", "1", "--out", str(scd_file))[0] == 0
+        for argv in (("scd", "verify", str(bad), str(scd_file)), ("render", str(bad))):
+            code, out, err = run(capsys, *argv)
+            assert code == 2
+            assert out == ""
+            assert err.startswith("error: ") and "line 1: negative" in err

@@ -291,6 +291,8 @@ class TestStrings:
         with pytest.raises(ValueError):
             parse_composition("[1,2")
         with pytest.raises(ValueError):
+            parse_composition("[1,-1,0]")
+        with pytest.raises(ValueError):
             parse_partition("[3,")
 
 

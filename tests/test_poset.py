@@ -267,3 +267,73 @@ class TestPosetFiles:
         lines[-1] = f"{lo} {hi} {flipped}"
         with pytest.raises(ParseError):
             parse_poset("\n".join(lines) + "\n")
+
+    @pytest.mark.parametrize("label", ["L'(-1,3)", "L(3,-2)", "L(-1,-1)"])
+    def test_parse_rejects_negative_dimension(self, label):
+        with pytest.raises(ParseError) as err:
+            parse_poset(f"poset {label} height=0 count=0\n")
+        assert err.value.line == 1
+        assert "negative" in str(err.value)
+
+
+def reference_cover_error(comps, n, lines, first_line_no):
+    """The tuple-slicing cover check that parse_poset's code arithmetic
+    replaced: (line, message) of the first cover line it rejects, or None.
+    ``comps`` are the already validated element keys."""
+    count = len(comps)
+    covers = []
+    for offset, line in enumerate(lines):
+        line_no = first_line_no + offset
+        fields = line.split()
+        if len(fields) != 3:
+            return line_no, f"bad cover line: {line!r}"
+        lo, hi, color = (int(v) for v in fields)
+        if not (0 <= lo < count and 0 <= hi < count):
+            return line_no, "cover index out of range"
+        if not 1 <= color <= n:
+            return line_no, f"color {color} out of range 1..{n}"
+        upper, lower = comps[hi], comps[lo]
+        j = color - 1
+        moved = upper[:j] + (upper[j] - 1, upper[j + 1] + 1) + upper[j + 2 :]
+        if moved != lower:
+            return line_no, f"{lower} is not the color-{color} cover below {upper}"
+        if covers and covers[-1][:2] >= (lo, hi):
+            return line_no, "covers out of order"
+        covers.append((lo, hi, color))
+    return None
+
+
+class TestArithmeticCoverCheck:
+    @given(
+        st.integers(1, 6),
+        st.integers(1, 4),
+        st.sampled_from(["partition", "composition"]),
+        st.sampled_from(["color+1", "color-1", "lo", "hi", "swap", "repeat"]),
+        st.data(),
+    )
+    def test_single_cover_mutation_matches_reference(self, m, n, coords, kind, data):
+        p = build_lattice(Shape(m, n), coords)
+        lines = serialize_poset(p).splitlines()
+        first = 1 + len(p)
+        k = data.draw(st.integers(first, len(lines) - 1), label="cover line")
+        lo, hi, color = p.covers[k - first]
+        if kind.startswith("color"):
+            color += 1 if kind == "color+1" else -1
+        elif kind == "swap":
+            lo, hi = hi, lo
+        elif kind == "repeat":  # the previous line again: only the order check fails
+            lo, hi, color = p.covers[max(k - first - 1, 0)]
+        else:
+            target = data.draw(st.integers(0, len(p) - 1), label="index")
+            lo, hi = (target, hi) if kind == "lo" else (lo, target)
+        lines[k] = f"{lo} {hi} {color}"
+        text = "\n".join(lines) + "\n"
+
+        expected = reference_cover_error(p.compositions(), n, lines[first:], first + 1)
+        if expected is None:
+            assert parse_poset(text) == p
+        else:
+            with pytest.raises(ParseError) as err:
+                parse_poset(text)
+            assert (err.value.line, str(err.value)) == (
+                expected[0], f"line {expected[0]}: {expected[1]}")

@@ -2,9 +2,17 @@ import re
 
 import pytest
 
-from younglat.partitions import Shape
+from younglat import render
+from younglat.partitions import Shape, format_partition, from_multiplicity
 from younglat.poset import build_lattice
-from younglat.render import DiagramSizeError, RenderSpec, to_dot, to_svg
+from younglat.render import (
+    DiagramSizeError,
+    RenderSpec,
+    _node_labels,
+    _young_rows,
+    to_dot,
+    to_svg,
+)
 from younglat.scd import scd_n2
 
 
@@ -100,6 +108,33 @@ class TestLabels:
         p = build_lattice(Shape(2, 2))
         with pytest.raises(ValueError):
             to_dot(p, RenderSpec(labels="roman"))
+
+    def test_labels_match_partition_conversion(self):
+        # n = 10 and n = 12 mix digit labels with bracketed ones
+        shapes = [(m, n) for m in range(7) for n in range(7)]
+        shapes += [(m, n) for m in (1, 2, 3) for n in (10, 12)]
+        for shape in shapes:
+            for coords in ("partition", "composition"):
+                p = build_lattice(Shape(*shape), coords)
+                parts = [from_multiplicity(c, p.shape) for c in p.compositions()]
+                assert _node_labels(p, RenderSpec(labels="partition")) == [
+                    format_partition(a) for a in parts
+                ]
+                assert _node_labels(p, RenderSpec(labels="young")) == [
+                    "\\n".join(_young_rows(a)) or "∅" for a in parts
+                ]
+
+    def test_svg_young_converts_each_element_once(self, monkeypatch):
+        calls = []
+
+        def counting(c, shape):
+            calls.append(c)
+            return from_multiplicity(c, shape)
+
+        monkeypatch.setattr(render, "from_multiplicity", counting)
+        p = build_lattice(Shape(3, 3), "composition")
+        to_svg(p, RenderSpec(labels="young"))
+        assert sorted(calls) == sorted(p.compositions())
 
 
 class TestSvgLimits:
