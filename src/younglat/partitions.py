@@ -14,6 +14,10 @@ of size ``n`` and the last counts padding zeros.  ``to_multiplicity`` and
 ``from_multiplicity`` convert between the two coordinate systems and carry
 cover edges to cover edges in both directions.
 
+``poset.build_lattice`` uses only ``enumerate_compositions``; ``lower_covers``,
+``composition_lower_covers`` and ``partitions_in_box`` stay public as test
+oracles, and ``check_splitting_identities`` replays ``partitions_in_box``.
+
 Everything here is a pure function over immutable tuples; concurrent callers
 need no coordination.
 """
@@ -209,24 +213,23 @@ def composition_lower_covers(
 def enumerate_compositions(k: int, p: int) -> list[WeakComposition]:
     """All weak compositions of ``k`` with ``p`` parts, in lexicographic order.
 
-    The count is C(k + p - 1, p - 1).
+    The count is C(k + p - 1, p - 1).  Each step finds the rightmost nonzero
+    entry after the first, moves one of its units one slot left and the rest
+    of it to the last slot.
     """
     if k < 0:
         raise ValueError(f"total must be nonnegative, got {k}")
     if p < 1:
         raise ValueError(f"need at least one part, got {p}")
-    out: list[WeakComposition] = []
-
-    def fill(prefix: list[int], remaining: int, slots: int) -> None:
-        if slots == 1:
-            out.append(tuple(prefix) + (remaining,))
-            return
-        for v in range(remaining + 1):
-            prefix.append(v)
-            fill(prefix, remaining - v, slots - 1)
-            prefix.pop()
-
-    fill([], k, p)
+    c = [0] * (p - 1) + [k]
+    out = [tuple(c)]
+    while c[0] < k:
+        j = p - 1
+        while not c[j]:
+            j -= 1
+        c[j - 1] += 1
+        c[j], c[-1] = 0, c[j] - 1
+        out.append(tuple(c))
     return out
 
 

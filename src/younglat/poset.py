@@ -20,21 +20,23 @@ lexicographically; covers are sorted by index pair.  Output is byte-stable.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 from math import comb
+from operator import sub
 
 from .partitions import (
     Shape,
     WeakComposition,
-    composition_lower_covers,
     enumerate_compositions,
     format_composition,
     from_multiplicity,
-    lower_covers,
     parse_composition,
     partitions_in_box,
     to_multiplicity,
     weighted_sum,
 )
+
+ELEMENT_LIMIT = 4_000_000  # above L(12,12); build_lattice refuses larger lattices
 
 
 class ParseError(ValueError):
@@ -85,26 +87,26 @@ class RankPolynomial:
 
 
 def _times_one_minus_power(poly: list[int], k: int) -> list[int]:
-    # multiply by (1 - q^k)
+    """``poly * (1 - q^k)``: the coefficients of ``poly`` subtracted ``k`` places up."""
     out = poly + [0] * k
-    for j, v in enumerate(poly):
-        out[j + k] -= v
+    out[k:] = map(sub, out[k:], poly)
     return out
 
 
 def _exact_quotient_one_minus_power(poly: list[int], k: int) -> list[int]:
-    # divide by (1 - q^k); the division must be exact
-    deg = len(poly) - 1
-    if deg < k:
+    """``poly / (1 - q^k)``; ``ArithmeticError`` unless exact and ``deg >= k``.
+
+    ``quot[j] = poly[j] + quot[j - k]`` is a running sum over each residue
+    class mod ``k``; run over all of ``poly``, the last ``k`` sums are the
+    remainder.
+    """
+    sums = [0] * len(poly)
+    for r in range(k):
+        sums[r::k] = accumulate(poly[r::k])
+    if len(poly) <= k or any(sums[-k:]):
         raise ArithmeticError("inexact polynomial division")
-    quot = [0] * (deg - k + 1)
-    for j in range(len(quot)):
-        quot[j] = poly[j] + (quot[j - k] if j >= k else 0)
-    for j in range(len(quot), deg + 1):
-        expect = -(quot[j - k] if j - k >= 0 else 0)
-        if poly[j] != expect:
-            raise ArithmeticError("inexact polynomial division")
-    return quot
+    del sums[-k:]
+    return sums
 
 
 def _poly_mul(a: list[int], b: list[int]) -> list[int]:
@@ -129,18 +131,17 @@ def q_factorial(k: int) -> RankPolynomial:
 def gaussian_binomial(m: int, n: int) -> RankPolynomial:
     """Coefficients of the Gaussian binomial for an ``(m, n)`` box.
 
-    Computed as ``prod(1 - q^(m+i)) / prod(1 - q^i)`` over ``i = 1..n`` with
-    exact integer coefficients; every division is checked to leave no
-    remainder.  The coefficient of ``q^k`` counts the partitions of ``k``
-    with at most ``m`` parts, each at most ``n``.
+    The exact product of ``(1 - q^(m+i)) / (1 - q^i)``, one ``i = 1..n`` at a
+    time, with each division checked to leave no remainder; after step ``i``
+    it is the ``(m, i)`` polynomial, of degree ``m * i``.  The coefficient
+    of ``q^k`` counts the partitions of ``k`` with at most ``m`` parts, each
+    at most ``n``.
     """
     if m < 0 or n < 0:
         raise ValueError("box dimensions must be nonnegative")
     poly = [1]
     for i in range(1, n + 1):
-        poly = _times_one_minus_power(poly, m + i)
-    for i in range(1, n + 1):
-        poly = _exact_quotient_one_minus_power(poly, i)
+        poly = _exact_quotient_one_minus_power(_times_one_minus_power(poly, m + i), i)
     return RankPolynomial(tuple(poly))
 
 
@@ -231,12 +232,13 @@ class GradedPoset:
 def build_lattice(shape: Shape, coordinates: str = "partition") -> GradedPoset:
     """Materialize the lattice of partitions bounded by ``shape``.
 
-    In partition coordinates the elements are the partitions in the box; in
-    composition coordinates they are the weak compositions of ``m`` with
-    ``n + 1`` entries, the lattice points of the ``m``-fold dilated simplex.
-    Covers grow one box (move one multiplicity unit) and carry their
-    simple-root color.  Shapes with ``m = 0`` or ``n = 0`` give the empty
-    poset.
+    One path for both coordinate systems: the weak compositions of ``m`` with
+    ``n + 1`` entries, stably sorted by rank (lexicographic within a rank).
+    An upper cover moves a unit from slot ``j + 1`` to slot ``j`` (color
+    ``j + 1``) and is later in its rank the smaller ``j`` is, so emitting
+    ``j = n - 1`` down to ``0`` yields covers sorted by index pair.  Partition
+    coordinates relabel with :func:`from_multiplicity`.  ``m = 0`` or ``n = 0``
+    gives the empty poset; over ``ELEMENT_LIMIT`` elements raise ``ValueError``.
     """
     shape = Shape(*shape)
     m, n = shape
@@ -246,23 +248,19 @@ def build_lattice(shape: Shape, coordinates: str = "partition") -> GradedPoset:
         raise ValueError(f"unknown coordinate system {coordinates!r}")
     if m == 0 or n == 0:
         return GradedPoset(shape, coordinates, (), (), (), 0)
+    if min(m, n) > 32 or comb(m + n, m) > ELEMENT_LIMIT:  # C(66, 33) > 7e18
+        raise ValueError(f"L({m},{n}) has more than {ELEMENT_LIMIT:,} elements")
+    comps = enumerate_compositions(m, n + 1)
+    comps.sort(key=weighted_sum)
+    ranks = list(map(weighted_sum, comps))
+    index = {c: i for i, c in enumerate(comps)}
+    edges = [(lo, index[c[:j] + (c[j] + 1, c[j + 1] - 1) + c[j + 2 :]], j + 1)
+             for lo, c in enumerate(comps) for j in range(n - 1, -1, -1) if c[j + 1]]
+    del index  # free it before GradedPoset builds its own index
     if coordinates == "partition":
-        keys, rank_fn = partitions_in_box(m, n), sum
-        cover_fn = lambda key: lower_covers(key, shape)
-    else:
-        keys, rank_fn = enumerate_compositions(m, n + 1), weighted_sum
-        cover_fn = lambda key: composition_lower_covers(key, shape)
-    ranked = sorted((rank_fn(key), key) for key in keys)
-    ranks = [r for r, _ in ranked]
-    elems = [key for _, key in ranked]
-    del ranked  # free the pairs before the covers are built
-    index = {key: i for i, key in enumerate(elems)}
-    edges = []
-    for hi, key in enumerate(elems):
-        for low_key, color in cover_fn(key):
-            edges.append((index[low_key], hi, color))
-    edges.sort(key=lambda t: (t[0], t[1]))
-    return GradedPoset(shape, coordinates, elems, ranks, edges, m * n)
+        for i, c in enumerate(comps):
+            comps[i] = from_multiplicity(c, shape)
+    return GradedPoset(shape, coordinates, comps, ranks, edges, m * n)
 
 
 def rank_profile(p: GradedPoset) -> RankPolynomial:
@@ -347,11 +345,8 @@ def serialize_poset(p: GradedPoset) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _parse_header(line: str):
-    parts = line.split()
-    if len(parts) != 4 or parts[0] != "poset":
-        raise ParseError(1, f"bad poset header: {line!r}")
-    label = parts[1]
+def _parse_label(label: str) -> tuple[Shape, str]:
+    """Shape and coordinates of a header label ``L(m,n)`` or ``L'(m,n)``."""
     coords = "composition" if label.startswith("L'") else "partition"
     body = label[2:] if coords == "composition" else label[1:]
     if not (body.startswith("(") and body.endswith(")")):
@@ -362,6 +357,14 @@ def _parse_header(line: str):
         raise ParseError(1, f"bad lattice label: {label!r}") from None
     if m < 0 or n < 0:
         raise ParseError(1, f"negative lattice dimension: {label!r}")
+    return Shape(m, n), coords
+
+
+def _parse_header(line: str):
+    parts = line.split()
+    if len(parts) != 4 or parts[0] != "poset":
+        raise ParseError(1, f"bad poset header: {line!r}")
+    shape, coords = _parse_label(parts[1])
     fields = {}
     for chunk in parts[2:]:
         key, _, value = chunk.partition("=")
@@ -370,7 +373,7 @@ def _parse_header(line: str):
         fields[key] = int(value)
     if set(fields) != {"height", "count"}:
         raise ParseError(1, "expected height= and count= in header")
-    return Shape(m, n), coords, fields["height"], fields["count"]
+    return shape, coords, fields["height"], fields["count"]
 
 
 def parse_poset(text: str) -> GradedPoset:

@@ -31,7 +31,7 @@ from .partitions import (
     to_multiplicity,
     weighted_sum,
 )
-from .poset import GradedPoset, ParseError
+from .poset import GradedPoset, ParseError, _parse_label
 
 Chain = tuple[WeakComposition, ...]
 
@@ -515,13 +515,7 @@ def parse_decomposition(text: str) -> ChainDecomposition:
     fields = lines[0].split()
     if len(fields) != 3 or fields[0] != "scd" or not fields[1].startswith("L'("):
         raise ParseError(1, f"bad decomposition header: {lines[0]!r}")
-    label = fields[1]
-    if not label.endswith(")"):
-        raise ParseError(1, f"bad lattice label: {label!r}")
-    try:
-        m, n = (int(v) for v in label[3:-1].split(","))
-    except ValueError:
-        raise ParseError(1, f"bad lattice label: {label!r}") from None
+    shape, _ = _parse_label(fields[1])
     key_name, _, value = fields[2].partition("=")
     if key_name != "chains" or not value.isdigit():
         raise ParseError(1, f"bad header field: {fields[2]!r}")
@@ -539,4 +533,4 @@ def parse_decomposition(text: str) -> ChainDecomposition:
         raise ParseError(
             len(lines), f"header declares {declared} chains, found {len(chains)}"
         )
-    return ChainDecomposition(Shape(m, n), chains)
+    return ChainDecomposition(shape, chains)

@@ -173,3 +173,16 @@ class TestErrorPaths:
             assert code == 2
             assert out == ""
             assert err.startswith("error: ") and "line 1: negative" in err
+
+    def test_negative_dimension_decomposition_header_is_a_parse_error(self, tmp_path, capsys):
+        poset_file = tmp_path / "p.poset"
+        assert run(capsys, "lattice", "1", "3", "--coords", "composition",
+                   "--out", str(poset_file))[0] == 0
+        bad = tmp_path / "neg.scd"
+        bad.write_text("scd L'(-1,3) chains=0\n")
+        for argv in (("scd", "verify", str(poset_file), str(bad)),
+                     ("render", str(poset_file), "--scd", str(bad))):
+            code, out, err = run(capsys, *argv)
+            assert code == 2
+            assert out == ""
+            assert err.startswith("error: ") and "line 1: negative" in err

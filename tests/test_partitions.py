@@ -256,6 +256,11 @@ class TestEnumerateCompositions:
         assert got == sorted(got)
         assert all(sum(c) == k and len(c) == p for c in got)
 
+    def test_many_parts_do_not_recurse(self):
+        got = enumerate_compositions(1, 2000)
+        assert len(got) == 2000
+        assert got[0] == (0,) * 1999 + (1,) and got[-1] == (1,) + (0,) * 1999
+
 
 class TestBoxEnumeration:
     def test_counts(self):

@@ -8,13 +8,20 @@ from hypothesis import strategies as st
 from conftest import cover_pairs_by_scan
 from younglat.partitions import (
     Shape,
+    composition_lower_covers,
+    enumerate_compositions,
     leq,
+    lower_covers,
     partitions_in_box,
     to_multiplicity,
+    weighted_sum,
 )
 from younglat.poset import (
+    ELEMENT_LIMIT,
+    GradedPoset,
     ParseError,
     RankPolynomial,
+    _exact_quotient_one_minus_power,
     build_lattice,
     check_splitting_identities,
     gaussian_binomial,
@@ -89,6 +96,49 @@ class TestGaussianBinomial:
                 assert lhs == rhs
 
 
+def reference_gaussian_binomial(m, n):
+    """The two-phase loop that gaussian_binomial replaced: all n products by
+    (1 - q^(m+i)) first, then all n exact divisions by (1 - q^i)."""
+    poly = [1]
+    for i in range(1, n + 1):
+        k = m + i
+        out = poly + [0] * k
+        for j, v in enumerate(poly):
+            out[j + k] -= v
+        poly = out
+    for k in range(1, n + 1):
+        deg = len(poly) - 1
+        assert deg >= k
+        quot = [0] * (deg - k + 1)
+        for j in range(len(quot)):
+            quot[j] = poly[j] + (quot[j - k] if j >= k else 0)
+        for j in range(len(quot), deg + 1):
+            assert poly[j] == -(quot[j - k] if j - k >= 0 else 0)
+        poly = quot
+    return poly
+
+
+class TestInterleavedGaussianBinomial:
+    def test_matches_two_phase_reference(self):
+        for m in range(31):
+            for n in range(31):
+                assert list(gaussian_binomial(m, n)) == reference_gaussian_binomial(m, n)
+
+    def test_matches_two_phase_reference_150(self):
+        assert list(gaussian_binomial(150, 150)) == reference_gaussian_binomial(150, 150)
+
+    @pytest.mark.parametrize("poly, k", [
+        ([1, 1], 1),      # 1 + q leaves remainder 2
+        ([1, 0, 1], 1),   # 1 + q^2 leaves remainder 2
+        ([1, -1], 2),     # degree below k
+        ([5], 1),         # degree below k
+        ([0, 0], 2),      # degree below k, although nothing remains
+    ])
+    def test_inexact_division_raises(self, poly, k):
+        with pytest.raises(ArithmeticError):
+            _exact_quotient_one_minus_power(poly, k)
+
+
 class TestRankPolynomialType:
     def test_not_unimodal_detected(self):
         assert not RankPolynomial((1, 2, 1, 2, 1)).is_unimodal
@@ -137,6 +187,18 @@ class TestBuildLattice:
                     if m and n:
                         assert rank_profile(p) == gaussian_binomial(m, n)
 
+    @pytest.mark.parametrize("coords", ["partition", "composition"])
+    def test_many_parts_do_not_recurse(self, coords):
+        p = build_lattice(Shape(2000, 1), coords)
+        assert len(p) == 2001 and len(p.covers) == 2000
+
+    def test_refuses_more_than_element_limit(self):
+        assert comb(24, 12) <= ELEMENT_LIMIT < comb(26, 13)
+        for shape in (Shape(13, 13), Shape(3000, 3), Shape(3, 3000),
+                      Shape(99999999, 99999999)):
+            with pytest.raises(ValueError, match="more than"):
+                build_lattice(shape, "composition")
+
     def test_rejects_unknown_coordinate_mode(self):
         with pytest.raises(ValueError):
             build_lattice(Shape(2, 2), "cartesian")
@@ -180,6 +242,41 @@ class TestBuildLattice:
                 assert mapped == list(pc.elements)
                 assert pp.covers == pc.covers
                 assert pp.ranks == pc.ranks
+
+
+def reference_build_lattice(shape, coordinates):
+    """The two-branch build that build_lattice replaced: partitions_in_box
+    with lower_covers, or compositions with composition_lower_covers, then
+    one sort of the (rank, key) pairs and one of the covers."""
+    m, n = shape
+    if m == 0 or n == 0:
+        return GradedPoset(shape, coordinates, (), (), (), 0)
+    if coordinates == "partition":
+        keys, rank_fn = partitions_in_box(m, n), sum
+        cover_fn = lambda key: lower_covers(key, shape)
+    else:
+        keys, rank_fn = enumerate_compositions(m, n + 1), weighted_sum
+        cover_fn = lambda key: composition_lower_covers(key, shape)
+    ranked = sorted((rank_fn(key), key) for key in keys)
+    elems = [key for _, key in ranked]
+    index = {key: i for i, key in enumerate(elems)}
+    edges = sorted(
+        (index[low], hi, color)
+        for hi, key in enumerate(elems)
+        for low, color in cover_fn(key)
+    )
+    return GradedPoset(shape, coordinates, elems, [r for r, _ in ranked], edges, m * n)
+
+
+class TestSingleBuildPath:
+    SHAPES = ([Shape(m, n) for m in range(8) for n in range(8)]
+              + [Shape(12, 1), Shape(1, 12)]
+              + [Shape(0, k) for k in (8, 12)] + [Shape(k, 0) for k in (8, 12)])
+
+    @pytest.mark.parametrize("coords", ["partition", "composition"])
+    def test_matches_two_branch_reference(self, coords):
+        for shape in self.SHAPES:
+            assert build_lattice(shape, coords) == reference_build_lattice(shape, coords)
 
 
 class TestSplittingIdentities:

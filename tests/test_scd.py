@@ -227,6 +227,13 @@ class TestDecompositionFiles:
             parse_decomposition("bogus header\n")
         assert err.value.line == 1
 
+    @pytest.mark.parametrize("label", ["L'(-1,3)", "L'(3,-2)", "L'(-1,-1)"])
+    def test_parse_rejects_negative_dimension(self, label):
+        with pytest.raises(ParseError) as err:
+            parse_decomposition(f"scd {label} chains=0\n")
+        assert err.value.line == 1
+        assert str(err.value) == f"line 1: negative lattice dimension: {label!r}"
+
     def test_parse_rejects_count_mismatch(self):
         with pytest.raises(ParseError):
             parse_decomposition("scd L'(1,3) chains=2\n1000 0100 0010 0001\n")
