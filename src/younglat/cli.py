@@ -90,8 +90,15 @@ def _load_decomposition(path: str):
         raise CliError(f"{path}: {exc}") from None
 
 
+def _build(m: int, n: int, coords: str):
+    try:
+        return build_lattice(Shape(m, n), coords)
+    except ValueError as exc:  # over the element limit
+        raise CliError(str(exc)) from None
+
+
 def _cmd_lattice(args) -> int:
-    p = build_lattice(Shape(args.m, args.n), args.coords)
+    p = _build(args.m, args.n, args.coords)
     _emit(
         serialize_poset(p),
         args.out,
@@ -138,7 +145,7 @@ def _cmd_scd_n2(args) -> int:
 
 
 def _cmd_scd_brute(args) -> int:
-    p = build_lattice(Shape(args.m, args.n), "composition")
+    p = _build(args.m, args.n, "composition")
     result = brute_force_scd(p, budget=args.budget)
     if result.status == "found":
         print(serialize_decomposition(result.decomposition), end="")

@@ -12,7 +12,10 @@ nonnegative entries summing to ``m`` whose entry ``j`` (1-based, left to
 right) counts the parts of size ``n + 1 - j``.  The first entry counts parts
 of size ``n`` and the last counts padding zeros.  ``to_multiplicity`` and
 ``from_multiplicity`` convert between the two coordinate systems and carry
-cover edges to cover edges in both directions.
+cover edges to cover edges in both directions.  Every ``poset.GradedPoset``
+keys its elements by weak composition, in either coordinate system; partitions
+are a view of those keys, taken with ``from_multiplicity`` for labels and
+partition-form chains.
 
 ``poset.build_lattice`` uses only ``enumerate_compositions``; ``lower_covers``,
 ``composition_lower_covers`` and ``partitions_in_box`` stay public as test

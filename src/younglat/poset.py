@@ -1,10 +1,13 @@
 """Bounded partition lattices as explicit graded posets.
 
-Builds the lattice of shape ``(m, n)`` in either coordinate system, computes
-Gaussian-binomial rank polynomials with exact big-integer arithmetic, checks
-the two classical one-step splittings of that polynomial, and reads and
-writes a line-oriented text format.  Posets are immutable after construction
-and safe to share between threads.
+Builds the lattice of shape ``(m, n)``, computes Gaussian-binomial rank
+polynomials with exact big-integer arithmetic, checks the two classical
+one-step splittings of that polynomial, and reads and writes a line-oriented
+text format.  Element keys are always weak compositions; the coordinate
+system of a poset (partition or composition) chooses only its label,
+``L(m,n)`` or ``L'(m,n)``, and partitions are a view through the
+multiplicity bijection of :mod:`younglat.partitions`.  Posets are immutable
+after construction and safe to share between threads.
 
 The interchange format, one file per poset::
 
@@ -12,9 +15,9 @@ The interchange format, one file per poset::
     <index> <rank> <key>          (one line per element)
     <lower> <upper> <color>       (one line per cover)
 
-Element keys are always written in composition form so files from either
-build mode share one key space.  Elements are ordered by rank and then
-lexicographically; covers are sorted by index pair.  Output is byte-stable.
+Files from either coordinate system share one key space.  Elements are
+ordered by rank and then lexicographically; covers are sorted by index pair.
+Output is byte-stable.
 """
 
 from __future__ import annotations
@@ -29,10 +32,8 @@ from .partitions import (
     WeakComposition,
     enumerate_compositions,
     format_composition,
-    from_multiplicity,
     parse_composition,
     partitions_in_box,
-    to_multiplicity,
     weighted_sum,
 )
 
@@ -148,10 +149,10 @@ def gaussian_binomial(m: int, n: int) -> RankPolynomial:
 class GradedPoset:
     """A finite leveled poset with colored cover edges.
 
-    ``elements`` holds canonical keys (partition tuples or full composition
-    tuples, depending on ``coords``) sorted by rank and then
-    lexicographically; ``covers`` holds ``(lower_index, upper_index, color)``
-    triples sorted by index pair.  The lattice factory guarantees a unique
+    ``elements`` holds weak-composition keys sorted by rank and then
+    lexicographically, whatever ``coords`` is: ``coords`` only picks the
+    label of :meth:`label`.  ``covers`` holds ``(lower_index, upper_index,
+    color)`` triples sorted by index pair.  The lattice factory guarantees a unique
     minimum and maximum; hand-built instances (test fixtures) may be any
     leveled poset.
     """
@@ -208,22 +209,6 @@ class GradedPoset:
             out[r].append(i)
         return out
 
-    def compositions(self) -> tuple[WeakComposition, ...]:
-        """Every element in canonical composition form, in element order."""
-        if self.coords == "composition":
-            return self.elements
-        return tuple(to_multiplicity(key, self.shape) for key in self.elements)
-
-    def composition_index(self) -> dict[WeakComposition, int]:
-        """Composition key -> element index; callers must not modify it.
-
-        In composition coordinates this is the poset's own index; in
-        partition coordinates a new dict is built on each call.
-        """
-        if self.coords == "composition":
-            return self._index
-        return {c: i for i, c in enumerate(self.compositions())}
-
     def label(self) -> str:
         prime = "" if self.coords == "partition" else "'"
         return f"L{prime}({self.shape.m},{self.shape.n})"
@@ -232,13 +217,13 @@ class GradedPoset:
 def build_lattice(shape: Shape, coordinates: str = "partition") -> GradedPoset:
     """Materialize the lattice of partitions bounded by ``shape``.
 
-    One path for both coordinate systems: the weak compositions of ``m`` with
-    ``n + 1`` entries, stably sorted by rank (lexicographic within a rank).
-    An upper cover moves a unit from slot ``j + 1`` to slot ``j`` (color
-    ``j + 1``) and is later in its rank the smaller ``j`` is, so emitting
-    ``j = n - 1`` down to ``0`` yields covers sorted by index pair.  Partition
-    coordinates relabel with :func:`from_multiplicity`.  ``m = 0`` or ``n = 0``
-    gives the empty poset; over ``ELEMENT_LIMIT`` elements raise ``ValueError``.
+    The elements are the weak compositions of ``m`` with ``n + 1`` entries,
+    stably sorted by rank (lexicographic within a rank), in both coordinate
+    systems; ``coordinates`` only sets the label.  An upper cover moves a
+    unit from slot ``j + 1`` to slot ``j`` (color ``j + 1``) and is later in
+    its rank the smaller ``j`` is, so emitting ``j = n - 1`` down to ``0``
+    yields covers sorted by index pair.  ``m = 0`` or ``n = 0`` gives the
+    empty poset; over ``ELEMENT_LIMIT`` elements raise ``ValueError``.
     """
     shape = Shape(*shape)
     m, n = shape
@@ -257,9 +242,6 @@ def build_lattice(shape: Shape, coordinates: str = "partition") -> GradedPoset:
     edges = [(lo, index[c[:j] + (c[j] + 1, c[j + 1] - 1) + c[j + 2 :]], j + 1)
              for lo, c in enumerate(comps) for j in range(n - 1, -1, -1) if c[j + 1]]
     del index  # free it before GradedPoset builds its own index
-    if coordinates == "partition":
-        for i, c in enumerate(comps):
-            comps[i] = from_multiplicity(c, shape)
     return GradedPoset(shape, coordinates, comps, ranks, edges, m * n)
 
 
@@ -335,10 +317,9 @@ def check_splitting_identities(m: int, n: int) -> SplitCheck:
 
 
 def serialize_poset(p: GradedPoset) -> str:
-    """Render ``p`` in the interchange format (always composition keys)."""
+    """Render ``p`` in the interchange format."""
     lines = [f"poset {p.label()} height={p.height} count={len(p)}"]
-    comps = p.compositions()
-    for i, c in enumerate(comps):
+    for i, c in enumerate(p.elements):
         lines.append(f"{i} {p.ranks[i]} {format_composition(c)}")
     for lo, hi, color in p.covers:
         lines.append(f"{lo} {hi} {color}")
@@ -349,7 +330,7 @@ def _parse_label(label: str) -> tuple[Shape, str]:
     """Shape and coordinates of a header label ``L(m,n)`` or ``L'(m,n)``."""
     coords = "composition" if label.startswith("L'") else "partition"
     body = label[2:] if coords == "composition" else label[1:]
-    if not (body.startswith("(") and body.endswith(")")):
+    if not (label.startswith("L") and body.startswith("(") and body.endswith(")")):
         raise ParseError(1, f"bad lattice label: {label!r}")
     try:
         m, n = (int(v) for v in body[1:-1].split(","))
@@ -379,14 +360,15 @@ def _parse_header(line: str):
 def parse_poset(text: str) -> GradedPoset:
     """Parse the interchange format back into a :class:`GradedPoset`.
 
-    The parser is strict: declared counts, ordering, ranks, keys, and edge
-    colors are all revalidated, so a file that parses is a faithful lattice.
-    Covers are checked arithmetically.  Each key gets an integer code, its
-    entries read as base-``m + 1`` digits, which is injective on the keys of
-    the lattice.  Moving one unit from 0-based slot ``j`` to slot ``j + 1``
-    lowers the code by ``(m+1)^(n-j) - (m+1)^(n-j-1)``, so a color-``j+1``
-    line is a cover exactly when the upper key has ``upper[j] >= 1`` and the
-    codes differ by that step.
+    The keys are kept as read, in composition form; the header label sets
+    only ``coords``.  The parser is strict: declared counts, ordering, ranks,
+    keys, and edge colors are all revalidated, so a file that parses is a
+    faithful lattice.  Covers are checked arithmetically.  Each key gets an
+    integer code, its entries read as base-``m + 1`` digits, which is
+    injective on the keys of the lattice.  Moving one unit from 0-based slot
+    ``j`` to slot ``j + 1`` lowers the code by ``(m+1)^(n-j) - (m+1)^(n-j-1)``,
+    so a color-``j+1`` line is a cover exactly when the upper key has
+    ``upper[j] >= 1`` and the codes differ by that step.
     """
     lines = text.splitlines()
     if not lines:
@@ -458,8 +440,4 @@ def parse_poset(text: str) -> GradedPoset:
     if len(covers) != degree_total:
         raise ParseError(len(lines), f"expected {degree_total} covers, got {len(covers)}")
 
-    if coords == "partition":
-        elements = [from_multiplicity(c, shape) for c in comps]
-    else:
-        elements = comps
-    return GradedPoset(shape, coords, elements, ranks, covers, height)
+    return GradedPoset(shape, coords, comps, ranks, covers, height)

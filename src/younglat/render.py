@@ -47,7 +47,7 @@ def _node_labels(p: GradedPoset, spec: RenderSpec) -> list[str]:
     size ``n - j`` repeated ``c[j]`` times for ``j < n``; they equal
     ``format_partition`` and ``_young_rows`` of ``from_multiplicity(c)``.
     """
-    comps = p.compositions()
+    comps = p.elements
     if spec.labels == "composition":
         return [format_composition(c) for c in comps]
     n = p.shape.n if comps else 0
@@ -69,7 +69,7 @@ def _node_labels(p: GradedPoset, spec: RenderSpec) -> list[str]:
 def _highlight_edges(p: GradedPoset, spec: RenderSpec) -> set[tuple[int, int]] | None:
     if spec.highlight is None:
         return None
-    index = p.composition_index()
+    index = p._index
     pairs = set()
     for chain in spec.highlight.chains:
         for upper, lower in zip(chain, chain[1:]):
@@ -90,7 +90,7 @@ def to_dot(p: GradedPoset, spec: RenderSpec | None = None) -> str:
     spec = spec or RenderSpec()
     colors = _colormap(p, spec)
     chain_edges = _highlight_edges(p, spec)
-    keys = [format_composition(c) for c in p.compositions()]
+    keys = [format_composition(c) for c in p.elements]
     labels = _node_labels(p, spec)
     out = [
         f'digraph "{p.label()}" {{',
@@ -129,7 +129,7 @@ def to_svg(p: GradedPoset, spec: RenderSpec | None = None) -> str:
     chain_edges = _highlight_edges(p, spec)
     young = spec.labels == "young"
     labels = None if young else _node_labels(p, spec)
-    comps = p.compositions()
+    comps = p.elements
     levels = p.levels()
     widest = max((len(level) for level in levels), default=1) or 1
     width = 2 * _MARGIN + (widest - 1) * _DX

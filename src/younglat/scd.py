@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
+from typing import Iterator
 
 from .partitions import (
     Shape,
@@ -85,7 +86,7 @@ def as_partition_chains(d: ChainDecomposition) -> list[tuple]:
 def is_symmetric_chain(chain, p: GradedPoset) -> bool:
     """True when the top-down ``chain`` is saturated in ``p`` and its endpoint
     ranks add up to the poset height.  Unknown elements raise ``KeyError``."""
-    index = p.composition_index()
+    index = p._index
     keys = [tuple(key) for key in chain]
     for key in keys:
         if key not in index:
@@ -155,7 +156,7 @@ def verify_scd(d: ChainDecomposition, p: GradedPoset) -> ScdReport:
     chains whose endpoint ranks do not mirror.  The report also counts how
     many chains start (bottom out) at each rank.
     """
-    index = p.composition_index()
+    index = p._index
     edge_colors = p._edge_colors
     seen: Counter = Counter()
     unknown: list = []
@@ -227,40 +228,39 @@ def scd_n2(m: int) -> ChainDecomposition:
     return ChainDecomposition(Shape(m, 2), chains)
 
 
-def _shift(chain: Chain, s: int) -> Chain:
-    # re-embed a chain by adding s to the first and last entries
-    return tuple((a + s, b, c, d + s) for a, b, c, d in chain)
-
-
-def _odd_shell(m: int) -> list[Chain]:
-    """Chains covering the two outer faces of the simplex for odd ``m``.
+def _odd_shell(m: int, s: int) -> list[Chain]:
+    """Chains covering the two outer faces of the simplex for odd ``m``,
+    written at offset ``s``: ``s`` is added to the first and last entry of
+    every key, which moves the chains ``s`` layers into a larger simplex.
 
     Chain ``i`` (0-based, up to (m - 1) / 2) starts at ``(m - 2i, 2i, 0, 0)``,
     zigzags down the last-slot-zero face with its second slot held at ``2i``
     or ``2i + 1``, crosses onto the first-slot-zero face, and then sweeps one
     element per rank down to rank ``2i``.  Endpoint ranks are ``3m - 2i`` and
     ``2i``, so every chain is symmetric; together the chains cover exactly
-    the compositions whose first or last entry is zero.
+    the compositions whose first or last entry is zero.  The offset raises
+    both endpoint ranks by ``3s``, mirroring them in the height ``3m + 6s``.
     """
     chains = []
     for i in range((m + 1) // 2):
         a, b, c = m - 2 * i, 2 * i, 0
-        chain = [(a, b, c, 0)]
+        chain = [(a + s, b, c, s)]
         while a > 0:
             a -= 1
-            chain.append((a, b + 1, c, 0))
-            chain.append((a, b, c + 1, 0))
+            chain.append((a + s, b + 1, c, s))
+            chain.append((a + s, b, c + 1, s))
             c += 1
         # face sweep: at rank r the chain sits at second slot bb, one rank a step
         for r in range(m - 1 + 2 * i, 2 * i - 1, -1):
             bb = i + max(0, (r - (m - 1)) // 2)
-            chain.append((0, bb, r - 2 * bb, m - r + bb))
+            chain.append((s, bb, r - 2 * bb, m - r + bb + s))
         chains.append(tuple(chain))
     return chains
 
 
-def _even_shell(m: int) -> list[Chain]:
-    """Chains covering the outer two layers of the simplex for even ``m`` >= 4.
+def _even_shell(m: int, s: int) -> list[Chain]:
+    """Chains covering the outer two layers of the simplex for even ``m`` >= 4,
+    written at offset ``s`` as in :func:`_odd_shell`.
 
     One marked chain runs the full middle-root string along the edge shared
     by the two outer faces, from ``(0, m, 0, 0)`` down to ``(0, 0, m, 0)``;
@@ -272,46 +272,47 @@ def _even_shell(m: int) -> list[Chain]:
     """
     if m < 4 or m % 2:
         raise ValueError(f"generic even shell needs even m >= 4, got {m}")
-    chains: list[Chain] = [tuple((0, m - k, k, 0) for k in range(m + 1))]
+    chains: list[Chain] = [tuple((s, m - k, k, s) for k in range(m + 1))]
     for i in range(m // 2):
         a, b, c = m - 2 * i, 2 * i, 0
-        chain = [(a, b, c, 0)]
+        chain = [(a + s, b, c, s)]
         while a > 1:
             a -= 1
-            chain.append((a, b + 1, c, 0))
-            chain.append((a, b, c + 1, 0))
+            chain.append((a + s, b + 1, c, s))
+            chain.append((a + s, b, c + 1, s))
             c += 1
-        chain.append((1, b, c - 1, 1))  # inner-layer detour past the edge chain
+        chain.append((1 + s, b, c - 1, 1 + s))  # inner-layer detour past the edge chain
         for r in range(m + 2 * i, 2 * i - 1, -1):
             bb = max(0, r - m + 1) + i - max(0, -(-(r - m) // 2))
-            chain.append((0, bb, r - 2 * bb, m - r + bb))
+            chain.append((s, bb, r - 2 * bb, m - r + bb + s))
         chains.append(tuple(chain))
     inner = m - 2
     for j in range(m // 2 - 1):
         a, b, c = inner - 2 * j, 2 * j, 0
-        chain = [(a + 1, b, c, 1)]
+        chain = [(a + 1 + s, b, c, 1 + s)]
         while a > 0:
             a -= 1
-            chain.append((a + 1, b + 1, c, 1))
+            chain.append((a + 1 + s, b + 1, c, 1 + s))
             if a > 0:
-                chain.append((a + 1, b, c + 1, 1))
+                chain.append((a + 1 + s, b, c + 1, 1 + s))
                 c += 1
         for r in range(inner + 2 * j, 2 * j - 1, -1):
             bb = max(0, r - inner + 1) + j - max(0, -(-(r - inner) // 2))
-            chain.append((1, bb, r - 2 * bb, inner - r + bb + 1))
+            chain.append((1 + s, bb, r - 2 * bb, inner - r + bb + 1 + s))
         chains.append(tuple(chain))
     return chains
 
 
-def _two_column_seed() -> list[Chain]:
+def _two_column_seed(s: int) -> list[Chain]:
     """Decomposition of the (2, 3) lattice obtained by conjugating the
-    alternating decomposition of the (3, 2) box."""
+    alternating decomposition of the (3, 2) box, written at offset ``s``."""
     out = []
     for chain in scd_n2(3).chains:
         mapped = []
         for key in chain:
             part = from_multiplicity(key, Shape(3, 2))
-            mapped.append(to_multiplicity(conjugate(part), Shape(2, 3)))
+            a, b, c, d = to_multiplicity(conjugate(part), Shape(2, 3))
+            mapped.append((a + s, b, c, d + s))
         out.append(tuple(mapped))
     return out
 
@@ -322,15 +323,15 @@ def lindstrom_odd(t: int) -> ChainDecomposition:
     The decomposition for ``m - 2`` re-embeds by adding one to the first and
     last entry of every key (ranks shift by 3, the height by 6, so symmetry
     is preserved), and the two outer faces are filled by :func:`_odd_shell`.
-    The base ``m = 1`` is the single four-element chain.
+    Unrolled, shell ``k = 1, 3, ..., m`` sits at offset ``(m - k) / 2``, so
+    each chain is written once, in its final position.  The base ``m = 1``
+    is the single four-element chain.
     """
     if t < 0:
         raise ValueError(f"need t >= 0, got {t}")
-    chains: list[Chain] = []
-    for k in range(1, 2 * t + 2, 2):
-        chains = [_shift(ch, 1) for ch in chains]
-        chains.extend(_odd_shell(k))
-    return ChainDecomposition(Shape(2 * t + 1, 3), chains)
+    m = 2 * t + 1
+    chains = [ch for k in range(1, m + 1, 2) for ch in _odd_shell(k, (m - k) // 2)]
+    return ChainDecomposition(Shape(m, 3), chains)
 
 
 def lindstrom_even(t: int) -> ChainDecomposition:
@@ -340,23 +341,22 @@ def lindstrom_even(t: int) -> ChainDecomposition:
     last entry of every key (rank shift 6), and the outer two layers are
     filled by :func:`_even_shell`.  Base cases: ``m = 2`` is the conjugated
     two-column decomposition, and the embedded core of ``m = 4`` is the
-    single middle node ``(2, 0, 0, 2)``.
+    single middle node ``(2, 0, 0, 2)``.  Unrolled, shell ``k`` sits at
+    offset ``(m - k) / 2``, the ``m = 4`` core at ``(m - 4) / 2`` and the
+    two-column seed at ``(m - 2) / 2``, so each chain is written once, in
+    its final position.
     """
     if t < 1:
         raise ValueError(f"need t >= 1, got {t}")
     m = 2 * t
-    if m == 2:
-        return ChainDecomposition(Shape(2, 3), _two_column_seed())
     if m % 4 == 0:
-        chains: list[Chain] = [((2, 0, 0, 2),)]
+        chains: list[Chain] = [((m // 2, 0, 0, m // 2),)]
         start = 4
     else:
-        chains = [_shift(ch, 2) for ch in _two_column_seed()]
+        chains = _two_column_seed((m - 2) // 2)
         start = 6
-    chains.extend(_even_shell(start))
-    for k in range(start + 4, m + 1, 4):
-        chains = [_shift(ch, 2) for ch in chains]
-        chains.extend(_even_shell(k))
+    for k in range(start, m + 1, 4):
+        chains.extend(_even_shell(k, (m - k) // 2))
     return ChainDecomposition(Shape(m, 3), chains)
 
 
@@ -391,10 +391,6 @@ class SearchResult:
     assignments: int
 
 
-class _BudgetExceeded(Exception):
-    pass
-
-
 def brute_force_scd(p: GradedPoset, budget: int = 100_000_000) -> SearchResult:
     """Backtracking search for a symmetric chain decomposition of ``p``.
 
@@ -404,7 +400,8 @@ def brute_force_scd(p: GradedPoset, budget: int = 100_000_000) -> SearchResult:
     of chain tops per level (the consecutive differences of the rank
     numbers).  An asymmetric or non-unimodal rank profile is proof that no
     decomposition exists.  Each attempted placement consumes one unit of
-    ``budget``; running out is reported distinctly from proven absence.
+    ``budget``; running out is reported distinctly from proven absence.  The
+    search keeps its own stack, so no shape reaches the recursion limit.
     """
     n_el = len(p)
     if n_el == 0:
@@ -430,67 +427,55 @@ def brute_force_scd(p: GradedPoset, budget: int = 100_000_000) -> SearchResult:
     for targets in down:
         targets.sort()
 
+    ranks = p.ranks
     unassigned = [True] * n_el
-    chains_acc: list[tuple[int, ...]] = []
-    spent = [0]
-
-    def charge() -> None:
-        spent[0] += 1
-        if spent[0] > budget:
-            raise _BudgetExceeded
-
-    def next_top() -> int:
-        for i in range(n_el - 1, -1, -1):
-            if unassigned[i]:
-                return i
-        return -1
-
-    def extend(path: list[int], bottom_rank: int) -> bool:
-        if p.ranks[path[-1]] == bottom_rank:
-            chains_acc.append(tuple(path))
-            if start_chain():
-                return True
-            chains_acc.pop()
-            return False
-        for child in down[path[-1]]:
-            if unassigned[child]:
-                charge()
-                unassigned[child] = False
-                path.append(child)
-                if extend(path, bottom_rank):
-                    return True
-                path.pop()
-                unassigned[child] = True
-        return False
-
-    def start_chain() -> bool:
-        i = next_top()
-        if i < 0:
-            return True
-        t = p.ranks[i]
-        quota = tops_quota.get(t, 0)
-        if quota == 0:
-            return False
-        charge()
-        tops_quota[t] = quota - 1
-        unassigned[i] = False
-        if extend([i], ht - t):
-            return True
-        unassigned[i] = True
-        tops_quota[t] = quota
-        return False
-
-    try:
-        found = start_chain()
-    except _BudgetExceeded:
-        return SearchResult("budget-exhausted", None, spent[0])
-    if not found:
-        return SearchResult("not-found", None, spent[0])
-    comps = p.compositions()
-    chains = [tuple(comps[i] for i in chain) for chain in chains_acc]
-    return SearchResult(
-        "found", ChainDecomposition(p.shape, chains), spent[0]
-    )
+    # one entry per placed element, chains concatenated top-down: the element
+    # and the iterator over the alternatives still untried in its position
+    placed: list[tuple[int, Iterator[int]]] = []
+    tops: list[int] = []  # positions in ``placed`` where the chains start
+    spent = 0
+    while True:
+        starting = not tops or (
+            ranks[placed[-1][0]] == ht - ranks[placed[tops[-1]][0]])
+        if starting:
+            # the highest unassigned element tops the next chain; every
+            # element above the previous top is assigned already
+            top = (placed[tops[-1]][0] if tops else n_el) - 1
+            while top >= 0 and not unassigned[top]:
+                top -= 1
+            if top < 0:
+                break
+            options = iter((top,) if tops_quota.get(ranks[top]) else ())
+        else:
+            options = iter(down[placed[-1][0]])
+        # take the first unassigned option; backtrack while there is none
+        while True:
+            for child in options:
+                if unassigned[child]:
+                    break
+            else:
+                if not placed:
+                    return SearchResult("not-found", None, spent)
+                undone, options = placed.pop()
+                unassigned[undone] = True
+                if tops[-1] == len(placed):
+                    tops.pop()
+                    tops_quota[ranks[undone]] += 1
+                starting = False
+                continue
+            break
+        spent += 1
+        if spent > budget:
+            return SearchResult("budget-exhausted", None, spent)
+        unassigned[child] = False
+        if starting:
+            tops.append(len(placed))
+            tops_quota[ranks[child]] -= 1
+        placed.append((child, options))
+    bounds = tops + [len(placed)]
+    chains = [tuple(p.elements[i] for i, _ in placed[lo:hi])
+              for lo, hi in zip(bounds, bounds[1:])]
+    return SearchResult("found", ChainDecomposition(p.shape, chains), spent)
 
 
 # ---------------------------------------------------------------------------

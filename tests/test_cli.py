@@ -1,3 +1,5 @@
+import pytest
+
 from younglat.cli import main
 from younglat.partitions import Shape
 from younglat.poset import build_lattice, serialize_poset
@@ -186,3 +188,22 @@ class TestErrorPaths:
             assert code == 2
             assert out == ""
             assert err.startswith("error: ") and "line 1: negative" in err
+
+    def test_label_not_starting_with_l_is_a_parse_error(self, tmp_path, capsys):
+        text = serialize_poset(build_lattice(Shape(2, 2)))
+        bad = tmp_path / "x.poset"
+        bad.write_text(text.replace("L(2,2)", "X(2,2)", 1))
+        scd_file = tmp_path / "d.scd"
+        assert run(capsys, "scd", "n2", "2", "--out", str(scd_file))[0] == 0
+        code, out, err = run(capsys, "scd", "verify", str(bad), str(scd_file))
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {bad}: line 1: bad lattice label: 'X(2,2)'\n"
+
+    @pytest.mark.parametrize("argv", [("lattice", "13", "13"),
+                                      ("scd", "brute", "13", "13")])
+    def test_shape_over_element_limit_is_a_usage_error(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err == "error: L(13,13) has more than 4,000,000 elements\n"

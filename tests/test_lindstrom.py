@@ -3,16 +3,43 @@ import pytest
 from younglat.partitions import Shape, format_composition
 from younglat.poset import build_lattice, gaussian_binomial
 from younglat.scd import (
+    ChainDecomposition,
+    _even_shell,
+    _odd_shell,
+    _two_column_seed,
     as_partition_chains,
     lindstrom,
     lindstrom_even,
     lindstrom_odd,
+    serialize_decomposition,
     verify_scd,
 )
 
 
 def shift(chain, s):
     return tuple((a + s, b, c, d + s) for a, b, c, d in chain)
+
+
+def reference_lindstrom(m):
+    """The recursion that lindstrom unrolled: every level re-embeds all
+    earlier chains with ``shift`` and adds its own shell at offset 0."""
+    if m % 2:
+        chains = []
+        for k in range(1, m + 1, 2):
+            chains = [shift(ch, 1) for ch in chains]
+            chains.extend(_odd_shell(k, 0))
+    elif m == 2:
+        chains = _two_column_seed(0)
+    else:
+        if m % 4 == 0:
+            chains, start = [((2, 0, 0, 2),)], 4
+        else:
+            chains, start = [shift(ch, 2) for ch in _two_column_seed(0)], 6
+        chains.extend(_even_shell(start, 0))
+        for k in range(start + 4, m + 1, 4):
+            chains = [shift(ch, 2) for ch in chains]
+            chains.extend(_even_shell(k, 0))
+    return ChainDecomposition(Shape(m, 3), chains)
 
 
 def expected_start_profile(m):
@@ -91,6 +118,13 @@ class TestEvenCases:
         p = build_lattice(Shape(6, 3), "composition")
         assert len(p) == 84
         assert verify_scd(d, p).passed
+
+
+class TestChainsWrittenOnce:
+    def test_matches_the_shifting_recursion_byte_for_byte(self):
+        for m in range(1, 61):
+            assert serialize_decomposition(lindstrom(m)) == serialize_decomposition(
+                reference_lindstrom(m))
 
 
 class TestDispatch:

@@ -10,6 +10,7 @@ from younglat.partitions import (
     Shape,
     composition_lower_covers,
     enumerate_compositions,
+    from_multiplicity,
     leq,
     lower_covers,
     partitions_in_box,
@@ -218,18 +219,17 @@ class TestBuildLattice:
             q_factorial(-1)
 
     def test_cover_scan_oracle(self):
-        # independent pairwise scan agrees with constructive generation
+        # independent pairwise scan of Young containment on the partition
+        # view agrees with constructive generation
         for m in range(1, 5):
             for n in range(1, 5):
                 shape = Shape(m, n)
                 p = build_lattice(shape)
-                elements = list(p.elements)
+                parts = [from_multiplicity(c, shape) for c in p.elements]
                 expected = cover_pairs_by_scan(
-                    elements, lambda a, b: a != b and leq(a, b, shape)
+                    parts, lambda a, b: a != b and leq(a, b, shape)
                 )
-                got = sorted(
-                    (p.elements[lo], p.elements[hi]) for lo, hi, _ in p.covers
-                )
+                got = sorted((parts[lo], parts[hi]) for lo, hi, _ in p.covers)
                 assert got == expected
 
     def test_coordinate_systems_isomorphic(self):
@@ -238,16 +238,33 @@ class TestBuildLattice:
                 shape = Shape(m, n)
                 pp = build_lattice(shape, "partition")
                 pc = build_lattice(shape, "composition")
-                mapped = [to_multiplicity(a, shape) for a in pp.elements]
-                assert mapped == list(pc.elements)
+                parts = [from_multiplicity(c, shape) for c in pc.elements]
+                assert sorted(parts) == sorted(partitions_in_box(m, n))
+                assert [sum(a) for a in parts] == list(pc.ranks)
+                assert pp.elements == pc.elements
                 assert pp.covers == pc.covers
                 assert pp.ranks == pc.ranks
+
+    def test_coordinates_choose_only_the_label(self):
+        for m in range(7):
+            for n in range(7):
+                pp = build_lattice(Shape(m, n), "partition")
+                pc = build_lattice(Shape(m, n), "composition")
+                assert (pp.elements, pp.ranks, pp.covers, pp.height) == (
+                    pc.elements, pc.ranks, pc.covers, pc.height)
+                assert (pp.coords, pc.coords) == ("partition", "composition")
+                assert (pp.label(), pc.label()) == (f"L({m},{n})", f"L'({m},{n})")
+                assert pp != pc
+                for p in (pp, pc):
+                    assert parse_poset(serialize_poset(p)) == p
 
 
 def reference_build_lattice(shape, coordinates):
     """The two-branch build that build_lattice replaced: partitions_in_box
     with lower_covers, or compositions with composition_lower_covers, then
-    one sort of the (rank, key) pairs and one of the covers."""
+    one sort of the (rank, key) pairs and one of the covers.  Partition keys
+    are mapped to compositions at the end, the only element keys a poset
+    holds; the lexicographic orders of the two forms agree within a rank."""
     m, n = shape
     if m == 0 or n == 0:
         return GradedPoset(shape, coordinates, (), (), (), 0)
@@ -265,6 +282,8 @@ def reference_build_lattice(shape, coordinates):
         for hi, key in enumerate(elems)
         for low, color in cover_fn(key)
     )
+    if coordinates == "partition":
+        elems = [to_multiplicity(a, shape) for a in elems]
     return GradedPoset(shape, coordinates, elems, [r for r, _ in ranked], edges, m * n)
 
 
@@ -372,6 +391,14 @@ class TestPosetFiles:
         assert err.value.line == 1
         assert "negative" in str(err.value)
 
+    @pytest.mark.parametrize("label", ["X(2,2)", "M'(2,2)"])
+    def test_parse_rejects_label_not_starting_with_l(self, label):
+        text = serialize_poset(build_lattice(Shape(2, 2)))
+        with pytest.raises(ParseError) as err:
+            parse_poset(text.replace("L(2,2)", label, 1))
+        assert err.value.line == 1
+        assert str(err.value) == f"line 1: bad lattice label: {label!r}"
+
 
 def reference_cover_error(comps, n, lines, first_line_no):
     """The tuple-slicing cover check that parse_poset's code arithmetic
@@ -426,7 +453,7 @@ class TestArithmeticCoverCheck:
         lines[k] = f"{lo} {hi} {color}"
         text = "\n".join(lines) + "\n"
 
-        expected = reference_cover_error(p.compositions(), n, lines[first:], first + 1)
+        expected = reference_cover_error(p.elements, n, lines[first:], first + 1)
         if expected is None:
             assert parse_poset(text) == p
         else:

@@ -116,7 +116,7 @@ class TestLabels:
         for shape in shapes:
             for coords in ("partition", "composition"):
                 p = build_lattice(Shape(*shape), coords)
-                parts = [from_multiplicity(c, p.shape) for c in p.compositions()]
+                parts = [from_multiplicity(c, p.shape) for c in p.elements]
                 assert _node_labels(p, RenderSpec(labels="partition")) == [
                     format_partition(a) for a in parts
                 ]
@@ -134,7 +134,7 @@ class TestLabels:
         monkeypatch.setattr(render, "from_multiplicity", counting)
         p = build_lattice(Shape(3, 3), "composition")
         to_svg(p, RenderSpec(labels="young"))
-        assert sorted(calls) == sorted(p.compositions())
+        assert sorted(calls) == sorted(p.elements)
 
 
 class TestSvgLimits:

@@ -6,6 +6,7 @@ from younglat.partitions import Shape
 from younglat.poset import GradedPoset, ParseError, build_lattice, gaussian_binomial
 from younglat.scd import (
     ChainDecomposition,
+    SearchResult,
     brute_force_scd,
     is_symmetric_chain,
     lindstrom,
@@ -14,6 +15,97 @@ from younglat.scd import (
     serialize_decomposition,
     verify_scd,
 )
+
+class _BudgetExceeded(Exception):
+    pass
+
+
+def reference_brute_force_scd(p, budget):
+    """The recursive search that brute_force_scd replaced with an explicit
+    stack; it recurses once per placed element."""
+    n_el = len(p)
+    if n_el == 0:
+        return SearchResult("found", ChainDecomposition(p.shape, ()), 0)
+    ht = p.height
+    counts = [0] * (ht + 1)
+    for r in p.ranks:
+        counts[r] += 1
+    if any(counts[r] != counts[ht - r] for r in range(ht + 1)):
+        return SearchResult("not-found", None, 0)
+    if any(counts[r] > counts[r + 1] for r in range(ht // 2)):
+        return SearchResult("not-found", None, 0)
+
+    tops_quota = {}
+    for t in range((ht + 1) // 2, ht + 1):
+        quota = counts[t] - (counts[t + 1] if t < ht else 0)
+        if quota:
+            tops_quota[t] = quota
+
+    down = [[] for _ in range(n_el)]
+    for lo, hi, _ in p.covers:
+        down[hi].append(lo)
+    for targets in down:
+        targets.sort()
+
+    unassigned = [True] * n_el
+    chains_acc = []
+    spent = [0]
+
+    def charge():
+        spent[0] += 1
+        if spent[0] > budget:
+            raise _BudgetExceeded
+
+    def next_top():
+        for i in range(n_el - 1, -1, -1):
+            if unassigned[i]:
+                return i
+        return -1
+
+    def extend(path, bottom_rank):
+        if p.ranks[path[-1]] == bottom_rank:
+            chains_acc.append(tuple(path))
+            if start_chain():
+                return True
+            chains_acc.pop()
+            return False
+        for child in down[path[-1]]:
+            if unassigned[child]:
+                charge()
+                unassigned[child] = False
+                path.append(child)
+                if extend(path, bottom_rank):
+                    return True
+                path.pop()
+                unassigned[child] = True
+        return False
+
+    def start_chain():
+        i = next_top()
+        if i < 0:
+            return True
+        t = p.ranks[i]
+        quota = tops_quota.get(t, 0)
+        if quota == 0:
+            return False
+        charge()
+        tops_quota[t] = quota - 1
+        unassigned[i] = False
+        if extend([i], ht - t):
+            return True
+        unassigned[i] = True
+        tops_quota[t] = quota
+        return False
+
+    try:
+        found = start_chain()
+    except _BudgetExceeded:
+        return SearchResult("budget-exhausted", None, spent[0])
+    if not found:
+        return SearchResult("not-found", None, spent[0])
+    chains = [tuple(p.elements[i] for i in chain) for chain in chains_acc]
+    return SearchResult("found", ChainDecomposition(p.shape, chains), spent[0])
+
 
 L13_CHAIN = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
 
@@ -192,6 +284,18 @@ class TestBruteForce:
         assert verify_scd(
             result.decomposition, build_lattice(Shape(3, 3), "composition")
         ).passed
+
+    @pytest.mark.parametrize("budget", [1_000, 100_000])
+    def test_explicit_stack_matches_the_recursion(self, budget):
+        for m in range(6):
+            for n in range(6):
+                p = build_lattice(Shape(m, n), "composition")
+                assert brute_force_scd(p, budget) == reference_brute_force_scd(p, budget)
+
+    def test_deep_search_returns_a_status(self):
+        # 1,001 elements: the recursion needs a deeper stack than the default
+        result = brute_force_scd(build_lattice(Shape(10, 4), "composition"), 100_000)
+        assert (result.status, result.assignments) == ("budget-exhausted", 100_001)
 
 
 class TestDecompositionFiles:
