@@ -30,7 +30,7 @@ from .poset import (
     parse_poset,
     serialize_poset,
 )
-from .render import DiagramSizeError, RenderSpec, to_dot, to_svg
+from .render import RenderSpec, to_dot, to_svg
 from .scd import (
     brute_force_scd,
     lindstrom,
@@ -63,7 +63,10 @@ def _positive(text: str) -> int:
 
 def _emit(text: str, out: str | None, summary: str) -> None:
     if out:
-        Path(out).write_text(text, encoding="utf-8")
+        try:
+            Path(out).write_text(text, encoding="utf-8")
+        except OSError as exc:
+            raise CliError(str(exc)) from None
         print(summary, file=sys.stderr)
     else:
         print(text, end="")
@@ -74,6 +77,8 @@ def _read(path: str) -> str:
         return Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise CliError(str(exc)) from None
+    except UnicodeDecodeError as exc:
+        raise CliError(f"{path}: {exc}") from None
 
 
 def _load_poset(path: str):
@@ -114,7 +119,10 @@ def _cmd_ranks(args) -> int:
 
 
 def _cmd_identities(args) -> int:
-    result = check_splitting_identities(args.m, args.n)
+    try:
+        result = check_splitting_identities(args.m, args.n)
+    except ValueError as exc:  # over the element limit
+        raise CliError(str(exc)) from None
     print(f"part-size split identity: {'ok' if result.first_identity else 'FAIL'}")
     print(f"part-count split identity: {'ok' if result.second_identity else 'FAIL'}")
     print(f"elements with a part of size {args.n}: {result.with_largest}")
@@ -183,7 +191,7 @@ def _cmd_render(args) -> int:
     spec = RenderSpec(labels=args.labels, highlight=highlight)
     try:
         text = to_dot(p, spec) if args.format == "dot" else to_svg(p, spec)
-    except DiagramSizeError as exc:
+    except ValueError as exc:  # too tall, or a highlight key not in the poset
         raise CliError(str(exc)) from None
     print(text, end="")
     return 0

@@ -244,17 +244,18 @@ def partitions_in_box(m: int, n: int) -> Iterator[Partition]:
     """
     if m < 0 or n < 0:
         raise ValueError("box dimensions must be nonnegative")
-
-    def grow(prefix: list[int], bound: int, slots: int) -> Iterator[Partition]:
+    # preorder: a partition, then its extensions by one part, largest first
+    prefix: list[int] = []
+    while True:
         yield tuple(prefix)
-        if slots == 0:
-            return
-        for v in range(min(bound, n), 0, -1):
-            prefix.append(v)
-            yield from grow(prefix, v, slots - 1)
+        if len(prefix) < m and n:
+            prefix.append(prefix[-1] if prefix else n)
+            continue
+        while prefix and prefix[-1] == 1:
             prefix.pop()
-
-    yield from grow([], n, m)
+        if not prefix:
+            return
+        prefix[-1] -= 1
 
 
 def format_partition(a: Partition) -> str:

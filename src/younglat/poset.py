@@ -36,6 +36,7 @@ from .partitions import (
     partitions_in_box,
     weighted_sum,
 )
+from .roots import NotACoverError, edge_color
 
 ELEMENT_LIMIT = 4_000_000  # above L(12,12); build_lattice refuses larger lattices
 
@@ -153,12 +154,12 @@ class GradedPoset:
     lexicographically, whatever ``coords`` is: ``coords`` only picks the
     label of :meth:`label`.  ``covers`` holds ``(lower_index, upper_index,
     color)`` triples sorted by index pair.  The lattice factory guarantees a unique
-    minimum and maximum; hand-built instances (test fixtures) may be any
-    leveled poset.
+    minimum and maximum.  Covers must be root steps between composition keys:
+    :meth:`is_cover` and :meth:`color_of` decide from the two keys alone.
     """
 
     __slots__ = ("shape", "coords", "elements", "ranks", "covers", "height",
-                 "_index", "_edge_colors")
+                 "_index")
 
     def __init__(self, shape, coords, elements, ranks, covers, height):
         self.shape = shape
@@ -170,7 +171,6 @@ class GradedPoset:
         if len(self.elements) != len(self.ranks):
             raise ValueError("one rank per element required")
         self._index = {key: i for i, key in enumerate(self.elements)}
-        self._edge_colors = {(lo, hi): color for lo, hi, color in self.covers}
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -197,10 +197,16 @@ class GradedPoset:
     def is_cover(self, lower_key, upper_key) -> bool:
         if lower_key not in self._index or upper_key not in self._index:
             return False
-        return (self._index[lower_key], self._index[upper_key]) in self._edge_colors
+        try:
+            edge_color(lower_key, upper_key)
+        except NotACoverError:
+            return False
+        return True
 
     def color_of(self, lower_key, upper_key) -> int:
-        return self._edge_colors[(self.index_of(lower_key), self.index_of(upper_key))]
+        if not self.is_cover(lower_key, upper_key):
+            raise KeyError(f"{upper_key} does not cover {lower_key} in {self.label()}")
+        return edge_color(lower_key, upper_key)
 
     def levels(self) -> list[list[int]]:
         """Element indices grouped by rank, rank 0 first."""
@@ -212,6 +218,12 @@ class GradedPoset:
     def label(self) -> str:
         prime = "" if self.coords == "partition" else "'"
         return f"L{prime}({self.shape.m},{self.shape.n})"
+
+
+def _require_within_limit(m: int, n: int) -> None:
+    """``ValueError`` when the ``(m, n)`` lattice has over ``ELEMENT_LIMIT`` elements."""
+    if min(m, n) > 32 or comb(m + n, m) > ELEMENT_LIMIT:  # C(66, 33) > 7e18
+        raise ValueError(f"L({m},{n}) has more than {ELEMENT_LIMIT:,} elements")
 
 
 def build_lattice(shape: Shape, coordinates: str = "partition") -> GradedPoset:
@@ -233,8 +245,7 @@ def build_lattice(shape: Shape, coordinates: str = "partition") -> GradedPoset:
         raise ValueError(f"unknown coordinate system {coordinates!r}")
     if m == 0 or n == 0:
         return GradedPoset(shape, coordinates, (), (), (), 0)
-    if min(m, n) > 32 or comb(m + n, m) > ELEMENT_LIMIT:  # C(66, 33) > 7e18
-        raise ValueError(f"L({m},{n}) has more than {ELEMENT_LIMIT:,} elements")
+    _require_within_limit(m, n)
     comps = enumerate_compositions(m, n + 1)
     comps.sort(key=weighted_sum)
     ranks = list(map(weighted_sum, comps))
@@ -294,10 +305,12 @@ def check_splitting_identities(m: int, n: int) -> SplitCheck:
     ``n`` levels, and the remaining elements are exactly the ``(m, n - 1)``
     box.  The second splits by number of parts instead.  Coefficient
     identities use exact arithmetic, and the first split is also replayed on
-    the actual element sets.
+    the actual element sets, so boxes over ``ELEMENT_LIMIT`` elements raise
+    ``ValueError``.
     """
     if m < 1 or n < 1:
         raise ValueError("both box dimensions must be at least 1")
+    _require_within_limit(m, n)
     whole = list(gaussian_binomial(m, n))
     fewer_parts = list(gaussian_binomial(m - 1, n))
     smaller_parts = list(gaussian_binomial(m, n - 1))
@@ -349,7 +362,7 @@ def _parse_header(line: str):
     fields = {}
     for chunk in parts[2:]:
         key, _, value = chunk.partition("=")
-        if not value.isdigit():
+        if not value.isdecimal():
             raise ParseError(1, f"bad header field: {chunk!r}")
         fields[key] = int(value)
     if set(fields) != {"height", "count"}:
@@ -363,9 +376,10 @@ def parse_poset(text: str) -> GradedPoset:
     The keys are kept as read, in composition form; the header label sets
     only ``coords``.  The parser is strict: declared counts, ordering, ranks,
     keys, and edge colors are all revalidated, so a file that parses is a
-    faithful lattice.  Covers are checked arithmetically.  Each key gets an
-    integer code, its entries read as base-``m + 1`` digits, which is
-    injective on the keys of the lattice.  Moving one unit from 0-based slot
+    faithful lattice.  A header naming a lattice over ``ELEMENT_LIMIT``
+    elements is refused before anything is counted.  Covers are checked
+    arithmetically.  Each key gets an integer code, its entries read as
+    base-``m + 1`` digits, which is injective on the keys of the lattice.  Moving one unit from 0-based slot
     ``j`` to slot ``j + 1`` lowers the code by ``(m+1)^(n-j) - (m+1)^(n-j-1)``,
     so a color-``j+1`` line is a cover exactly when the upper key has
     ``upper[j] >= 1`` and the codes differ by that step.
@@ -375,6 +389,10 @@ def parse_poset(text: str) -> GradedPoset:
         raise ParseError(1, "empty poset file")
     shape, coords, height, count = _parse_header(lines[0])
     m, n = shape
+    try:
+        _require_within_limit(m, n)
+    except ValueError as exc:
+        raise ParseError(1, str(exc)) from None
     expected_count = 0 if m == 0 or n == 0 else comb(m + n, m)
     if count != expected_count:
         raise ParseError(1, f"count={count} does not match the {m} x {n} lattice")

@@ -69,13 +69,12 @@ def _node_labels(p: GradedPoset, spec: RenderSpec) -> list[str]:
 def _highlight_edges(p: GradedPoset, spec: RenderSpec) -> set[tuple[int, int]] | None:
     if spec.highlight is None:
         return None
-    index = p._index
     pairs = set()
     for chain in spec.highlight.chains:
         for upper, lower in zip(chain, chain[1:]):
-            if upper not in index or lower not in index:
+            if upper not in p or lower not in p:
                 raise ValueError(f"highlight element {upper} or {lower} not in poset")
-            pairs.add((index[lower], index[upper]))
+            pairs.add((p.index_of(lower), p.index_of(upper)))
     return pairs
 
 

@@ -46,16 +46,15 @@ def edge_color(lower: WeakComposition, upper: WeakComposition) -> int:
     """
     if len(lower) != len(upper):
         raise NotACoverError(f"slot counts differ: {upper} vs {lower}")
-    delta = [u - l for u, l in zip(upper, lower)]
-    moved = [i for i, d in enumerate(delta) if d]
-    if (
-        len(moved) != 2
-        or moved[1] != moved[0] + 1
-        or delta[moved[0]] != 1
-        or delta[moved[1]] != -1
-    ):
-        raise NotACoverError(f"{upper} does not cover {lower}")
-    return moved[0] + 1
+    for j, (u, l) in enumerate(zip(upper, lower)):
+        if u != l:
+            # the first difference gains a unit, the next slot loses it, the rest agree
+            if (u - l == 1 and j + 1 < len(upper)
+                    and lower[j + 1] - upper[j + 1] == 1
+                    and upper[j + 2 :] == lower[j + 2 :]):
+                return j + 1
+            break
+    raise NotACoverError(f"{upper} does not cover {lower}")
 
 
 def weight_string(

@@ -50,7 +50,7 @@ class ChainDecomposition:
         self.shape = Shape(*shape) if shape is not None else None
         normalized = []
         for chain in chains:
-            chain = tuple(tuple(key) for key in chain)
+            chain = tuple(map(tuple, chain))
             if not chain:
                 raise ValueError("chains must contain at least one element")
             normalized.append(chain)
@@ -83,19 +83,23 @@ def as_partition_chains(d: ChainDecomposition) -> list[tuple]:
     ]
 
 
+def _check_chain(chain, p: GradedPoset) -> tuple[list, bool, bool]:
+    """Keys of the top-down ``chain`` absent from ``p``; if none, whether it is
+    saturated and whether its endpoint ranks add up to the height, else False."""
+    unknown = [key for key in chain if key not in p]
+    if unknown:
+        return unknown, False, False
+    saturated = all(map(p.is_cover, chain[1:], chain))
+    return unknown, saturated, p.rank_of(chain[0]) + p.rank_of(chain[-1]) == p.height
+
+
 def is_symmetric_chain(chain, p: GradedPoset) -> bool:
     """True when the top-down ``chain`` is saturated in ``p`` and its endpoint
     ranks add up to the poset height.  Unknown elements raise ``KeyError``."""
-    index = p._index
-    keys = [tuple(key) for key in chain]
-    for key in keys:
-        if key not in index:
-            raise KeyError(f"unknown element {key}")
-    for upper, lower in zip(keys, keys[1:]):
-        if (index[lower], index[upper]) not in p._edge_colors:
-            return False
-    top, bottom = keys[0], keys[-1]
-    return p.ranks[index[top]] + p.ranks[index[bottom]] == p.height
+    unknown, saturated, symmetric = _check_chain(tuple(map(tuple, chain)), p)
+    if unknown:
+        raise KeyError(f"unknown element {unknown[0]}")
+    return saturated and symmetric
 
 
 @dataclass(frozen=True)
@@ -154,37 +158,29 @@ def verify_scd(d: ChainDecomposition, p: GradedPoset) -> ScdReport:
     Defects are report content, never exceptions: missing and doubly covered
     elements, keys absent from the poset, chains that are not saturated, and
     chains whose endpoint ranks do not mirror.  The report also counts how
-    many chains start (bottom out) at each rank.
+    many chains start (bottom out) at each rank.  Shapes that are both set
+    and differ raise ``ValueError``.
     """
-    index = p._index
-    edge_colors = p._edge_colors
+    if d.shape is not None and p.shape is not None and d.shape != p.shape:
+        raise ValueError(f"shape mismatch: poset {p.label()} vs decomposition "
+                         f"L'({d.shape.m},{d.shape.n})")
     seen: Counter = Counter()
     unknown: list = []
     unsaturated: list[int] = []
     asymmetric: list[int] = []
     profile: Counter = Counter()
     for ci, chain in enumerate(d.chains):
-        chain_known = True
-        for key in chain:
-            seen[key] += 1
-            if key not in index:
-                unknown.append(key)
-                chain_known = False
-        if not chain_known:
-            unsaturated.append(ci)
-            continue
-        saturated = all(
-            (index[lower], index[upper]) in edge_colors
-            for upper, lower in zip(chain, chain[1:])
-        )
+        seen.update(chain)
+        absent, saturated, symmetric = _check_chain(chain, p)
+        unknown.extend(absent)
         if not saturated:
             unsaturated.append(ci)
-        top_rank = p.ranks[index[chain[0]]]
-        bottom_rank = p.ranks[index[chain[-1]]]
-        if top_rank + bottom_rank != p.height:
+        if absent:
+            continue
+        if not symmetric:
             asymmetric.append(ci)
-        profile[bottom_rank] += 1
-    missing = tuple(sorted(index.keys() - seen.keys()))
+        profile[p.rank_of(chain[-1])] += 1
+    missing = tuple(sorted(key for key in p.elements if key not in seen))
     duplicated = tuple(sorted(k for k, v in seen.items() if v > 1))
     return ScdReport(
         shape=d.shape,
@@ -502,7 +498,7 @@ def parse_decomposition(text: str) -> ChainDecomposition:
         raise ParseError(1, f"bad decomposition header: {lines[0]!r}")
     shape, _ = _parse_label(fields[1])
     key_name, _, value = fields[2].partition("=")
-    if key_name != "chains" or not value.isdigit():
+    if key_name != "chains" or not value.isdecimal():
         raise ParseError(1, f"bad header field: {fields[2]!r}")
     declared = int(value)
     chains = []

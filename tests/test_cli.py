@@ -1,8 +1,12 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conftest import mutated_text
 from younglat.cli import main
 from younglat.partitions import Shape
 from younglat.poset import build_lattice, serialize_poset
+from younglat.scd import lindstrom, scd_n2, serialize_decomposition
 
 
 def run(capsys, *argv):
@@ -207,3 +211,79 @@ class TestErrorPaths:
         assert code == 2
         assert out == ""
         assert err == "error: L(13,13) has more than 4,000,000 elements\n"
+
+    @pytest.mark.parametrize("poset_text,scd_text,field", [
+        ("poset L(2,2) height=\u00b2 count=6\n", "scd L'(2,2) chains=1\n002\n", "height=\u00b2"),
+        (None, "scd L'(2,2) chains=\u00b2\n", "chains=\u00b2"),
+    ])
+    def test_superscript_header_digit_is_a_parse_error(self, tmp_path, capsys,
+                                                       poset_text, scd_text, field):
+        poset_file, scd_file = tmp_path / "p.poset", tmp_path / "d.scd"
+        poset_file.write_text(poset_text or serialize_poset(build_lattice(Shape(2, 2))),
+                              encoding="utf-8")
+        scd_file.write_text(scd_text, encoding="utf-8")
+        code, out, err = run(capsys, "scd", "verify", str(poset_file), str(scd_file))
+        assert code == 2
+        assert out == ""
+        assert f"line 1: bad header field: {field!r}" in err
+
+    def test_undecodable_file_is_a_usage_error(self, tmp_path, capsys):
+        bad = tmp_path / "bad.poset"
+        bad.write_bytes(b"\xff\xfe")
+        code, out, err = run(capsys, "render", str(bad))
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: {bad}: 'utf-8' codec can't decode")
+
+    def test_unwritable_out_is_a_usage_error(self, tmp_path, capsys):
+        target = tmp_path / "no" / "such" / "x"
+        for argv in (("lattice", "2", "2"), ("scd", "lindstrom", "3"), ("scd", "n2", "3")):
+            code, out, err = run(capsys, *argv, "--out", str(target))
+            assert code == 2
+            assert out == ""
+            assert err.startswith("error: ") and str(target) in err
+
+    def test_highlight_key_not_in_poset_is_a_usage_error(self, tmp_path, capsys):
+        poset_file, scd_file = tmp_path / "p.poset", tmp_path / "d.scd"
+        poset_file.write_text(serialize_poset(build_lattice(Shape(2, 2))))
+        scd_file.write_text("scd L'(2,2) chains=1\n200 300\n")
+        code, out, err = run(capsys, "render", str(poset_file), "--scd", str(scd_file))
+        assert code == 2
+        assert out == ""
+        assert err == "error: highlight element (2, 0, 0) or (3, 0, 0) not in poset\n"
+
+    def test_identities_do_not_recurse(self, capsys):
+        code, out, _ = run(capsys, "identities", "2000", "1")
+        assert code == 0
+        assert out.splitlines()[-1] == "PASS"
+
+    def test_identities_over_element_limit_is_a_usage_error(self, capsys):
+        code, out, err = run(capsys, "identities", "13", "13")
+        assert code == 2
+        assert out == ""
+        assert err == "error: L(13,13) has more than 4,000,000 elements\n"
+
+
+# valid files of three shapes, the decomposition of each shape at the same index
+_POSETS = [serialize_poset(build_lattice(Shape(*shape))) for shape in ((2, 2), (3, 3), (2, 3))]
+_DECOMPOSITIONS = [serialize_decomposition(d) for d in (scd_n2(2), lindstrom(3), lindstrom(2))]
+
+
+class TestAnyFileContent:
+    @settings(deadline=None)
+    @given(st.integers(0, 2), st.data())
+    def test_verify_and_render_exit_cleanly(self, tmp_path_factory, shape, data):
+        files = tmp_path_factory.getbasetemp() / "any-file-content"
+        files.mkdir(exist_ok=True)
+        for name, valid in (("p.poset", _POSETS), ("d.scd", _DECOMPOSITIONS)):
+            kind = data.draw(st.sampled_from(["bytes", "valid", "mutated"]))
+            if kind == "bytes":
+                raw = data.draw(st.binary(max_size=80))
+            elif kind == "valid":
+                raw = valid[shape].encode()
+            else:
+                raw = mutated_text(valid[shape], data).encode()
+            (files / name).write_bytes(raw)
+        p, d = str(files / "p.poset"), str(files / "d.scd")
+        assert main(["scd", "verify", p, d]) in (0, 1, 2)
+        assert main(["render", p, "--scd", d]) in (0, 1, 2)

@@ -272,6 +272,22 @@ class TestBoxEnumeration:
         assert list(partitions_in_box(0, 5)) == [()]
         assert list(partitions_in_box(5, 0)) == [()]
 
+    def test_same_sequence_as_the_recursion(self):
+        def grow(prefix, bound, slots, n):
+            yield tuple(prefix)
+            if slots:
+                for v in range(min(bound, n), 0, -1):
+                    yield from grow(prefix + [v], v, slots - 1, n)
+
+        for m in range(8):
+            for n in range(8):
+                assert list(partitions_in_box(m, n)) == list(grow([], n, m, n))
+
+    def test_many_parts_do_not_recurse(self):
+        got = list(partitions_in_box(2000, 1))
+        assert len(got) == 2001
+        assert got[-1] == (1,) * 2000
+
 
 class TestStrings:
     @pytest.mark.parametrize(

@@ -2,10 +2,10 @@ from collections import Counter
 from math import comb
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
-from conftest import cover_pairs_by_scan
+from conftest import cover_pairs_by_scan, mutated_text
 from younglat.partitions import (
     Shape,
     composition_lower_covers,
@@ -214,6 +214,37 @@ class TestBuildLattice:
             p.index_of((9, 9, 9))
         assert not p.is_cover((9, 9, 9), (1, 0, 1))
 
+    def test_cover_relation_decided_from_keys(self):
+        # every ordered pair of every shape up to 5 x 5, in both coordinate systems
+        pairs = 0
+        for m in range(6):
+            for n in range(6):
+                for coords in ("partition", "composition"):
+                    p = build_lattice(Shape(m, n), coords)
+                    stored = {(p.elements[lo], p.elements[hi]): color
+                              for lo, hi, color in p.covers}
+                    for a in p.elements:
+                        for b in p.elements:
+                            pairs += 1
+                            assert p.is_cover(a, b) == ((a, b) in stored)
+                            if (a, b) in stored:
+                                assert p.color_of(a, b) == stored[(a, b)]
+        assert pairs == 222_044
+
+    def test_color_of_raises_key_error(self):
+        p = build_lattice(Shape(2, 2), "composition")
+        with pytest.raises(KeyError):
+            p.color_of((1, 0, 1), (0, 1, 1))  # known keys, wrong direction
+        with pytest.raises(KeyError):
+            p.color_of((0, 0, 2), (2, 0, 0))  # known keys, two ranks apart
+        with pytest.raises(KeyError):
+            p.color_of((0, 1, 1), (9, 9, 9))
+        # root steps with one end outside the lattice
+        for lower, upper in (((-1, 1, 2), (0, 0, 2)), ((0, 0, 2), (1, -1, 2))):
+            assert not p.is_cover(lower, upper)
+            with pytest.raises(KeyError):
+                p.color_of(lower, upper)
+
     def test_q_factorial_rejects_negative(self):
         with pytest.raises(ValueError):
             q_factorial(-1)
@@ -311,6 +342,12 @@ class TestSplittingIdentities:
     def test_l43(self):
         assert check_splitting_identities(4, 3).passed
 
+    def test_refuses_more_than_element_limit(self):
+        with pytest.raises(ValueError) as err:
+            check_splitting_identities(13, 13)
+        assert str(err.value) == "L(13,13) has more than 4,000,000 elements"
+        assert check_splitting_identities(2000, 1).passed
+
     def test_exhaustive_up_to_8(self):
         for m in range(1, 9):
             for n in range(1, 9):
@@ -400,6 +437,36 @@ class TestPosetFiles:
         assert str(err.value) == f"line 1: bad lattice label: {label!r}"
 
 
+class TestParseAnyText:
+    @given(st.text())
+    @example("poset L(2,2) height=\u00b2 count=6\n")
+    @example("poset L(2,2) height=4 count=\u00b2\n")
+    @example("poset L(100000,100000) height=10000000000 count=1\n")
+    def test_any_text_parses_or_raises_parse_error(self, text):
+        try:
+            assert isinstance(parse_poset(text), GradedPoset)
+        except ParseError:
+            pass
+
+    @given(st.sampled_from([(2, 2), (3, 2), (2, 3)]), st.data())
+    def test_mutated_file_parses_or_raises_parse_error(self, shape, data):
+        text = mutated_text(serialize_poset(build_lattice(Shape(*shape))), data)
+        try:
+            assert isinstance(parse_poset(text), GradedPoset)
+        except ParseError:
+            pass
+
+    @pytest.mark.parametrize("header", [
+        "poset L(100000,100000) height=10000000000 count=1",
+        "poset L'(13,13) height=169 count=10400600",
+    ])
+    def test_header_over_element_limit_is_refused(self, header):
+        label = header.split()[1].replace("'", "")
+        with pytest.raises(ParseError) as err:
+            parse_poset(header + "\n")
+        assert str(err.value) == f"line 1: {label} has more than 4,000,000 elements"
+
+
 def reference_cover_error(comps, n, lines, first_line_no):
     """The tuple-slicing cover check that parse_poset's code arithmetic
     replaced: (line, message) of the first cover line it rejects, or None.
@@ -461,3 +528,20 @@ class TestArithmeticCoverCheck:
                 parse_poset(text)
             assert (err.value.line, str(err.value)) == (
                 expected[0], f"line {expected[0]}: {expected[1]}")
+
+
+class TestIndexStaysInPoset:
+    def test_no_other_module_reads_the_private_index(self):
+        import ast
+        from pathlib import Path
+
+        import younglat
+
+        offenders = []
+        for path in sorted(Path(younglat.__file__).parent.glob("*.py")):
+            if path.name == "poset.py":
+                continue
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, ast.Attribute) and node.attr in ("_index", "_edge_colors"):
+                    offenders.append(f"{path.name}:{node.lineno} .{node.attr}")
+        assert offenders == []

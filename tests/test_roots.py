@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from younglat.partitions import (
     InvalidCompositionError,
@@ -59,6 +61,54 @@ class TestEdgeColor:
                 p = build_lattice(Shape(m, n), "composition")
                 for lo, hi, color in p.covers:
                     assert edge_color(p.elements[lo], p.elements[hi]) == color
+
+
+def _edge_color_by_delta(lower, upper):
+    """The vector-difference form of edge_color, kept as its reference."""
+    if len(lower) != len(upper):
+        raise NotACoverError(f"slot counts differ: {upper} vs {lower}")
+    delta = [u - l for u, l in zip(upper, lower)]
+    moved = [i for i, d in enumerate(delta) if d]
+    if (
+        len(moved) != 2
+        or moved[1] != moved[0] + 1
+        or delta[moved[0]] != 1
+        or delta[moved[1]] != -1
+    ):
+        raise NotACoverError(f"{upper} does not cover {lower}")
+    return moved[0] + 1
+
+
+def _outcome(f, lower, upper):
+    try:
+        return f(lower, upper)
+    except NotACoverError as exc:
+        return str(exc)
+
+
+_keys = st.lists(st.integers(-2, 3), min_size=0, max_size=6).map(tuple)
+
+
+class TestFirstDifferenceScan:
+    @given(_keys, _keys)
+    def test_matches_delta_reference(self, lower, upper):
+        assert _outcome(edge_color, lower, upper) == _outcome(
+            _edge_color_by_delta, lower, upper)
+
+    @given(st.data())
+    def test_matches_delta_reference_near_covers(self, data):
+        # upper = lower + a simple root, then maybe one entry nudged
+        upper = data.draw(st.lists(st.integers(0, 3), min_size=2, max_size=6))
+        j = data.draw(st.integers(0, len(upper) - 2))
+        lower = list(upper)
+        lower[j] -= 1
+        lower[j + 1] += 1
+        if data.draw(st.booleans()):
+            k = data.draw(st.integers(0, len(lower) - 1))
+            lower[k] += data.draw(st.sampled_from([-1, 1]))
+        lower, upper = tuple(lower), tuple(upper)
+        assert _outcome(edge_color, lower, upper) == _outcome(
+            _edge_color_by_delta, lower, upper)
 
 
 class TestWeightString:

@@ -1,7 +1,8 @@
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
+from conftest import mutated_text
 from younglat.partitions import Shape
 from younglat.poset import GradedPoset, ParseError, build_lattice, gaussian_binomial
 from younglat.scd import (
@@ -196,6 +197,15 @@ class TestVerifier:
             0: 1, 2: 1, 3: 1,
         }
 
+    def test_shape_mismatch_raises(self):
+        d = ChainDecomposition(Shape(3, 3), lindstrom(2).chains)
+        with pytest.raises(ValueError) as err:
+            verify_scd(d, build_lattice(Shape(2, 3), "composition"))
+        assert str(err.value) == "shape mismatch: poset L'(2,3) vs decomposition L'(3,3)"
+        # an unset shape on either side is not compared
+        assert verify_scd(ChainDecomposition(None, lindstrom(2).chains),
+                          build_lattice(Shape(2, 3))).passed
+
     def test_report_lines_mention_verdict(self):
         p = build_lattice(Shape(1, 3), "composition")
         d = ChainDecomposition(Shape(1, 3), [L13_CHAIN])
@@ -351,6 +361,30 @@ class TestDecompositionFiles:
     def test_empty_chain_rejected(self):
         with pytest.raises(ValueError):
             ChainDecomposition(Shape(1, 3), [()])
+
+    def test_keys_are_normalized_to_tuples(self):
+        d = lindstrom(4)
+        as_lists = [[list(key) for key in chain] for chain in reversed(d.chains)]
+        again = ChainDecomposition(Shape(4, 3), as_lists)
+        assert again == d
+        assert all(type(key) is tuple for chain in again.chains for key in chain)
+
+    @given(st.text())
+    @example("scd L'(2,2) chains=\u00b2\n")
+    @example("scd L'(100000,100000) chains=1\n1\n")
+    def test_any_text_parses_or_raises_parse_error(self, text):
+        try:
+            assert isinstance(parse_decomposition(text), ChainDecomposition)
+        except ParseError:
+            pass
+
+    @given(st.sampled_from([lindstrom(3), lindstrom(4), scd_n2(3)]), st.data())
+    def test_mutated_file_parses_or_raises_parse_error(self, d, data):
+        text = mutated_text(serialize_decomposition(d), data)
+        try:
+            assert isinstance(parse_decomposition(text), ChainDecomposition)
+        except ParseError:
+            pass
 
 
 class TestVerifierCatchesCorruption:
