@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from functools import cache
 from pathlib import Path
 
 from .partitions import Shape
@@ -113,7 +114,11 @@ def _cmd_lattice(args) -> int:
 
 
 def _cmd_ranks(args) -> int:
-    for coefficient in gaussian_binomial(args.m, args.n):
+    try:
+        coefficients = gaussian_binomial(args.m, args.n)
+    except ValueError as exc:  # over the degree limit
+        raise CliError(str(exc)) from None
+    for coefficient in coefficients:
         print(coefficient)
     return 0
 
@@ -197,6 +202,7 @@ def _cmd_render(args) -> int:
     return 0
 
 
+@cache  # built on first use, not at import; parsing leaves it unchanged
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="younglat",

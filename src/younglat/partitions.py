@@ -27,6 +27,7 @@ need no coordination.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 Partition = tuple[int, ...]
@@ -281,27 +282,38 @@ def parse_partition(text: str) -> Partition:
     return as_partition(int(ch) for ch in s)
 
 
+@lru_cache(maxsize=64)  # bounded: key lengths come from input files too
+def _key_templates(length: int) -> tuple[str, str]:
+    """The ``%`` templates of a key of ``length`` entries: digits, bracketed."""
+    return "%d" * length, "[" + ",".join(["%d"] * length) + "]"
+
+
 def format_composition(c: WeakComposition) -> str:
     """Digit-string key ("1120"), bracketed ("[10,0,2,0]") when an entry exceeds 9."""
-    if max(c, default=0) <= 9:
-        return "".join(map(str, c))
-    return "[" + ",".join(map(str, c)) + "]"
+    return _key_templates(len(c))[bool(c) and max(c) > 9] % tuple(c)
+
+
+def parse_natural(text: str) -> int:
+    """A nonnegative integer written in ASCII digits only.
+
+    ``int`` alone would also take signs, blanks, underscores and non-ASCII
+    decimal digits, spellings that the writers never produce.
+    """
+    if not (text.isascii() and text.isdigit()):
+        raise ValueError(f"not a number in ASCII digits: {text!r}")
+    return int(text)
 
 
 def parse_composition(text: str) -> WeakComposition:
-    """Inverse of :func:`format_composition`; syntax check only."""
+    """Inverse of :func:`format_composition`; syntax check only, ASCII digits only."""
     s = text.strip()
     if s.startswith("["):
         if not s.endswith("]"):
             raise ValueError(f"unterminated bracketed composition: {text!r}")
-        body = s[1:-1]
         try:
-            entries = tuple(map(int, body.split(",")))
+            return tuple(map(parse_natural, s[1:-1].split(",")))
         except ValueError:
             raise ValueError(f"not a composition key: {text!r}") from None
-        if min(entries) < 0:
-            raise ValueError(f"negative entry in composition key: {text!r}")
-        return entries
-    if not s.isdigit():
+    if not (s.isascii() and s.isdigit()):
         raise ValueError(f"not a composition key: {text!r}")
     return tuple(map(int, s))

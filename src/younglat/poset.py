@@ -23,9 +23,9 @@ Output is byte-stable.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import accumulate
+from itertools import accumulate, chain, compress, count, repeat
 from math import comb
-from operator import sub
+from operator import itemgetter, sub
 
 from .partitions import (
     Shape,
@@ -33,12 +33,14 @@ from .partitions import (
     enumerate_compositions,
     format_composition,
     parse_composition,
+    parse_natural,
     partitions_in_box,
     weighted_sum,
 )
 from .roots import NotACoverError, edge_color
 
 ELEMENT_LIMIT = 4_000_000  # above L(12,12); build_lattice refuses larger lattices
+DEGREE_LIMIT = 90_000  # m * n of L(300,300); gaussian_binomial refuses larger boxes
 
 
 class ParseError(ValueError):
@@ -133,14 +135,20 @@ def q_factorial(k: int) -> RankPolynomial:
 def gaussian_binomial(m: int, n: int) -> RankPolynomial:
     """Coefficients of the Gaussian binomial for an ``(m, n)`` box.
 
-    The exact product of ``(1 - q^(m+i)) / (1 - q^i)``, one ``i = 1..n`` at a
-    time, with each division checked to leave no remainder; after step ``i``
-    it is the ``(m, i)`` polynomial, of degree ``m * i``.  The coefficient
-    of ``q^k`` counts the partitions of ``k`` with at most ``m`` parts, each
-    at most ``n``.
+    The polynomial is symmetric in ``m`` and ``n``; with ``n`` the smaller
+    one, it is the exact product of ``(1 - q^(m+i)) / (1 - q^i)``, one
+    ``i = 1..n`` at a time, with each division checked to leave no
+    remainder; after step ``i`` it is the ``(m, i)`` polynomial, of degree
+    ``m * i``.  The coefficient of ``q^k`` counts the partitions of ``k``
+    with at most ``m`` parts, each at most ``n``.  A degree ``m * n`` over
+    ``DEGREE_LIMIT`` raises ``ValueError`` before any work.
     """
     if m < 0 or n < 0:
         raise ValueError("box dimensions must be nonnegative")
+    if m * n > DEGREE_LIMIT:
+        raise ValueError(f"the {m} x {n} box has degree {m * n:,}, over the "
+                         f"limit of {DEGREE_LIMIT:,}")
+    m, n = max(m, n), min(m, n)
     poly = [1]
     for i in range(1, n + 1):
         poly = _exact_quotient_one_minus_power(_times_one_minus_power(poly, m + i), i)
@@ -231,11 +239,19 @@ def build_lattice(shape: Shape, coordinates: str = "partition") -> GradedPoset:
 
     The elements are the weak compositions of ``m`` with ``n + 1`` entries,
     stably sorted by rank (lexicographic within a rank), in both coordinate
-    systems; ``coordinates`` only sets the label.  An upper cover moves a
-    unit from slot ``j + 1`` to slot ``j`` (color ``j + 1``) and is later in
-    its rank the smaller ``j`` is, so emitting ``j = n - 1`` down to ``0``
-    yields covers sorted by index pair.  ``m = 0`` or ``n = 0`` gives the
-    empty poset; over ``ELEMENT_LIMIT`` elements raise ``ValueError``.
+    systems; ``coordinates`` only sets the label.  ``m = 0`` or ``n = 0``
+    gives the empty poset; over ``ELEMENT_LIMIT`` elements raise
+    ``ValueError``.
+
+    The color-``j + 1`` covers are the translations by the simple root
+    ``e_j - e_(j+1)``: a unit moves from slot ``j + 1`` to slot ``j``.  That
+    translation is a bijection from the keys with ``c[j + 1] > 0`` onto the
+    keys with ``c[j] > 0``, it raises the rank by one, and it keeps the
+    lexicographic order of keys of one rank, so it keeps the element order.
+    Taken in index order, the ``k``-th key of the first set therefore lies
+    below the ``k``-th key of the second, and each color's covers come out
+    sorted by lower index; one sort merges the ``n`` runs into index-pair
+    order.  No key is looked up.
     """
     shape = Shape(*shape)
     m, n = shape
@@ -249,10 +265,11 @@ def build_lattice(shape: Shape, coordinates: str = "partition") -> GradedPoset:
     comps = enumerate_compositions(m, n + 1)
     comps.sort(key=weighted_sum)
     ranks = list(map(weighted_sum, comps))
-    index = {c: i for i, c in enumerate(comps)}
-    edges = [(lo, index[c[:j] + (c[j] + 1, c[j + 1] - 1) + c[j + 2 :]], j + 1)
-             for lo, c in enumerate(comps) for j in range(n - 1, -1, -1) if c[j + 1]]
-    del index  # free it before GradedPoset builds its own index
+    everyone = list(range(len(comps)))  # shared int objects, not one per cover end
+    runs = [zip(compress(everyone, map(itemgetter(j + 1), comps)),
+                compress(everyone, map(itemgetter(j), comps)), repeat(j + 1))
+            for j in range(n)]
+    edges = sorted(chain.from_iterable(runs))
     return GradedPoset(shape, coordinates, comps, ranks, edges, m * n)
 
 
@@ -331,12 +348,12 @@ def check_splitting_identities(m: int, n: int) -> SplitCheck:
 
 def serialize_poset(p: GradedPoset) -> str:
     """Render ``p`` in the interchange format."""
-    lines = [f"poset {p.label()} height={p.height} count={len(p)}"]
-    for i, c in enumerate(p.elements):
-        lines.append(f"{i} {p.ranks[i]} {format_composition(c)}")
-    for lo, hi, color in p.covers:
-        lines.append(f"{lo} {hi} {color}")
-    return "\n".join(lines) + "\n"
+    keys = map(format_composition, p.elements)
+    return "".join(chain(
+        [f"poset {p.label()} height={p.height} count={len(p)}\n"],
+        map("%d %d %s\n".__mod__, zip(count(), p.ranks, keys)),
+        map("%d %d %d\n".__mod__, p.covers),
+    ))
 
 
 def _parse_label(label: str) -> tuple[Shape, str]:
@@ -345,11 +362,12 @@ def _parse_label(label: str) -> tuple[Shape, str]:
     body = label[2:] if coords == "composition" else label[1:]
     if not (label.startswith("L") and body.startswith("(") and body.endswith(")")):
         raise ParseError(1, f"bad lattice label: {label!r}")
+    dims = body[1:-1].split(",")
     try:
-        m, n = (int(v) for v in body[1:-1].split(","))
+        m, n = (parse_natural(v.removeprefix("-")) for v in dims)
     except ValueError:
         raise ParseError(1, f"bad lattice label: {label!r}") from None
-    if m < 0 or n < 0:
+    if any(v.startswith("-") for v in dims):
         raise ParseError(1, f"negative lattice dimension: {label!r}")
     return Shape(m, n), coords
 
@@ -362,27 +380,61 @@ def _parse_header(line: str):
     fields = {}
     for chunk in parts[2:]:
         key, _, value = chunk.partition("=")
-        if not value.isdecimal():
-            raise ParseError(1, f"bad header field: {chunk!r}")
-        fields[key] = int(value)
+        try:
+            fields[key] = parse_natural(value)
+        except ValueError:
+            raise ParseError(1, f"bad header field: {chunk!r}") from None
     if set(fields) != {"height", "count"}:
         raise ParseError(1, "expected height= and count= in header")
     return shape, coords, fields["height"], fields["count"]
+
+
+def _parse_canonical(text: str) -> GradedPoset | None:
+    """The poset whose :func:`serialize_poset` text is exactly ``text``, or None.
+
+    Only the header is read; when the text has as many newlines as the
+    lattice it names has lines, the lattice is built and its text compared.
+    """
+    try:
+        shape, coords, _, _ = _parse_header(text.partition("\n")[0])
+        _require_within_limit(*shape)
+    except ValueError:  # ParseError included: the validator reports it
+        return None
+    m, n = shape
+    lines = 1 if m == 0 or n == 0 else 1 + comb(m + n, m) + n * comb(m + n - 1, n)
+    if text.count("\n") != lines:
+        return None
+    built = build_lattice(shape, coords)
+    return built if text == serialize_poset(built) else None
 
 
 def parse_poset(text: str) -> GradedPoset:
     """Parse the interchange format back into a :class:`GradedPoset`.
 
     The keys are kept as read, in composition form; the header label sets
-    only ``coords``.  The parser is strict: declared counts, ordering, ranks,
-    keys, and edge colors are all revalidated, so a file that parses is a
-    faithful lattice.  A header naming a lattice over ``ELEMENT_LIMIT``
-    elements is refused before anything is counted.  Covers are checked
-    arithmetically.  Each key gets an integer code, its entries read as
-    base-``m + 1`` digits, which is injective on the keys of the lattice.  Moving one unit from 0-based slot
-    ``j`` to slot ``j + 1`` lowers the code by ``(m+1)^(n-j) - (m+1)^(n-j-1)``,
-    so a color-``j+1`` line is a cover exactly when the upper key has
-    ``upper[j] >= 1`` and the codes differ by that step.
+    only ``coords``.  The text of a lattice is fixed by its header, so the
+    exact bytes :func:`serialize_poset` writes are accepted by building the
+    lattice and comparing.  Any other text, such as one with CRLF line ends
+    or extra blanks, is revalidated line by line, and only that validator
+    raises :class:`ParseError`.
+    """
+    canonical = _parse_canonical(text)
+    return canonical if canonical is not None else _parse_lines(text)
+
+
+def _parse_lines(text: str) -> GradedPoset:
+    """The line validator behind :func:`parse_poset`.
+
+    It is strict: declared counts, ordering, ranks, keys, and edge colors
+    are all revalidated, so a file that parses is a faithful lattice.
+    Numbers are ASCII digits only.  A header naming a lattice over
+    ``ELEMENT_LIMIT`` elements is refused before anything is counted.
+    Covers are checked arithmetically.  Each key gets an integer code, its
+    entries read as base-``m + 1`` digits, which is injective on the keys of
+    the lattice.  Moving one unit from 0-based slot ``j`` to slot ``j + 1``
+    lowers the code by ``(m+1)^(n-j) - (m+1)^(n-j-1)``, so a color-``j+1``
+    line is a cover exactly when the upper key has ``upper[j] >= 1`` and the
+    codes differ by that step.
     """
     lines = text.splitlines()
     if not lines:
@@ -412,7 +464,7 @@ def parse_poset(text: str) -> GradedPoset:
         if len(fields) != 3:
             raise ParseError(line_no, f"bad element line: {lines[1 + i]!r}")
         try:
-            idx, r = int(fields[0]), int(fields[1])
+            idx, r = parse_natural(fields[0]), parse_natural(fields[1])
             key = parse_composition(fields[2])
         except ValueError as exc:
             raise ParseError(line_no, str(exc)) from None
@@ -440,7 +492,7 @@ def parse_poset(text: str) -> GradedPoset:
         if len(fields) != 3:
             raise ParseError(line_no, f"bad cover line: {line!r}")
         try:
-            lo, hi, color = map(int, fields)
+            lo, hi, color = map(parse_natural, fields)
         except ValueError:
             raise ParseError(line_no, f"bad cover line: {line!r}") from None
         if not (0 <= lo < count and 0 <= hi < count):

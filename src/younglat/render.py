@@ -9,6 +9,8 @@ function of the inputs, byte for byte.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
+from operator import mul
 
 from .partitions import format_composition, from_multiplicity
 from .poset import GradedPoset
@@ -36,7 +38,7 @@ def _young_rows(partition) -> list[str]:
 
 def _repeat_join(c, tokens: list[str], sep: str) -> str:
     # token j repeated c[j] times; every token ends in sep, the last one is cut
-    text = "".join([t * k for t, k in zip(tokens, c)])
+    text = "".join(map(mul, tokens, c))
     return text[: len(text) - len(sep)]
 
 
@@ -66,16 +68,27 @@ def _node_labels(p: GradedPoset, spec: RenderSpec) -> list[str]:
     raise ValueError(f"unknown label mode {spec.labels!r}")
 
 
-def _highlight_edges(p: GradedPoset, spec: RenderSpec) -> set[tuple[int, int]] | None:
+def _absent_message(p: GradedPoset, chain) -> str:
+    for upper, lower in zip(chain, chain[1:]):
+        if upper not in p or lower not in p:
+            return f"highlight element {upper} or {lower} not in poset"
+    return f"highlight element {chain[0]} not in poset"
+
+
+def _chain_steps(p: GradedPoset, spec: RenderSpec) -> set[tuple] | None:
+    """The overlay's ``(lower key, upper key)`` steps, or None without one.
+
+    Every key of every chain must be an element of ``p``; otherwise
+    ``ValueError`` names the first step (or lone key) that is not.
+    """
     if spec.highlight is None:
         return None
-    pairs = set()
+    steps = set()
     for chain in spec.highlight.chains:
-        for upper, lower in zip(chain, chain[1:]):
-            if upper not in p or lower not in p:
-                raise ValueError(f"highlight element {upper} or {lower} not in poset")
-            pairs.add((p.index_of(lower), p.index_of(upper)))
-    return pairs
+        if not all(map(p.__contains__, chain)):
+            raise ValueError(_absent_message(p, chain))
+        steps.update(zip(chain[1:], chain))
+    return steps
 
 
 def _colormap(p: GradedPoset, spec: RenderSpec) -> ColorMap:
@@ -88,28 +101,30 @@ def to_dot(p: GradedPoset, spec: RenderSpec | None = None) -> str:
     """Graphviz digraph: edges point upward, levels grouped rank=same."""
     spec = spec or RenderSpec()
     colors = _colormap(p, spec)
-    chain_edges = _highlight_edges(p, spec)
-    keys = [format_composition(c) for c in p.elements]
-    labels = _node_labels(p, spec)
+    steps = _chain_steps(p, spec)
+    # the attribute text of each (color, on a chain) kind of edge
+    styles = {}
+    for color, name in colors.names.items():
+        if steps is None:
+            styles[color, False] = f'color="{name}"'
+        else:
+            styles[color, True] = f'color="{name}", penwidth=2.4'
+            styles[color, False] = f'color="{name}", style=dotted, penwidth=0.8'
+    comps = p.elements
+    keys = list(map(format_composition, comps))
+    on_chain = (repeat(False) if steps is None else
+                [(comps[lo], comps[hi]) in steps for lo, hi, _ in p.covers])
     out = [
         f'digraph "{p.label()}" {{',
         "  rankdir=BT;",
         '  node [shape=box, fontname="monospace"];',
     ]
-    for level in p.levels():
-        if level:
-            members = " ".join(f'"{keys[i]}";' for i in level)
-            out.append(f"  {{ rank=same; {members} }}")
-    for i, key in enumerate(keys):
-        out.append(f'  "{key}" [label="{labels[i]}"];')
-    for lo, hi, color in p.covers:
-        attrs = f'color="{colors.name(color)}"'
-        if chain_edges is not None:
-            if (lo, hi) in chain_edges:
-                attrs += ", penwidth=2.4"
-            else:
-                attrs += ", style=dotted, penwidth=0.8"
-        out.append(f'  "{keys[lo]}" -> "{keys[hi]}" [{attrs}];')
+    out += ['  { rank=same; "%s"; }' % '"; "'.join(map(keys.__getitem__, level))
+            for level in p.levels() if level]
+    out += [f'  "{key}" [label="{label}"];'
+            for key, label in zip(keys, _node_labels(p, spec))]
+    out += [f'  "{keys[lo]}" -> "{keys[hi]}" [{styles[color, on]}];'
+            for (lo, hi, color), on in zip(p.covers, on_chain)]
     out.append("}")
     return "\n".join(out) + "\n"
 
@@ -125,7 +140,7 @@ def to_svg(p: GradedPoset, spec: RenderSpec | None = None) -> str:
             f"poset height {p.height} exceeds the drawing limit {spec.max_height}"
         )
     colors = _colormap(p, spec)
-    chain_edges = _highlight_edges(p, spec)
+    steps = _chain_steps(p, spec)
     young = spec.labels == "young"
     labels = None if young else _node_labels(p, spec)
     comps = p.elements
@@ -150,8 +165,8 @@ def to_svg(p: GradedPoset, spec: RenderSpec | None = None) -> str:
         (x1, y1), (x2, y2) = pos[lo], pos[hi]
         stroke = colors.name(color)
         extra = ""
-        if chain_edges is not None:
-            if (lo, hi) in chain_edges:
+        if steps is not None:
+            if (comps[lo], comps[hi]) in steps:
                 extra = ' stroke-width="2.6"'
             else:
                 extra = ' stroke-width="1" stroke-opacity="0.35"'

@@ -29,6 +29,7 @@ from .partitions import (
     format_composition,
     from_multiplicity,
     parse_composition,
+    parse_natural,
     to_multiplicity,
     weighted_sum,
 )
@@ -483,8 +484,7 @@ def serialize_decomposition(d: ChainDecomposition) -> str:
     if d.shape is None:
         raise ValueError("cannot serialize a decomposition without a shape")
     lines = [f"scd L'({d.shape.m},{d.shape.n}) chains={len(d.chains)}"]
-    for chain in d.chains:
-        lines.append(" ".join(format_composition(key) for key in chain))
+    lines += [" ".join(map(format_composition, chain)) for chain in d.chains]
     return "\n".join(lines) + "\n"
 
 
@@ -498,9 +498,12 @@ def parse_decomposition(text: str) -> ChainDecomposition:
         raise ParseError(1, f"bad decomposition header: {lines[0]!r}")
     shape, _ = _parse_label(fields[1])
     key_name, _, value = fields[2].partition("=")
-    if key_name != "chains" or not value.isdecimal():
-        raise ParseError(1, f"bad header field: {fields[2]!r}")
-    declared = int(value)
+    try:
+        if key_name != "chains":
+            raise ValueError(key_name)
+        declared = parse_natural(value)
+    except ValueError:
+        raise ParseError(1, f"bad header field: {fields[2]!r}") from None
     chains = []
     for offset, line in enumerate(lines[1:]):
         line_no = offset + 2

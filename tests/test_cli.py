@@ -1,8 +1,14 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import mutated_text
+from younglat import cli
 from younglat.cli import main
 from younglat.partitions import Shape
 from younglat.poset import build_lattice, serialize_poset
@@ -252,6 +258,43 @@ class TestErrorPaths:
         assert out == ""
         assert err == "error: highlight element (2, 0, 0) or (3, 0, 0) not in poset\n"
 
+    @pytest.mark.parametrize("fmt", ["dot", "svg"])
+    def test_lone_highlight_key_not_in_poset_is_a_usage_error(self, tmp_path, capsys, fmt):
+        poset_file, scd_file = tmp_path / "p.poset", tmp_path / "d.scd"
+        poset_file.write_text(serialize_poset(build_lattice(Shape(2, 2), "composition")))
+        scd_file.write_text("scd L'(2,2) chains=1\n202\n")
+        code, out, err = run(capsys, "render", str(poset_file), "--scd", str(scd_file),
+                             "--format", fmt)
+        assert code == 2
+        assert out == ""
+        assert err == "error: highlight element (2, 0, 2) not in poset\n"
+
+    @pytest.mark.parametrize("old,new", [
+        ("L(2,2)", "L(+2,2)"), ("L(2,2)", "L(2,0_2)"), ("L(2,2)", "L(\u0662,2)"),
+        ("\n1 1 011\n", "\n+1 1 011\n"), ("\n1 1 011\n", "\n1 1 [0,1,+1]\n"),
+        ("\n0 1 2\n", "\n0 0_1 2\n"),
+    ])
+    def test_numbers_other_than_ascii_digits_are_parse_errors(self, tmp_path, capsys,
+                                                              old, new):
+        text = serialize_poset(build_lattice(Shape(2, 2)))
+        bad = tmp_path / "bad.poset"
+        bad.write_text(text.replace(old, new), encoding="utf-8")
+        code, out, err = run(capsys, "render", str(bad))
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: {bad}: line ")
+
+    def test_ranks_over_the_degree_limit_is_a_usage_error(self, capsys):
+        code, out, err = run(capsys, "ranks", "301", "301")
+        assert code == 2
+        assert out == ""
+        assert err == "error: the 301 x 301 box has degree 90,601, over the limit of 90,000\n"
+
+    def test_ranks_at_the_degree_limit(self, capsys):
+        code, out, _ = run(capsys, "ranks", "1", "90000")
+        assert code == 0
+        assert out == "1\n" * 90001
+
     def test_identities_do_not_recurse(self, capsys):
         code, out, _ = run(capsys, "identities", "2000", "1")
         assert code == 0
@@ -262,6 +305,33 @@ class TestErrorPaths:
         assert code == 2
         assert out == ""
         assert err == "error: L(13,13) has more than 4,000,000 elements\n"
+
+
+class TestParserBuiltOnce:
+    ARGVS = [
+        ("ranks", "3", "3"), ("--help",), ("frobnicate",), ("lattice", "2", "x"),
+        ("scd", "--help"), ("scd",), ("ranks", "2", "2"), ("render", "--help"),
+        ("scd", "lindstrom", "2"), ("ranks", "-1", "3"), ("identities", "2", "2"),
+        ("lattice", "1", "2", "--coords", "bogus"), ("scd", "n2", "3"), ("ranks", "1", "1"),
+    ]
+
+    def test_cached_parser_answers_like_a_fresh_one(self, capsys):
+        cached = [run(capsys, *argv) for argv in self.ARGVS]
+        fresh = []
+        for argv in self.ARGVS:
+            cli._build_parser.cache_clear()
+            fresh.append(run(capsys, *argv))
+        assert cached == fresh
+        assert {code for code, _, _ in cached} == {0, 2}
+        assert cli._build_parser() is cli._build_parser()
+
+    def test_import_builds_no_parser(self):
+        probe = ("import younglat.cli as cli; "
+                 "print(cli._build_parser.cache_info().currsize)")
+        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+        done = subprocess.run([sys.executable, "-c", probe], env=env,
+                              capture_output=True, text=True, check=True)
+        assert done.stdout == "0\n"
 
 
 # valid files of three shapes, the decomposition of each shape at the same index

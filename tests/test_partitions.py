@@ -306,6 +306,12 @@ class TestStrings:
         assert format_composition(c) == text
         assert parse_composition(text) == c
 
+    @pytest.mark.parametrize("text", ["[+2,0]", "[0_2,0]", "[\u0662,0]", "[ 2,0]",
+                                      "[2 ,0]", "\u06620", "2\u00b2", "[]", "[-0,2]"])
+    def test_parse_composition_takes_ascii_digits_only(self, text):
+        with pytest.raises(ValueError):
+            parse_composition(text)
+
     def test_parse_rejects_garbage(self):
         with pytest.raises(ValueError):
             parse_composition("12a0")

@@ -1,15 +1,18 @@
 from collections import Counter
 from math import comb
+from time import perf_counter
 
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
 from conftest import cover_pairs_by_scan, mutated_text
+from younglat import poset
 from younglat.partitions import (
     Shape,
     composition_lower_covers,
     enumerate_compositions,
+    format_composition,
     from_multiplicity,
     leq,
     lower_covers,
@@ -18,6 +21,7 @@ from younglat.partitions import (
     weighted_sum,
 )
 from younglat.poset import (
+    DEGREE_LIMIT,
     ELEMENT_LIMIT,
     GradedPoset,
     ParseError,
@@ -40,6 +44,16 @@ class TestGaussianBinomial:
     def test_n_zero(self):
         assert list(gaussian_binomial(5, 0)) == [1]
         assert list(gaussian_binomial(0, 5)) == [1]
+
+    def test_degree_limit_is_checked_before_any_work(self):
+        with pytest.raises(ValueError) as err:
+            gaussian_binomial(301, 301)
+        assert str(err.value) == "the 301 x 301 box has degree 90,601, over the limit of 90,000"
+        with pytest.raises(ValueError):
+            gaussian_binomial(10**9, 10**9)
+        assert len(gaussian_binomial(1, DEGREE_LIMIT)) == DEGREE_LIMIT + 1
+        # the loop runs over the smaller side, so a zero side costs nothing
+        assert list(gaussian_binomial(0, 10**12)) == [1]
 
     def test_2_2_against_enumeration(self):
         counts = Counter(sum(a) for a in partitions_in_box(2, 2))
@@ -329,6 +343,104 @@ class TestSingleBuildPath:
             assert build_lattice(shape, coords) == reference_build_lattice(shape, coords)
 
 
+def reference_format_composition(c):
+    """The join-based key rule that format_composition's templates replaced."""
+    if max(c, default=0) <= 9:
+        return "".join(map(str, c))
+    return "[" + ",".join(map(str, c)) + "]"
+
+
+def reference_serialize_poset(p):
+    """The f-string writer that serialize_poset's format maps replaced."""
+    lines = [f"poset {p.label()} height={p.height} count={len(p)}"]
+    for i, c in enumerate(p.elements):
+        lines.append(f"{i} {p.ranks[i]} {reference_format_composition(c)}")
+    for lo, hi, color in p.covers:
+        lines.append(f"{lo} {hi} {color}")
+    return "\n".join(lines) + "\n"
+
+
+def reference_dict_build(shape, coordinates):
+    """The dict-based cover emission that the root-translation pairing
+    replaced: every upper cover looked up in a key -> index dict, for each
+    element and j from n - 1 down to 0."""
+    m, n = shape
+    if m == 0 or n == 0:
+        return GradedPoset(shape, coordinates, (), (), (), 0)
+    comps = enumerate_compositions(m, n + 1)
+    comps.sort(key=weighted_sum)
+    index = {c: i for i, c in enumerate(comps)}
+    edges = [(lo, index[c[:j] + (c[j] + 1, c[j + 1] - 1) + c[j + 2 :]], j + 1)
+             for lo, c in enumerate(comps) for j in range(n - 1, -1, -1) if c[j + 1]]
+    ranks = list(map(weighted_sum, comps))
+    return GradedPoset(shape, coordinates, comps, ranks, edges, m * n)
+
+
+def parse_outcome(parse, text):
+    """What ``parse`` makes of ``text``: the poset, or the error's line and message."""
+    try:
+        return parse(text)
+    except ParseError as err:
+        return err.line, str(err)
+
+
+class TestCanonicalPosetIO:
+    SHAPES = ([Shape(m, n) for m in range(8) for n in range(8)]
+              + [Shape(12, 1), Shape(1, 12), Shape(2000, 1)]
+              + [Shape(0, k) for k in (8, 12)] + [Shape(k, 0) for k in (8, 12)])
+
+    @pytest.mark.parametrize("coords", ["partition", "composition"])
+    def test_build_and_write_match_the_references(self, coords):
+        for shape in self.SHAPES:
+            p = build_lattice(shape, coords)
+            assert p == reference_dict_build(shape, coords), shape
+            assert serialize_poset(p) == reference_serialize_poset(p), shape
+
+    def test_format_composition_matches_the_join_rule(self):
+        keys = {c for shape in self.SHAPES for c in build_lattice(shape).elements}
+        keys |= {(), (0,), (9,), (10,), (10, 0, 2, 0), (123, 4), (9, 9, 9)}
+        for c in keys:
+            assert format_composition(c) == reference_format_composition(c)
+
+    @pytest.mark.parametrize("coords", ["partition", "composition"])
+    def test_fast_path_returns_what_the_validator_returns(self, coords):
+        for shape in self.SHAPES:
+            text = serialize_poset(build_lattice(shape, coords))
+            # CRLF line ends are not the writer's bytes: the validator reads them
+            assert parse_poset(text) == parse_poset(text.replace("\n", "\r\n")), shape
+
+    def test_only_non_canonical_text_reaches_the_validator(self, monkeypatch):
+        text = serialize_poset(build_lattice(Shape(4, 3)))
+        validated = parse_poset(text.replace("\n", "\r\n"))
+
+        def unreachable(text):
+            raise AssertionError("the line validator ran")
+
+        monkeypatch.setattr(poset, "_parse_lines", unreachable)
+        assert parse_poset(text) == validated
+        with pytest.raises(AssertionError):
+            parse_poset(text.replace("\n", "\r\n"))
+
+    @given(st.sampled_from([(2, 2), (3, 2), (2, 3), (1, 4)]),
+           st.sampled_from(["partition", "composition"]), st.data())
+    def test_mutated_text_matches_the_validator(self, shape, coords, data):
+        text = mutated_text(serialize_poset(build_lattice(Shape(*shape), coords)), data)
+        assert parse_outcome(parse_poset, text) == parse_outcome(poset._parse_lines, text)
+
+    def test_large_header_with_short_body_fails_without_a_build(self, monkeypatch):
+        def unreachable(*args):
+            raise AssertionError("a lattice was built")
+
+        monkeypatch.setattr(poset, "build_lattice", unreachable)
+        key = format_composition((12,) + (0,) * 12)
+        text = f"poset L(12,12) height=144 count=2704156\n0 0 {key}\n1 1 x\n2 2 y\n"
+        start = perf_counter()
+        with pytest.raises(ParseError) as err:
+            parse_poset(text)
+        assert perf_counter() - start < 0.1
+        assert str(err.value) == "line 4: truncated element section"
+
+
 class TestSplittingIdentities:
     def test_l33_splits_ten_ten(self):
         result = check_splitting_identities(3, 3)
@@ -437,16 +549,33 @@ class TestPosetFiles:
         assert str(err.value) == f"line 1: bad lattice label: {label!r}"
 
 
+_L22 = serialize_poset(build_lattice(Shape(2, 2)))
+
+
 class TestParseAnyText:
     @given(st.text())
     @example("poset L(2,2) height=\u00b2 count=6\n")
     @example("poset L(2,2) height=4 count=\u00b2\n")
     @example("poset L(100000,100000) height=10000000000 count=1\n")
+    @example(_L22.replace("L(2,2)", "L(+2,2)"))
+    @example(_L22.replace("L(2,2)", "L(2,0_2)"))
+    @example(_L22.replace("L(2,2)", "L(\u0662,2)"))
+    @example(_L22.replace("count=6", "count=\u0666"))
+    @example(_L22.replace("\n0 0 002\n", "\n+0 0 002\n"))
+    @example(_L22.replace("\n0 0 002\n", "\n0 \u0660 002\n"))
+    @example(_L22.replace("\n0 0 002\n", "\n0 0 [0,0,+2]\n"))
+    @example(_L22.replace("\n0 0 002\n", "\n0 0 [0,0,0_2]\n"))
+    @example(_L22.replace("\n0 0 002\n", "\n0 0 00\u0662\n"))
+    @example(_L22.replace("\n0 1 2\n", "\n0 +1 2\n"))
+    @example(_L22.replace("\n0 1 2\n", "\n0 0_1 2\n"))
+    @example(_L22.replace("\n0 1 2\n", "\n0 1 \u0662\n"))
     def test_any_text_parses_or_raises_parse_error(self, text):
         try:
             assert isinstance(parse_poset(text), GradedPoset)
         except ParseError:
-            pass
+            return
+        # numbers are ASCII digits only: no sign, no underscore, no other digit
+        assert not any(ch in "+_" or ch.isdigit() and not ch.isascii() for ch in text)
 
     @given(st.sampled_from([(2, 2), (3, 2), (2, 3)]), st.data())
     def test_mutated_file_parses_or_raises_parse_error(self, shape, data):

@@ -13,7 +13,7 @@ from younglat.render import (
     to_dot,
     to_svg,
 )
-from younglat.scd import scd_n2
+from younglat.scd import ChainDecomposition, scd_n2
 
 
 def dot_counts(text):
@@ -152,3 +152,21 @@ class TestSvgLimits:
         svg = to_svg(build_lattice(Shape(1, 2)))
         xs = set(re.findall(r'circle cx="([0-9.]+)"', svg))
         assert len(xs) == 1
+
+
+class TestOverlayKeys:
+    @pytest.mark.parametrize("draw", [to_dot, to_svg])
+    def test_lone_key_not_in_poset_is_refused(self, draw):
+        p = build_lattice(Shape(2, 2), "composition")
+        overlay = ChainDecomposition(Shape(2, 2), [((0, 1, 1), (0, 0, 2)), ((2, 0, 2),)])
+        with pytest.raises(ValueError) as err:
+            draw(p, RenderSpec(highlight=overlay))
+        assert str(err.value) == "highlight element (2, 0, 2) not in poset"
+
+    @pytest.mark.parametrize("draw", [to_dot, to_svg])
+    def test_step_with_a_key_not_in_poset_is_refused(self, draw):
+        p = build_lattice(Shape(2, 2), "composition")
+        overlay = ChainDecomposition(Shape(2, 2), [((0, 2, 0), (0, 1, 1), (3, 0, 0))])
+        with pytest.raises(ValueError) as err:
+            draw(p, RenderSpec(highlight=overlay))
+        assert str(err.value) == "highlight element (0, 1, 1) or (3, 0, 0) not in poset"

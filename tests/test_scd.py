@@ -372,11 +372,19 @@ class TestDecompositionFiles:
     @given(st.text())
     @example("scd L'(2,2) chains=\u00b2\n")
     @example("scd L'(100000,100000) chains=1\n1\n")
+    @example("scd L'(+2,2) chains=1\n002\n")
+    @example("scd L'(2,2) chains=0_1\n002\n")
+    @example("scd L'(2,2) chains=\u0661\n002\n")
+    @example("scd L'(2,2) chains=1\n[0,0,+2]\n")
+    @example("scd L'(2,2) chains=1\n[0,0,0_2]\n")
+    @example("scd L'(2,2) chains=1\n00\u0662\n")
     def test_any_text_parses_or_raises_parse_error(self, text):
         try:
             assert isinstance(parse_decomposition(text), ChainDecomposition)
         except ParseError:
-            pass
+            return
+        # numbers are ASCII digits only: no sign, no underscore, no other digit
+        assert not any(ch in "+_" or ch.isdigit() and not ch.isascii() for ch in text)
 
     @given(st.sampled_from([lindstrom(3), lindstrom(4), scd_n2(3)]), st.data())
     def test_mutated_file_parses_or_raises_parse_error(self, d, data):
