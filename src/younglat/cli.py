@@ -137,22 +137,15 @@ def _cmd_identities(args) -> int:
     return 0 if result.passed else 1
 
 
-def _cmd_scd_lindstrom(args) -> int:
-    d = lindstrom(args.m)
+def _cmd_scd_construct(args) -> int:
+    try:
+        d = args.construct(args.m)
+    except ValueError as exc:  # over the element limit
+        raise CliError(str(exc)) from None
     _emit(
         serialize_decomposition(d),
         args.out,
-        f"wrote {len(d)} chains for L'({args.m},3) to {args.out}",
-    )
-    return 0
-
-
-def _cmd_scd_n2(args) -> int:
-    d = scd_n2(args.m)
-    _emit(
-        serialize_decomposition(d),
-        args.out,
-        f"wrote {len(d)} chains for L'({args.m},2) to {args.out}",
+        f"wrote {len(d)} chains for L'({args.m},{d.shape.n}) to {args.out}",
     )
     return 0
 
@@ -235,12 +228,12 @@ def _build_parser() -> argparse.ArgumentParser:
     lind = scd_sub.add_parser("lindstrom", help="recursive construction, three sizes")
     lind.add_argument("m", type=_positive)
     lind.add_argument("--out", metavar="FILE")
-    lind.set_defaults(func=_cmd_scd_lindstrom)
+    lind.set_defaults(func=_cmd_scd_construct, construct=lindstrom)
 
     n2 = scd_sub.add_parser("n2", help="alternating construction, two sizes")
     n2.add_argument("m", type=_positive)
     n2.add_argument("--out", metavar="FILE")
-    n2.set_defaults(func=_cmd_scd_n2)
+    n2.set_defaults(func=_cmd_scd_construct, construct=scd_n2)
 
     brute = scd_sub.add_parser("brute", help="backtracking search")
     brute.add_argument("m", type=_nonneg)

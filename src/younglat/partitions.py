@@ -17,9 +17,9 @@ keys its elements by weak composition, in either coordinate system; partitions
 are a view of those keys, taken with ``from_multiplicity`` for labels and
 partition-form chains.
 
-``poset.build_lattice`` uses only ``enumerate_compositions``; ``lower_covers``,
-``composition_lower_covers`` and ``partitions_in_box`` stay public as test
-oracles, and ``check_splitting_identities`` replays ``partitions_in_box``.
+``poset.build_lattice`` and ``poset.check_splitting_identities`` use only
+``enumerate_compositions``; ``lower_covers``, ``composition_lower_covers`` and
+``partitions_in_box`` stay public as test oracles.
 
 Everything here is a pure function over immutable tuples; concurrent callers
 need no coordination.
@@ -27,6 +27,7 @@ need no coordination.
 
 from __future__ import annotations
 
+import re
 from functools import lru_cache
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
@@ -282,6 +283,10 @@ def parse_partition(text: str) -> Partition:
     return as_partition(int(ch) for ch in s)
 
 
+# the bracketed key spelling: ASCII numbers without leading zeros, comma-separated
+_BRACKETED_KEY = re.compile(r"\[(?:0|[1-9][0-9]*)(?:,(?:0|[1-9][0-9]*))*\]")
+
+
 @lru_cache(maxsize=64)  # bounded: key lengths come from input files too
 def _key_templates(length: int) -> tuple[str, str]:
     """The ``%`` templates of a key of ``length`` entries: digits, bracketed."""
@@ -294,26 +299,27 @@ def format_composition(c: WeakComposition) -> str:
 
 
 def parse_natural(text: str) -> int:
-    """A nonnegative integer written in ASCII digits only.
+    """A nonnegative integer as the writers spell it: ASCII digits, no leading zero.
 
-    ``int`` alone would also take signs, blanks, underscores and non-ASCII
-    decimal digits, spellings that the writers never produce.
+    ``int`` alone would also take signs, blanks, underscores, non-ASCII
+    decimal digits and leading zeros.
     """
-    if not (text.isascii() and text.isdigit()):
-        raise ValueError(f"not a number in ASCII digits: {text!r}")
+    if not (text.isascii() and text.isdigit()) or (text[0] == "0" and len(text) > 1):
+        raise ValueError(f"not a number in ASCII digits, no leading zero: {text!r}")
     return int(text)
 
 
 def parse_composition(text: str) -> WeakComposition:
-    """Inverse of :func:`format_composition`; syntax check only, ASCII digits only."""
-    s = text.strip()
-    if s.startswith("["):
-        if not s.endswith("]"):
-            raise ValueError(f"unterminated bracketed composition: {text!r}")
-        try:
-            return tuple(map(parse_natural, s[1:-1].split(",")))
-        except ValueError:
-            raise ValueError(f"not a composition key: {text!r}") from None
-    if not (s.isascii() and s.isdigit()):
+    """Inverse of :func:`format_composition`, accepting only the strings it
+    writes: one ASCII digit per entry or, when an entry exceeds 9, a
+    bracketed list of numbers without leading zeros (syntax check only)."""
+    if text.startswith("["):
+        if not _BRACKETED_KEY.fullmatch(text):
+            raise ValueError(f"not a composition key: {text!r}")
+        key = tuple(map(int, text[1:-1].split(",")))
+        if len(text) == 2 * len(key) + 1:  # every entry is one digit
+            raise ValueError(f"bracketed key with no entry over 9: {text!r}")
+        return key
+    if not (text.isascii() and text.isdigit()):
         raise ValueError(f"not a composition key: {text!r}")
-    return tuple(map(int, s))
+    return tuple(map(int, text))

@@ -17,11 +17,14 @@ The interchange format, one file per poset::
 
 Files from either coordinate system share one key space.  Elements are
 ordered by rank and then lexicographically; covers are sorted by index pair.
-Output is byte-stable.
+Output is byte-stable.  The header fixes everything after it, so a file
+parses exactly when it is the writer's text for the lattice its header
+names, up to line ends and runs of blanks.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from itertools import accumulate, chain, compress, count, repeat
 from math import comb
@@ -29,15 +32,15 @@ from operator import itemgetter, sub
 
 from .partitions import (
     Shape,
-    WeakComposition,
     enumerate_compositions,
     format_composition,
-    parse_composition,
     parse_natural,
-    partitions_in_box,
     weighted_sum,
 )
 from .roots import NotACoverError, edge_color
+
+# the header line: up to the first character at which str.splitlines ends a line
+_FIRST_LINE = re.compile(r"[^\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029]*")
 
 ELEMENT_LIMIT = 4_000_000  # above L(12,12); build_lattice refuses larger lattices
 DEGREE_LIMIT = 90_000  # m * n of L(300,300); gaussian_binomial refuses larger boxes
@@ -322,8 +325,10 @@ def check_splitting_identities(m: int, n: int) -> SplitCheck:
     ``n`` levels, and the remaining elements are exactly the ``(m, n - 1)``
     box.  The second splits by number of parts instead.  Coefficient
     identities use exact arithmetic, and the first split is also replayed on
-    the actual element sets, so boxes over ``ELEMENT_LIMIT`` elements raise
-    ``ValueError``.
+    the composition keys: a key with ``c[0] >= 1`` loses one part of size
+    ``n`` as ``(c[0] - 1,) + c[1:]``, an ``(m - 1, n)`` key, and a key with
+    ``c[0] = 0`` drops that slot as ``c[1:]``, an ``(m, n - 1)`` key.  Boxes
+    over ``ELEMENT_LIMIT`` elements raise ``ValueError``.
     """
     if m < 1 or n < 1:
         raise ValueError("both box dimensions must be at least 1")
@@ -333,27 +338,32 @@ def check_splitting_identities(m: int, n: int) -> SplitCheck:
     smaller_parts = list(gaussian_binomial(m, n - 1))
     first = whole == _padded_add(_shifted(fewer_parts, n), smaller_parts)
     second = whole == _padded_add(fewer_parts, _shifted(smaller_parts, m))
-    elements = set(partitions_in_box(m, n))
-    with_big = {a for a in elements if a and a[0] == n}
-    without_big = elements - with_big
-    image = {a[1:] for a in with_big}
+    keys = enumerate_compositions(m, n + 1)
+    with_big = [c for c in keys if c[0]]
+    without_big = [c[1:] for c in keys if not c[0]]
+    image = {(c[0] - 1,) + c[1:] for c in with_big}
     bijective = (
         len(image) == len(with_big)
-        and image == set(partitions_in_box(m - 1, n))
-        and without_big == set(partitions_in_box(m, n - 1))
+        and image == set(enumerate_compositions(m - 1, n + 1))
+        and set(without_big) == set(enumerate_compositions(m, n))
     )
     return SplitCheck(Shape(m, n), first, second, len(with_big),
                       len(without_big), bijective)
 
 
-def serialize_poset(p: GradedPoset) -> str:
-    """Render ``p`` in the interchange format."""
+def _poset_lines(p: GradedPoset):
+    """The lines of ``p`` in the interchange format, each ending in ``\\n``."""
     keys = map(format_composition, p.elements)
-    return "".join(chain(
+    return chain(
         [f"poset {p.label()} height={p.height} count={len(p)}\n"],
         map("%d %d %s\n".__mod__, zip(count(), p.ranks, keys)),
         map("%d %d %d\n".__mod__, p.covers),
-    ))
+    )
+
+
+def serialize_poset(p: GradedPoset) -> str:
+    """Render ``p`` in the interchange format."""
+    return "".join(_poset_lines(p))
 
 
 def _parse_label(label: str) -> tuple[Shape, str]:
@@ -372,142 +382,58 @@ def _parse_label(label: str) -> tuple[Shape, str]:
     return Shape(m, n), coords
 
 
-def _parse_header(line: str):
+def _parse_header(text: str) -> tuple[Shape, str]:
+    """Shape and coordinates named by the header, the first line of ``text``.
+
+    The line is cut where ``str.splitlines`` would cut it, without splitting
+    the rest of the text.  Only the word ``poset``, the label and the size
+    limit are checked here; ``height=`` and ``count=`` are compared with the
+    rest of the text.
+    """
+    line = _FIRST_LINE.match(text).group()
     parts = line.split()
     if len(parts) != 4 or parts[0] != "poset":
         raise ParseError(1, f"bad poset header: {line!r}")
     shape, coords = _parse_label(parts[1])
-    fields = {}
-    for chunk in parts[2:]:
-        key, _, value = chunk.partition("=")
-        try:
-            fields[key] = parse_natural(value)
-        except ValueError:
-            raise ParseError(1, f"bad header field: {chunk!r}") from None
-    if set(fields) != {"height", "count"}:
-        raise ParseError(1, "expected height= and count= in header")
-    return shape, coords, fields["height"], fields["count"]
-
-
-def _parse_canonical(text: str) -> GradedPoset | None:
-    """The poset whose :func:`serialize_poset` text is exactly ``text``, or None.
-
-    Only the header is read; when the text has as many newlines as the
-    lattice it names has lines, the lattice is built and its text compared.
-    """
     try:
-        shape, coords, _, _ = _parse_header(text.partition("\n")[0])
         _require_within_limit(*shape)
-    except ValueError:  # ParseError included: the validator reports it
-        return None
-    m, n = shape
-    lines = 1 if m == 0 or n == 0 else 1 + comb(m + n, m) + n * comb(m + n - 1, n)
-    if text.count("\n") != lines:
-        return None
-    built = build_lattice(shape, coords)
-    return built if text == serialize_poset(built) else None
+    except ValueError as exc:
+        raise ParseError(1, str(exc)) from None
+    return shape, coords
+
+
+def _line_count_error(got: int, expected: int) -> ParseError:
+    return ParseError(min(got, expected) + 1, f"expected {expected} lines, got {got}")
 
 
 def parse_poset(text: str) -> GradedPoset:
     """Parse the interchange format back into a :class:`GradedPoset`.
 
-    The keys are kept as read, in composition form; the header label sets
-    only ``coords``.  The text of a lattice is fixed by its header, so the
-    exact bytes :func:`serialize_poset` writes are accepted by building the
-    lattice and comparing.  Any other text, such as one with CRLF line ends
-    or extra blanks, is revalidated line by line, and only that validator
-    raises :class:`ParseError`.
+    The header names the lattice, and the lattice fixes every line after it,
+    so there is one rule: ``text`` must be :func:`serialize_poset` of that
+    lattice up to line ends (as ``str.splitlines`` cuts them) and runs of
+    blanks.  The header is read first and the lines are counted, so a lattice
+    is built only for a text with as many lines as its own, and at most once.
+    The exact bytes the writer produces are accepted by one comparison; any
+    other text is compared line by line, and the first line whose words
+    differ raises :class:`ParseError`, the only exception raised.
     """
-    canonical = _parse_canonical(text)
-    return canonical if canonical is not None else _parse_lines(text)
-
-
-def _parse_lines(text: str) -> GradedPoset:
-    """The line validator behind :func:`parse_poset`.
-
-    It is strict: declared counts, ordering, ranks, keys, and edge colors
-    are all revalidated, so a file that parses is a faithful lattice.
-    Numbers are ASCII digits only.  A header naming a lattice over
-    ``ELEMENT_LIMIT`` elements is refused before anything is counted.
-    Covers are checked arithmetically.  Each key gets an integer code, its
-    entries read as base-``m + 1`` digits, which is injective on the keys of
-    the lattice.  Moving one unit from 0-based slot ``j`` to slot ``j + 1``
-    lowers the code by ``(m+1)^(n-j) - (m+1)^(n-j-1)``, so a color-``j+1``
-    line is a cover exactly when the upper key has ``upper[j] >= 1`` and the
-    codes differ by that step.
-    """
-    lines = text.splitlines()
-    if not lines:
-        raise ParseError(1, "empty poset file")
-    shape, coords, height, count = _parse_header(lines[0])
+    shape, coords = _parse_header(text)
     m, n = shape
-    try:
-        _require_within_limit(m, n)
-    except ValueError as exc:
-        raise ParseError(1, str(exc)) from None
-    expected_count = 0 if m == 0 or n == 0 else comb(m + n, m)
-    if count != expected_count:
-        raise ParseError(1, f"count={count} does not match the {m} x {n} lattice")
-    if height != m * n:
-        raise ParseError(1, f"height={height} does not match the {m} x {n} lattice")
-    if len(lines) < 1 + count:
-        raise ParseError(len(lines), "truncated element section")
-
-    base = m + 1
-    comps: list[WeakComposition] = []
-    ranks: list[int] = []
-    codes: list[int] = []
-    degree_total = 0
-    for i in range(count):
-        line_no = i + 2
-        fields = lines[1 + i].split()
-        if len(fields) != 3:
-            raise ParseError(line_no, f"bad element line: {lines[1 + i]!r}")
-        try:
-            idx, r = parse_natural(fields[0]), parse_natural(fields[1])
-            key = parse_composition(fields[2])
-        except ValueError as exc:
-            raise ParseError(line_no, str(exc)) from None
-        if idx != i:
-            raise ParseError(line_no, f"expected index {i}, got {idx}")
-        if len(key) != n + 1 or sum(key) != m:
-            raise ParseError(line_no, f"key {fields[2]} is not an element of the lattice")
-        if r != weighted_sum(key):
-            raise ParseError(line_no, f"rank {r} does not match key {fields[2]}")
-        if comps and (ranks[-1], comps[-1]) >= (r, key):
-            raise ParseError(line_no, "elements out of order")
-        code = 0
-        for v in key:
-            code = code * base + v
-        comps.append(key)
-        ranks.append(r)
-        codes.append(code)
-        degree_total += n - key[:n].count(0)
-
-    step = [0] + [base ** (n - j) - base ** (n - j - 1) for j in range(n)]
-    covers: list[tuple[int, int, int]] = []
-    prev = (-1, -1)
-    for line_no, line in enumerate(lines[1 + count :], count + 2):
-        fields = line.split()
-        if len(fields) != 3:
-            raise ParseError(line_no, f"bad cover line: {line!r}")
-        try:
-            lo, hi, color = map(parse_natural, fields)
-        except ValueError:
-            raise ParseError(line_no, f"bad cover line: {line!r}") from None
-        if not (0 <= lo < count and 0 <= hi < count):
-            raise ParseError(line_no, "cover index out of range")
-        if not 1 <= color <= n:
-            raise ParseError(line_no, f"color {color} out of range 1..{n}")
-        if comps[hi][color - 1] < 1 or codes[hi] - codes[lo] != step[color]:
-            raise ParseError(
-                line_no, f"{comps[lo]} is not the color-{color} cover below {comps[hi]}"
-            )
-        if prev >= (lo, hi):
-            raise ParseError(line_no, "covers out of order")
-        prev = (lo, hi)
-        covers.append((lo, hi, color))
-    if len(covers) != degree_total:
-        raise ParseError(len(lines), f"expected {degree_total} covers, got {len(covers)}")
-
-    return GradedPoset(shape, coords, comps, ranks, covers, height)
+    expected = 1 if m == 0 or n == 0 else 1 + comb(m + n, m) + n * comb(m + n - 1, n)
+    got = text.count("\n")
+    if got != expected:
+        got = len(text.splitlines())
+    if got != expected:
+        raise _line_count_error(got, expected)
+    built = build_lattice(shape, coords)
+    canonical = serialize_poset(built)
+    if text == canonical:
+        return built
+    lines = text.splitlines()
+    if len(lines) != expected:  # other line breaks besides the right number of "\n"
+        raise _line_count_error(len(lines), expected)
+    for number, line, want in zip(count(1), lines, _poset_lines(built)):
+        if line.split() != want.split():
+            raise ParseError(number, f"expected {want[:-1]!r}, got {line!r}")
+    return built

@@ -33,7 +33,7 @@ from .partitions import (
     to_multiplicity,
     weighted_sum,
 )
-from .poset import GradedPoset, ParseError, _parse_label
+from .poset import GradedPoset, ParseError, _parse_label, _require_within_limit
 
 Chain = tuple[WeakComposition, ...]
 
@@ -208,10 +208,12 @@ def scd_n2(m: int) -> ChainDecomposition:
     steps, largest-part step first, for ``2(m - 2i)`` covers.  The middle
     slot stays at ``2i`` or ``2i + 1`` along chain ``i``, so the chains
     partition the triangle.  Even ``m`` leaves a singleton chain; odd ``m``
-    bottoms out with a chain of length 2.
+    bottoms out with a chain of length 2.  Over ``ELEMENT_LIMIT`` elements
+    raise ``ValueError`` before any work.
     """
     if m < 1:
         raise ValueError(f"need m >= 1, got {m}")
+    _require_within_limit(m, 2)
     chains = []
     for i in range(m // 2 + 1):
         a, b, c = m - 2 * i, 2 * i, 0
@@ -322,11 +324,13 @@ def lindstrom_odd(t: int) -> ChainDecomposition:
     is preserved), and the two outer faces are filled by :func:`_odd_shell`.
     Unrolled, shell ``k = 1, 3, ..., m`` sits at offset ``(m - k) / 2``, so
     each chain is written once, in its final position.  The base ``m = 1``
-    is the single four-element chain.
+    is the single four-element chain.  Over ``ELEMENT_LIMIT`` elements raise
+    ``ValueError`` before any work.
     """
     if t < 0:
         raise ValueError(f"need t >= 0, got {t}")
     m = 2 * t + 1
+    _require_within_limit(m, 3)
     chains = [ch for k in range(1, m + 1, 2) for ch in _odd_shell(k, (m - k) // 2)]
     return ChainDecomposition(Shape(m, 3), chains)
 
@@ -341,11 +345,13 @@ def lindstrom_even(t: int) -> ChainDecomposition:
     single middle node ``(2, 0, 0, 2)``.  Unrolled, shell ``k`` sits at
     offset ``(m - k) / 2``, the ``m = 4`` core at ``(m - 4) / 2`` and the
     two-column seed at ``(m - 2) / 2``, so each chain is written once, in
-    its final position.
+    its final position.  Over ``ELEMENT_LIMIT`` elements raise ``ValueError``
+    before any work.
     """
     if t < 1:
         raise ValueError(f"need t >= 1, got {t}")
     m = 2 * t
+    _require_within_limit(m, 3)
     if m % 4 == 0:
         chains: list[Chain] = [((m // 2, 0, 0, m // 2),)]
         start = 4
@@ -360,9 +366,9 @@ def lindstrom_even(t: int) -> ChainDecomposition:
 def lindstrom(m: int) -> ChainDecomposition:
     """Symmetric chain decomposition of the three-size lattice for any ``m >= 1``.
 
-    Dispatches to the odd or even recursion.  Through the multiplicity
-    bijection the result also decomposes the partition form of the lattice,
-    and by conjugation its transpose.
+    Dispatches to the odd or even recursion, each bounded by ``ELEMENT_LIMIT``.
+    Through the multiplicity bijection the result also decomposes the
+    partition form of the lattice, and by conjugation its transpose.
     """
     if m < 1:
         raise ValueError(f"need m >= 1, got {m}")

@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -168,7 +169,8 @@ class TestErrorPaths:
         bad.write_text("poset L(2,2) height=4 count=6\n0 0 002\ngarbage\n")
         code, _, err = run(capsys, "render", str(bad))
         assert code == 2
-        assert "line 3" in err
+        # L(2,2) has 13 lines; the text ends after its third
+        assert err == f"error: {bad}: line 4: expected 13 lines, got 3\n"
 
     def test_missing_file(self, capsys):
         code, _, err = run(capsys, "render", "/nonexistent/p.poset")
@@ -231,7 +233,25 @@ class TestErrorPaths:
         code, out, err = run(capsys, "scd", "verify", str(poset_file), str(scd_file))
         assert code == 2
         assert out == ""
-        assert f"line 1: bad header field: {field!r}" in err
+        # a poset header's fields are compared with the writer's, after the
+        # line count: the one-line poset file fails on its missing second line
+        expected = {
+            "height=\u00b2": f"{poset_file}: line 2: expected 13 lines, got 1",
+            "chains=\u00b2": f"{scd_file}: line 1: bad header field: {field!r}",
+        }
+        assert err == f"error: {expected[field]}\n"
+
+    @pytest.mark.parametrize("argv, label", [(("scd", "lindstrom", "287"), "L(287,3)"),
+                                             (("scd", "n2", "2827"), "L(2827,2)"),
+                                             (("scd", "lindstrom", "100000000"), "L(100000000,3)"),
+                                             (("scd", "n2", "1000000000"), "L(1000000000,2)")])
+    def test_construction_over_element_limit_is_a_usage_error(self, capsys, argv, label):
+        start = time.perf_counter()
+        code, out, err = run(capsys, *argv)
+        assert time.perf_counter() - start < 0.1
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {label} has more than 4,000,000 elements\n"
 
     def test_undecodable_file_is_a_usage_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.poset"

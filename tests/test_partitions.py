@@ -3,7 +3,7 @@ from itertools import combinations
 from math import comb
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from younglat.partitions import (
@@ -22,6 +22,7 @@ from younglat.partitions import (
     leq,
     lower_covers,
     parse_composition,
+    parse_natural,
     parse_partition,
     partitions_in_box,
     rank,
@@ -311,6 +312,32 @@ class TestStrings:
     def test_parse_composition_takes_ascii_digits_only(self, text):
         with pytest.raises(ValueError):
             parse_composition(text)
+
+    @pytest.mark.parametrize("text", ["[1,0,2,0]", "[010,0,2,0]", "[9]", "[0,9]",
+                                      " 12", "12 ", "[10,0,2,00]"])
+    def test_parse_composition_takes_only_the_written_spelling(self, text):
+        with pytest.raises(ValueError):
+            parse_composition(text)
+
+    @given(st.one_of(st.text(), st.text(alphabet="0123456789[],", max_size=12)))
+    @example("[10,0,2,0]")
+    @example("[0,12]")
+    @example("0120")
+    def test_accepted_keys_are_written_back_unchanged(self, text):
+        try:
+            key = parse_composition(text)
+        except ValueError:
+            return
+        assert format_composition(key) == text
+
+    @pytest.mark.parametrize("text, value", [("0", 0), ("7", 7), ("10", 10), ("9000", 9000)])
+    def test_parse_natural_reads_canonical_numbers(self, text, value):
+        assert parse_natural(text) == value
+
+    @pytest.mark.parametrize("text", ["00", "01", "007", "", "+1", " 1", "1_0", "\u0661"])
+    def test_parse_natural_rejects_other_spellings(self, text):
+        with pytest.raises(ValueError):
+            parse_natural(text)
 
     def test_parse_rejects_garbage(self):
         with pytest.raises(ValueError):

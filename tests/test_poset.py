@@ -26,6 +26,7 @@ from younglat.poset import (
     GradedPoset,
     ParseError,
     RankPolynomial,
+    SplitCheck,
     _exact_quotient_one_minus_power,
     build_lattice,
     check_splitting_identities,
@@ -376,12 +377,175 @@ def reference_dict_build(shape, coordinates):
     return GradedPoset(shape, coordinates, comps, ranks, edges, m * n)
 
 
-def parse_outcome(parse, text):
-    """What ``parse`` makes of ``text``: the poset, or the error's line and message."""
+def reference_natural(text):
+    """``parse_natural`` before leading zeros were refused: ASCII digits only."""
+    if not (text.isascii() and text.isdigit()):
+        raise ValueError(f"not a number in ASCII digits: {text!r}")
+    return int(text)
+
+
+def reference_key(token):
+    """``parse_composition`` before a key had one spelling: any key may be
+    bracketed, and bracketed entries may have leading zeros."""
+    if token.startswith("["):
+        if not token.endswith("]"):
+            raise ValueError(f"unterminated bracketed composition: {token!r}")
+        try:
+            return tuple(map(reference_natural, token[1:-1].split(",")))
+        except ValueError:
+            raise ValueError(f"not a composition key: {token!r}") from None
+    if not (token.isascii() and token.isdigit()):
+        raise ValueError(f"not a composition key: {token!r}")
+    return tuple(map(int, token))
+
+
+def reference_label(label):
+    """``_parse_label`` with the lenient numbers of :func:`reference_natural`."""
+    coords = "composition" if label.startswith("L'") else "partition"
+    body = label[2:] if coords == "composition" else label[1:]
+    if not (label.startswith("L") and body.startswith("(") and body.endswith(")")):
+        raise ParseError(1, f"bad lattice label: {label!r}")
+    dims = body[1:-1].split(",")
     try:
-        return parse(text)
-    except ParseError as err:
-        return err.line, str(err)
+        m, n = (reference_natural(v.removeprefix("-")) for v in dims)
+    except ValueError:
+        raise ParseError(1, f"bad lattice label: {label!r}") from None
+    if any(v.startswith("-") for v in dims):
+        raise ParseError(1, f"negative lattice dimension: {label!r}")
+    return Shape(m, n), coords
+
+
+def reference_parse_lines(text):
+    """The line validator that parse_poset replaced by one comparison with
+    the writer's text.  It parses the header fields in any order and
+    revalidates every line: index, rank, key, order, and each cover by its
+    base-(m+1) code step.  It accepts spellings the writer never produces,
+    so its accepted set contains parse_poset's."""
+    lines = text.splitlines()
+    if not lines:
+        raise ParseError(1, "empty poset file")
+    parts = lines[0].split()
+    if len(parts) != 4 or parts[0] != "poset":
+        raise ParseError(1, f"bad poset header: {lines[0]!r}")
+    shape, coords = reference_label(parts[1])
+    fields = {}
+    for chunk in parts[2:]:
+        key, _, value = chunk.partition("=")
+        try:
+            fields[key] = reference_natural(value)
+        except ValueError:
+            raise ParseError(1, f"bad header field: {chunk!r}") from None
+    if set(fields) != {"height", "count"}:
+        raise ParseError(1, "expected height= and count= in header")
+    height, count = fields["height"], fields["count"]
+    m, n = shape
+    try:
+        poset._require_within_limit(m, n)
+    except ValueError as exc:
+        raise ParseError(1, str(exc)) from None
+    expected_count = 0 if m == 0 or n == 0 else comb(m + n, m)
+    if count != expected_count:
+        raise ParseError(1, f"count={count} does not match the {m} x {n} lattice")
+    if height != m * n:
+        raise ParseError(1, f"height={height} does not match the {m} x {n} lattice")
+    if len(lines) < 1 + count:
+        raise ParseError(len(lines), "truncated element section")
+
+    base = m + 1
+    comps, ranks, codes = [], [], []
+    degree_total = 0
+    for i in range(count):
+        line_no = i + 2
+        fields = lines[1 + i].split()
+        if len(fields) != 3:
+            raise ParseError(line_no, f"bad element line: {lines[1 + i]!r}")
+        try:
+            idx, r = reference_natural(fields[0]), reference_natural(fields[1])
+            key = reference_key(fields[2])
+        except ValueError as exc:
+            raise ParseError(line_no, str(exc)) from None
+        if idx != i:
+            raise ParseError(line_no, f"expected index {i}, got {idx}")
+        if len(key) != n + 1 or sum(key) != m:
+            raise ParseError(line_no, f"key {fields[2]} is not an element of the lattice")
+        if r != weighted_sum(key):
+            raise ParseError(line_no, f"rank {r} does not match key {fields[2]}")
+        if comps and (ranks[-1], comps[-1]) >= (r, key):
+            raise ParseError(line_no, "elements out of order")
+        code = 0
+        for v in key:
+            code = code * base + v
+        comps.append(key)
+        ranks.append(r)
+        codes.append(code)
+        degree_total += n - key[:n].count(0)
+
+    step = [0] + [base ** (n - j) - base ** (n - j - 1) for j in range(n)]
+    covers = []
+    prev = (-1, -1)
+    for line_no, line in enumerate(lines[1 + count :], count + 2):
+        fields = line.split()
+        if len(fields) != 3:
+            raise ParseError(line_no, f"bad cover line: {line!r}")
+        try:
+            lo, hi, color = map(reference_natural, fields)
+        except ValueError:
+            raise ParseError(line_no, f"bad cover line: {line!r}") from None
+        if not (0 <= lo < count and 0 <= hi < count):
+            raise ParseError(line_no, "cover index out of range")
+        if not 1 <= color <= n:
+            raise ParseError(line_no, f"color {color} out of range 1..{n}")
+        if comps[hi][color - 1] < 1 or codes[hi] - codes[lo] != step[color]:
+            raise ParseError(
+                line_no, f"{comps[lo]} is not the color-{color} cover below {comps[hi]}"
+            )
+        if prev >= (lo, hi):
+            raise ParseError(line_no, "covers out of order")
+        prev = (lo, hi)
+        covers.append((lo, hi, color))
+    if len(covers) != degree_total:
+        raise ParseError(len(lines), f"expected {degree_total} covers, got {len(covers)}")
+
+    return GradedPoset(shape, coords, comps, ranks, covers, height)
+
+
+def assert_within_the_reference(text):
+    """parse_poset accepts ``text`` only if the reference validator accepts
+    it, and then returns the same poset; otherwise it raises ParseError."""
+    try:
+        expected = reference_parse_lines(text)
+    except ParseError:
+        with pytest.raises(ParseError):
+            parse_poset(text)
+        return
+    try:
+        got = parse_poset(text)
+    except ParseError:
+        return
+    assert got == expected
+
+
+class LineSplitForbidden(str):
+    """A text that fails the test if it is ever cut into lines."""
+
+    def splitlines(self, keepends=False):
+        raise AssertionError("the text was split into lines")
+
+
+def respaced(text, data):
+    """``text`` with each line end drawn from LF, CRLF and CR, each run of
+    blanks drawn from blank and tab runs, and maybe no final line end: the
+    freedom parse_poset leaves a writer."""
+    blanks = st.sampled_from([" ", "  ", "\t", " \t ", "\t\t"])
+    out = []
+    for line in text.splitlines():
+        words = line.split()
+        lead, trail = data.draw(st.sampled_from(["", " ", "\t"])), data.draw(st.sampled_from(["", " "]))
+        out.append(lead + "".join(w + data.draw(blanks) for w in words[:-1]) + words[-1] + trail)
+        out.append(data.draw(st.sampled_from(["\n", "\r\n", "\r"])))
+    if data.draw(st.booleans()):
+        out.pop()
+    return "".join(out)
 
 
 class TestCanonicalPosetIO:
@@ -409,23 +573,20 @@ class TestCanonicalPosetIO:
             # CRLF line ends are not the writer's bytes: the validator reads them
             assert parse_poset(text) == parse_poset(text.replace("\n", "\r\n")), shape
 
-    def test_only_non_canonical_text_reaches_the_validator(self, monkeypatch):
+    def test_only_non_canonical_text_reaches_the_validator(self):
+        # the validator is now the line-by-line comparison: the writer's exact
+        # bytes are accepted by one comparison, without cutting them into lines
         text = serialize_poset(build_lattice(Shape(4, 3)))
         validated = parse_poset(text.replace("\n", "\r\n"))
-
-        def unreachable(text):
-            raise AssertionError("the line validator ran")
-
-        monkeypatch.setattr(poset, "_parse_lines", unreachable)
-        assert parse_poset(text) == validated
+        assert parse_poset(LineSplitForbidden(text)) == validated
         with pytest.raises(AssertionError):
-            parse_poset(text.replace("\n", "\r\n"))
+            parse_poset(LineSplitForbidden(text.replace("\n", "\r\n")))
 
     @given(st.sampled_from([(2, 2), (3, 2), (2, 3), (1, 4)]),
            st.sampled_from(["partition", "composition"]), st.data())
     def test_mutated_text_matches_the_validator(self, shape, coords, data):
         text = mutated_text(serialize_poset(build_lattice(Shape(*shape), coords)), data)
-        assert parse_outcome(parse_poset, text) == parse_outcome(poset._parse_lines, text)
+        assert_within_the_reference(text)
 
     def test_large_header_with_short_body_fails_without_a_build(self, monkeypatch):
         def unreachable(*args):
@@ -438,10 +599,146 @@ class TestCanonicalPosetIO:
         with pytest.raises(ParseError) as err:
             parse_poset(text)
         assert perf_counter() - start < 0.1
-        assert str(err.value) == "line 4: truncated element section"
+        lines = 1 + comb(24, 12) + 12 * comb(23, 12)
+        assert lines == 18_929_093
+        assert str(err.value) == "line 5: expected 18929093 lines, got 4"
+
+
+_L22 = serialize_poset(build_lattice(Shape(2, 2)))
+
+
+class TestOneParseRule:
+    """parse_poset accepts exactly the writer's text for the header's lattice,
+    up to line ends and runs of blanks."""
+
+    @given(st.text())
+    @example(_L22)
+    @example(_L22.replace("L(2,2)", "L(02,2)"))
+    @example("poset L(2,2) height=4 count=6\n")
+    def test_any_text_stays_within_the_reference(self, text):
+        assert_within_the_reference(text)
+
+    @given(st.sampled_from([(2, 2), (3, 2), (1, 4), (0, 3)]),
+           st.sampled_from(["partition", "composition"]), st.data())
+    def test_text_that_parses_is_the_writers_text(self, shape, coords, data):
+        text = serialize_poset(build_lattice(Shape(*shape), coords))
+        text = respaced(text, data)
+        if data.draw(st.booleans()):
+            text = mutated_text(text, data)
+        try:
+            p = parse_poset(text)
+        except ParseError:
+            return
+        assert ([line.split() for line in text.splitlines()]
+                == [line.split() for line in serialize_poset(p).splitlines()])
+
+    @pytest.mark.parametrize("old, new", [
+        ("L(2,2)", "L(02,2)"),
+        ("count=6", "count=06"),
+        ("\n0 0 002\n", "\n00 0 002\n"),
+        ("\n0 0 002\n", "\n0 0 [0,0,2]\n"),
+        ("\n0 1 2\n", "\n0 01 2\n"),
+        ("height=4 count=6", "count=6 height=4"),
+    ])
+    def test_spellings_the_writer_never_produces_are_rejected(self, old, new):
+        text = _L22.replace(old, new, 1)
+        assert reference_parse_lines(text) == build_lattice(Shape(2, 2))
+        with pytest.raises(ParseError):
+            parse_poset(text)
+
+    @pytest.mark.parametrize("variant", [
+        lambda t: t.replace("\n", "\r\n"),
+        lambda t: t.replace("\n", "\r"),
+        lambda t: t.replace(" ", "\t"),
+        lambda t: "".join(f" {line}  \n" for line in t.replace(" ", " \t  ").split("\n")[:-1]),
+        lambda t: t[:-1],
+    ], ids=["crlf", "bare-cr", "tabs", "blank-runs", "no-final-newline"])
+    @pytest.mark.parametrize("shape", [(2, 2), (4, 3), (0, 3)])
+    def test_line_ends_and_blanks_are_free(self, variant, shape):
+        p = build_lattice(Shape(*shape), "composition")
+        assert parse_poset(variant(serialize_poset(p))) == p
+
+    def test_each_call_builds_at_most_one_lattice(self, monkeypatch):
+        built = []
+
+        def counting_build(*args):
+            built.append(args)
+            return build_lattice(*args)
+
+        monkeypatch.setattr(poset, "build_lattice", counting_build)
+        text = serialize_poset(build_lattice(Shape(3, 3)))
+        lines = text.splitlines()
+        texts = [text, text.replace("\n", "\r\n"), text[:-1],
+                 "\n".join(lines[:5] + ["garbage"] + lines[6:]) + "\n",
+                 text + "\x0c", text + "0 1 1\n", text[: len(text) // 2], "", "poset"]
+        for variant in texts:
+            built.clear()
+            try:
+                parse_poset(variant)
+            except ParseError:
+                pass
+            assert len(built) <= 1
+        # a text with the wrong number of lines is refused before any build
+        for variant in texts[-4:]:
+            built.clear()
+            with pytest.raises(ParseError):
+                parse_poset(variant)
+            assert built == []
+
+    @pytest.mark.parametrize("text, message", [
+        ("", "bad poset header: ''"),
+        ("poset L(2,2)\n", "bad poset header: 'poset L(2,2)'"),
+        (_L22.replace("poset", "graph", 1), "bad poset header: 'graph L(2,2) height=4 count=6'"),
+        ("graph L(2,2) height=4 count=6\n", "bad poset header: 'graph L(2,2) height=4 count=6'"),
+        ("poset L(2,2)\x0c" + _L22, "bad poset header: 'poset L(2,2)'"),
+    ])
+    def test_header_is_checked_before_the_line_count(self, text, message):
+        with pytest.raises(ParseError) as err:
+            parse_poset(text)
+        assert str(err.value) == f"line 1: {message}"
+
+    def test_garbage_in_a_full_length_file_reports_its_line(self):
+        lines = _L22.splitlines()
+        lines[2] = "garbage"
+        with pytest.raises(ParseError) as err:
+            parse_poset("\n".join(lines) + "\n")
+        assert str(err.value) == "line 3: expected '1 1 011', got 'garbage'"
+
+    def test_other_line_breaks_beside_the_newlines_are_counted(self):
+        # the newline count matches, but str.splitlines also cuts at \x0c
+        with pytest.raises(ParseError) as err:
+            parse_poset(_L22 + "\x0c")
+        assert str(err.value) == "line 14: expected 13 lines, got 14"
+
+    @given(st.one_of(st.text(), st.text(alphabet="poset L(2)\n\r\x0b\x0c\x1c\x1d\x1e\x85"
+                                                  "\u2028\u2029\t")))
+    def test_header_is_the_first_line_splitlines_cuts(self, text):
+        assert poset._FIRST_LINE.match(text).group() == (text.splitlines() or [""])[0]
+
+
+def reference_splitting_identities(m, n):
+    """check_splitting_identities with the element split replayed on
+    partition sets from partitions_in_box, as before the composition replay."""
+    check = check_splitting_identities(m, n)
+    elements = set(partitions_in_box(m, n))
+    with_big = {a for a in elements if a and a[0] == n}
+    without_big = elements - with_big
+    image = {a[1:] for a in with_big}
+    bijective = (
+        len(image) == len(with_big)
+        and image == set(partitions_in_box(m - 1, n))
+        and without_big == set(partitions_in_box(m, n - 1))
+    )
+    return SplitCheck(Shape(m, n), check.first_identity, check.second_identity,
+                      len(with_big), len(without_big), bijective)
 
 
 class TestSplittingIdentities:
+    def test_composition_replay_matches_the_partition_sets(self):
+        for m in range(1, 9):
+            for n in range(1, 9):
+                assert check_splitting_identities(m, n) == reference_splitting_identities(m, n)
+
     def test_l33_splits_ten_ten(self):
         result = check_splitting_identities(3, 3)
         assert result.passed
@@ -549,9 +846,6 @@ class TestPosetFiles:
         assert str(err.value) == f"line 1: bad lattice label: {label!r}"
 
 
-_L22 = serialize_poset(build_lattice(Shape(2, 2)))
-
-
 class TestParseAnyText:
     @given(st.text())
     @example("poset L(2,2) height=\u00b2 count=6\n")
@@ -649,14 +943,18 @@ class TestArithmeticCoverCheck:
         lines[k] = f"{lo} {hi} {color}"
         text = "\n".join(lines) + "\n"
 
+        # the reference decides whether and where the text is rejected; the
+        # message names the writer's line and the line found there
         expected = reference_cover_error(p.elements, n, lines[first:], first + 1)
         if expected is None:
             assert parse_poset(text) == p
         else:
             with pytest.raises(ParseError) as err:
                 parse_poset(text)
+            line = expected[0]
+            want = serialize_poset(p).splitlines()[line - 1]
             assert (err.value.line, str(err.value)) == (
-                expected[0], f"line {expected[0]}: {expected[1]}")
+                line, f"line {line}: expected {want!r}, got {lines[line - 1]!r}")
 
 
 class TestIndexStaysInPoset:
@@ -674,3 +972,31 @@ class TestIndexStaysInPoset:
                 if isinstance(node, ast.Attribute) and node.attr in ("_index", "_edge_colors"):
                     offenders.append(f"{path.name}:{node.lineno} .{node.attr}")
         assert offenders == []
+
+    def test_only_build_lattice_makes_posets(self):
+        # every poset the program holds is a whole lattice
+        import ast
+        from pathlib import Path
+
+        import younglat
+
+        def called(node):
+            func = node.func
+            return func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+
+        offenders = []
+        sites = 0
+        for path in sorted(Path(younglat.__file__).parent.glob("*.py")):
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            allowed = {id(node)
+                       for fn in ast.walk(tree)
+                       if isinstance(fn, ast.FunctionDef) and fn.name == "build_lattice"
+                       and path.name == "poset.py"
+                       for node in ast.walk(fn)}
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Call) and called(node) == "GradedPoset":
+                    sites += 1
+                    if id(node) not in allowed:
+                        offenders.append(f"{path.name}:{node.lineno}")
+        assert offenders == []
+        assert sites == 2

@@ -348,6 +348,17 @@ class TestDecompositionFiles:
         assert err.value.line == 1
         assert str(err.value) == f"line 1: negative lattice dimension: {label!r}"
 
+    @pytest.mark.parametrize("text, line", [
+        ("scd L'(1,3) chains=01\n1000 0100 0010 0001\n", 1),
+        ("scd L'(01,3) chains=1\n1000 0100 0010 0001\n", 1),
+        ("scd L'(1,3) chains=1\n[1,0,0,0] 0100 0010 0001\n", 2),
+        ("scd L'(10,3) chains=1\n[010,0,0,0]\n", 2),
+    ])
+    def test_parse_rejects_spellings_the_writer_never_produces(self, text, line):
+        with pytest.raises(ParseError) as err:
+            parse_decomposition(text)
+        assert err.value.line == line
+
     def test_parse_rejects_count_mismatch(self):
         with pytest.raises(ParseError):
             parse_decomposition("scd L'(1,3) chains=2\n1000 0100 0010 0001\n")
@@ -422,6 +433,24 @@ class TestGeneratorArguments:
     def test_scd_n2_rejects_zero(self):
         with pytest.raises(ValueError):
             scd_n2(0)
+
+    @pytest.mark.parametrize("construction, argument, label", [
+        ("lindstrom", 287, "L(287,3)"),
+        ("lindstrom_odd", 143, "L(287,3)"),
+        ("lindstrom_even", 144, "L(288,3)"),
+        ("scd_n2", 2827, "L(2827,2)"),
+        ("lindstrom", 10**9, "L(1000000000,3)"),
+    ])
+    def test_constructions_refuse_more_than_element_limit(self, construction, argument, label):
+        import time
+
+        from younglat import scd
+
+        start = time.perf_counter()
+        with pytest.raises(ValueError) as err:
+            getattr(scd, construction)(argument)
+        assert time.perf_counter() - start < 0.1
+        assert str(err.value) == f"{label} has more than 4,000,000 elements"
 
     def test_lindstrom_variants_reject_bad_t(self):
         from younglat.scd import lindstrom_even, lindstrom_odd
