@@ -23,7 +23,6 @@ from .partitions import (
     WeakComposition,
     as_partition,
     complement,
-    composition_rank,
     conjugate,
     covers,
     enumerate_compositions,
@@ -33,7 +32,6 @@ from .partitions import (
     leq,
     parse_composition,
     parse_partition,
-    partitions_in_box,
     rank,
     to_multiplicity,
 )
@@ -46,22 +44,17 @@ from .poset import (
     check_splitting_identities,
     gaussian_binomial,
     parse_poset,
-    q_factorial,
     rank_profile,
     serialize_poset,
 )
-from .roots import ColorMap, NotACoverError, SimpleRoot, edge_color, simple_roots, weight_string
+from .roots import NotACoverError, edge_color, weight_string
 from .scd import (
     Chain,
     ChainDecomposition,
     ScdReport,
     SearchResult,
-    as_partition_chains,
     brute_force_scd,
-    is_symmetric_chain,
     lindstrom,
-    lindstrom_even,
-    lindstrom_odd,
     parse_decomposition,
     scd_n2,
     serialize_decomposition,

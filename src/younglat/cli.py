@@ -68,6 +68,8 @@ def _emit(text: str, out: str | None, summary: str) -> None:
             Path(out).write_text(text, encoding="utf-8")
         except OSError as exc:
             raise CliError(str(exc)) from None
+        except ValueError as exc:  # a NUL or an unencodable character in the name
+            raise CliError(f"{out!r}: {exc}") from None
         print(summary, file=sys.stderr)
     else:
         print(text, end="")
@@ -80,6 +82,8 @@ def _read(path: str) -> str:
         raise CliError(str(exc)) from None
     except UnicodeDecodeError as exc:
         raise CliError(f"{path}: {exc}") from None
+    except ValueError as exc:  # a NUL or an unencodable character in the name
+        raise CliError(f"{path!r}: {exc}") from None
 
 
 def _load_poset(path: str):
@@ -138,8 +142,10 @@ def _cmd_identities(args) -> int:
 
 
 def _cmd_scd_construct(args) -> int:
+    # looked up per call, not bound into the cached parser's defaults
+    construct = lindstrom if args.scd_command == "lindstrom" else scd_n2
     try:
-        d = args.construct(args.m)
+        d = construct(args.m)
     except ValueError as exc:  # over the element limit
         raise CliError(str(exc)) from None
     _emit(
@@ -166,11 +172,11 @@ def _cmd_scd_brute(args) -> int:
 def _cmd_scd_verify(args) -> int:
     p = _load_poset(args.poset_file)
     d = _load_decomposition(args.scd_file)
-    if d.shape != p.shape:
-        print(f"shape mismatch: poset {p.label()} vs decomposition "
-              f"L'({d.shape.m},{d.shape.n})")
+    try:
+        report = verify_scd(d, p)
+    except ValueError as exc:  # shape mismatch
+        print(exc)
         return 1
-    report = verify_scd(d, p)
     for line in report.lines():
         print(line)
     return 0 if report.passed else 1
@@ -228,12 +234,12 @@ def _build_parser() -> argparse.ArgumentParser:
     lind = scd_sub.add_parser("lindstrom", help="recursive construction, three sizes")
     lind.add_argument("m", type=_positive)
     lind.add_argument("--out", metavar="FILE")
-    lind.set_defaults(func=_cmd_scd_construct, construct=lindstrom)
+    lind.set_defaults(func=_cmd_scd_construct)
 
     n2 = scd_sub.add_parser("n2", help="alternating construction, two sizes")
     n2.add_argument("m", type=_positive)
     n2.add_argument("--out", metavar="FILE")
-    n2.set_defaults(func=_cmd_scd_construct, construct=scd_n2)
+    n2.set_defaults(func=_cmd_scd_construct)
 
     brute = scd_sub.add_parser("brute", help="backtracking search")
     brute.add_argument("m", type=_nonneg)

@@ -17,9 +17,11 @@ keys its elements by weak composition, in either coordinate system; partitions
 are a view of those keys, taken with ``from_multiplicity`` for labels and
 partition-form chains.
 
-``poset.build_lattice`` and ``poset.check_splitting_identities`` use only
-``enumerate_compositions``; ``lower_covers``, ``composition_lower_covers`` and
-``partitions_in_box`` stay public as test oracles.
+``poset.build_lattice`` and ``poset.check_splitting_identities`` enumerate
+elements with ``enumerate_compositions`` alone; the partition-side helpers
+(``leq``, ``covers``, ``conjugate``, ``complement``) are the order and the
+involutions of the partition form.  The rank of a composition is
+``weighted_sum``.
 
 Everything here is a pure function over immutable tuples; concurrent callers
 need no coordination.
@@ -29,7 +31,7 @@ from __future__ import annotations
 
 import re
 from functools import lru_cache
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 Partition = tuple[int, ...]
 WeakComposition = tuple[int, ...]
@@ -63,13 +65,10 @@ def as_partition(parts: Iterable[int]) -> Partition:
     return out
 
 
-def fits(a: Partition, shape: Shape) -> bool:
-    """True when ``a`` has at most ``shape.m`` parts, each at most ``shape.n``."""
-    return len(a) <= shape.m and (not a or a[0] <= shape.n)
-
-
 def _require_fits(a: Partition, shape: Shape) -> None:
-    if not fits(a, shape):
+    """``InvalidElementError`` unless ``a`` has at most ``shape.m`` parts, each
+    at most ``shape.n``."""
+    if len(a) > shape.m or (a and a[0] > shape.n):
         raise InvalidElementError(
             f"partition {a} does not fit in a {shape.m} x {shape.n} box"
         )
@@ -119,24 +118,6 @@ def covers(b: Partition, a: Partition, shape: Shape) -> bool:
     return len(bumped) == 1 and pb[bumped[0]] == pa[bumped[0]] + 1
 
 
-def lower_covers(b: Partition, shape: Shape) -> list[tuple[Partition, int]]:
-    """Partitions covered by ``b``, each with the root color of its edge.
-
-    Shrinking a part of size ``x`` to ``x - 1`` moves one unit of
-    multiplicity between adjacent sizes, the simple-root step with index
-    ``n + 1 - x``.  Only the last part of a run of equal values may shrink,
-    which keeps the results distinct.
-    """
-    _require_fits(b, shape)
-    p = padded(b, shape.m)
-    out = []
-    for i in range(shape.m):
-        if p[i] >= 1 and (i + 1 == shape.m or p[i + 1] < p[i]):
-            smaller = p[:i] + (p[i] - 1,) + p[i + 1 :]
-            out.append((as_partition(smaller), shape.n + 1 - p[i]))
-    return out
-
-
 def conjugate(a: Partition) -> Partition:
     """Transpose the Young diagram: column lengths become the parts."""
     if not a:
@@ -181,38 +162,14 @@ def weighted_sum(c: Sequence[int]) -> int:
 
     Entry ``i`` of ``len(c)`` has weight ``len(c) - 1 - i``, the number of
     prefix sums it is part of, so the total is the sum of all proper prefix
-    sums.
+    sums.  For a composition key this is its rank, ``rank(from_multiplicity(c,
+    shape))``.
     """
     total = prefix = 0
     for v in c[:-1]:
         prefix += v
         total += prefix
     return total
-
-
-def composition_rank(c: WeakComposition, shape: Shape) -> int:
-    """Rank in multiplicity coordinates: part size times multiplicity, summed.
-
-    Always equals ``rank(from_multiplicity(c, shape))``.
-    """
-    require_composition(c, shape)
-    return weighted_sum(c)
-
-
-def composition_lower_covers(
-    c: WeakComposition, shape: Shape
-) -> list[tuple[WeakComposition, int]]:
-    """Compositions covered by ``c``: move one unit right by one slot.
-
-    Moving from slot ``j`` to ``j + 1`` (1-based) is the simple-root step
-    ``j``, which is also the edge color.
-    """
-    require_composition(c, shape)
-    out = []
-    for j in range(shape.n):
-        if c[j] >= 1:
-            out.append((c[:j] + (c[j] - 1, c[j + 1] + 1) + c[j + 2 :], j + 1))
-    return out
 
 
 def enumerate_compositions(k: int, p: int) -> list[WeakComposition]:
@@ -236,28 +193,6 @@ def enumerate_compositions(k: int, p: int) -> list[WeakComposition]:
         c[j], c[-1] = 0, c[j] - 1
         out.append(tuple(c))
     return out
-
-
-def partitions_in_box(m: int, n: int) -> Iterator[Partition]:
-    """Every partition with at most ``m`` parts, each at most ``n``.
-
-    The empty partition is always included, so a degenerate box still yields
-    one element.
-    """
-    if m < 0 or n < 0:
-        raise ValueError("box dimensions must be nonnegative")
-    # preorder: a partition, then its extensions by one part, largest first
-    prefix: list[int] = []
-    while True:
-        yield tuple(prefix)
-        if len(prefix) < m and n:
-            prefix.append(prefix[-1] if prefix else n)
-            continue
-        while prefix and prefix[-1] == 1:
-            prefix.pop()
-        if not prefix:
-            return
-        prefix[-1] -= 1
 
 
 def format_partition(a: Partition) -> str:

@@ -116,25 +116,6 @@ def _exact_quotient_one_minus_power(poly: list[int], k: int) -> list[int]:
     return sums
 
 
-def _poly_mul(a: list[int], b: list[int]) -> list[int]:
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    return out
-
-
-def q_factorial(k: int) -> RankPolynomial:
-    """Product of ``1 + q + ... + q^(i-1)`` over ``i = 1..k``, exactly."""
-    if k < 0:
-        raise ValueError("q-factorial needs a nonnegative argument")
-    poly = [1]
-    for i in range(2, k + 1):
-        poly = _poly_mul(poly, [1] * i)
-    return RankPolynomial(tuple(poly))
-
-
 def gaussian_binomial(m: int, n: int) -> RankPolynomial:
     """Coefficients of the Gaussian binomial for an ``(m, n)`` box.
 

@@ -14,8 +14,11 @@ from operator import mul
 
 from .partitions import format_composition, from_multiplicity
 from .poset import GradedPoset
-from .roots import ColorMap
+from .roots import root_color
 from .scd import ChainDecomposition
+
+
+MAX_HEIGHT = 60  # to_svg refuses taller posets
 
 
 class DiagramSizeError(ValueError):
@@ -24,12 +27,10 @@ class DiagramSizeError(ValueError):
 
 @dataclass(frozen=True)
 class RenderSpec:
-    """How to draw: node labels, edge colors, optional chain highlight."""
+    """How to draw: node labels and an optional chain highlight."""
 
     labels: str = "partition"  # partition | composition | young
-    colors: ColorMap | None = None
     highlight: ChainDecomposition | None = None
-    max_height: int = 60
 
 
 def _young_rows(partition) -> list[str]:
@@ -91,20 +92,14 @@ def _chain_steps(p: GradedPoset, spec: RenderSpec) -> set[tuple] | None:
     return steps
 
 
-def _colormap(p: GradedPoset, spec: RenderSpec) -> ColorMap:
-    if spec.colors is not None:
-        return spec.colors
-    return ColorMap.default(p.shape.n if p.shape is not None else 0)
-
-
 def to_dot(p: GradedPoset, spec: RenderSpec | None = None) -> str:
     """Graphviz digraph: edges point upward, levels grouped rank=same."""
     spec = spec or RenderSpec()
-    colors = _colormap(p, spec)
     steps = _chain_steps(p, spec)
     # the attribute text of each (color, on a chain) kind of edge
     styles = {}
-    for color, name in colors.names.items():
+    for color in range(1, p.shape.n + 1):
+        name = root_color(color)
         if steps is None:
             styles[color, False] = f'color="{name}"'
         else:
@@ -135,11 +130,10 @@ _DX, _DY, _MARGIN, _RADIUS = 64, 48, 40, 9
 def to_svg(p: GradedPoset, spec: RenderSpec | None = None) -> str:
     """Standalone SVG 1.1, nodes on rank rows, centered within each level."""
     spec = spec or RenderSpec()
-    if p.height > spec.max_height:
+    if p.height > MAX_HEIGHT:
         raise DiagramSizeError(
-            f"poset height {p.height} exceeds the drawing limit {spec.max_height}"
+            f"poset height {p.height} exceeds the drawing limit {MAX_HEIGHT}"
         )
-    colors = _colormap(p, spec)
     steps = _chain_steps(p, spec)
     young = spec.labels == "young"
     labels = None if young else _node_labels(p, spec)
@@ -163,7 +157,7 @@ def to_svg(p: GradedPoset, spec: RenderSpec | None = None) -> str:
     ]
     for lo, hi, color in p.covers:
         (x1, y1), (x2, y2) = pos[lo], pos[hi]
-        stroke = colors.name(color)
+        stroke = root_color(color)
         extra = ""
         if steps is not None:
             if (comps[lo], comps[hi]) in steps:

@@ -10,32 +10,11 @@ partition the lattice for each root.
 
 from __future__ import annotations
 
-from typing import Mapping, NamedTuple
-
 from .partitions import Shape, WeakComposition, require_composition
-
-
-class SimpleRoot(NamedTuple):
-    """Root ``index``: the vector ``e_index - e_{index+1}`` in ``n + 1`` slots."""
-
-    index: int
-    vector: tuple[int, ...]
 
 
 class NotACoverError(ValueError):
     """The given pair of compositions is not a cover edge."""
-
-
-def simple_roots(n: int) -> tuple[SimpleRoot, ...]:
-    """The ``n`` simple roots acting on compositions with ``n + 1`` slots."""
-    if n < 1:
-        raise ValueError(f"need at least one root, got n={n}")
-    out = []
-    for j in range(1, n + 1):
-        vec = [0] * (n + 1)
-        vec[j - 1], vec[j] = 1, -1
-        out.append(SimpleRoot(j, tuple(vec)))
-    return tuple(out)
 
 
 def edge_color(lower: WeakComposition, upper: WeakComposition) -> int:
@@ -57,16 +36,14 @@ def edge_color(lower: WeakComposition, upper: WeakComposition) -> int:
     raise NotACoverError(f"{upper} does not cover {lower}")
 
 
-def weight_string(
-    gamma: WeakComposition, root: SimpleRoot | int, shape: Shape
-) -> tuple[WeakComposition, ...]:
-    """Maximal run ``gamma + k * root`` inside the simplex, highest rank first.
+def weight_string(gamma: WeakComposition, j: int, shape: Shape) -> tuple[WeakComposition, ...]:
+    """Maximal run ``gamma + k * (e_j - e_(j+1))`` inside the simplex, highest
+    rank first.
 
     The run is always a saturated chain of the lattice and contains
-    ``gamma``; its edges all carry the root's color.
+    ``gamma``; its edges all carry color ``j``.
     """
     require_composition(gamma, shape)
-    j = root.index if isinstance(root, SimpleRoot) else int(root)
     if not 1 <= j <= shape.n:
         raise ValueError(f"root index {j} out of range 1..{shape.n}")
     room_up = gamma[j]        # units that can move left into slot j
@@ -86,27 +63,7 @@ _PALETTE = (
 )
 
 
-class ColorMap:
-    """Injective assignment of display colors to root indices."""
-
-    def __init__(self, names: Mapping[int, str]):
-        self.names = dict(names)
-        if len(set(self.names.values())) != len(self.names):
-            raise ValueError("colors must be pairwise distinct")
-
-    @classmethod
-    def default(cls, n: int) -> "ColorMap":
-        """green/red/blue first, a fixed extended palette after, hex beyond."""
-        names = {}
-        for j in range(1, n + 1):
-            names[j] = _PALETTE[j - 1] if j <= len(_PALETTE) else f"#{j:06x}"
-        return cls(names)
-
-    def name(self, index: int) -> str:
-        return self.names[index]
-
-    def __len__(self) -> int:
-        return len(self.names)
-
-    def __contains__(self, index: int) -> bool:
-        return index in self.names
+def root_color(j: int) -> str:
+    """Display color of root ``j >= 1``: green/red/blue first, a fixed
+    extended palette after, hex beyond; distinct for distinct roots."""
+    return _PALETTE[j - 1] if j <= len(_PALETTE) else f"#{j:06x}"

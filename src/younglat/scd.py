@@ -12,8 +12,9 @@ Decomposition file format, one file per decomposition::
     scd L'(4,3) chains=5
     <key> <key> ...               (one line per chain, top-down)
 
-Chains are canonically ordered by (bottom rank, bottom key); files written
-here parse back bit-exactly.
+Chains are canonically ordered by (bottom rank, bottom key); a file must
+list them in that order, so files written here parse back bit-exactly and a
+file that parses is the writer's text up to line ends and runs of blanks.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from .partitions import (
     to_multiplicity,
     weighted_sum,
 )
-from .poset import GradedPoset, ParseError, _parse_label, _require_within_limit
+from .poset import GradedPoset, ParseError, _parse_label, _require_within_limit, rank_profile
 
 Chain = tuple[WeakComposition, ...]
 
@@ -47,8 +48,8 @@ class ChainDecomposition:
 
     __slots__ = ("shape", "chains")
 
-    def __init__(self, shape: Shape | None, chains):
-        self.shape = Shape(*shape) if shape is not None else None
+    def __init__(self, shape: Shape, chains):
+        self.shape = Shape(*shape)
         normalized = []
         for chain in chains:
             chain = tuple(map(tuple, chain))
@@ -69,45 +70,12 @@ class ChainDecomposition:
             return NotImplemented
         return (self.shape, self.chains) == (other.shape, other.chains)
 
-    def all_keys(self) -> list[WeakComposition]:
-        return [key for chain in self.chains for key in chain]
-
-    def chain_lengths(self) -> Counter:
-        """Multiset of chain lengths, counted in covering steps."""
-        return Counter(len(chain) - 1 for chain in self.chains)
-
-
-def as_partition_chains(d: ChainDecomposition) -> list[tuple]:
-    """The chains converted to partition tuples via the multiplicity bijection."""
-    return [
-        tuple(from_multiplicity(key, d.shape) for key in chain) for chain in d.chains
-    ]
-
-
-def _check_chain(chain, p: GradedPoset) -> tuple[list, bool, bool]:
-    """Keys of the top-down ``chain`` absent from ``p``; if none, whether it is
-    saturated and whether its endpoint ranks add up to the height, else False."""
-    unknown = [key for key in chain if key not in p]
-    if unknown:
-        return unknown, False, False
-    saturated = all(map(p.is_cover, chain[1:], chain))
-    return unknown, saturated, p.rank_of(chain[0]) + p.rank_of(chain[-1]) == p.height
-
-
-def is_symmetric_chain(chain, p: GradedPoset) -> bool:
-    """True when the top-down ``chain`` is saturated in ``p`` and its endpoint
-    ranks add up to the poset height.  Unknown elements raise ``KeyError``."""
-    unknown, saturated, symmetric = _check_chain(tuple(map(tuple, chain)), p)
-    if unknown:
-        raise KeyError(f"unknown element {unknown[0]}")
-    return saturated and symmetric
-
 
 @dataclass(frozen=True)
 class ScdReport:
     """Verification outcome: defect lists plus the chain-start profile."""
 
-    shape: Shape | None
+    shape: Shape
     height: int
     poset_size: int
     chain_count: int
@@ -157,12 +125,12 @@ def verify_scd(d: ChainDecomposition, p: GradedPoset) -> ScdReport:
     """Check ``d`` against the definition of a symmetric chain decomposition.
 
     Defects are report content, never exceptions: missing and doubly covered
-    elements, keys absent from the poset, chains that are not saturated, and
-    chains whose endpoint ranks do not mirror.  The report also counts how
-    many chains start (bottom out) at each rank.  Shapes that are both set
-    and differ raise ``ValueError``.
+    elements, keys absent from the poset, chains that are not saturated (a
+    chain with an absent key counts as one), and chains whose endpoint ranks
+    do not add up to the height.  The report also counts how many chains
+    start (bottom out) at each rank.  Differing shapes raise ``ValueError``.
     """
-    if d.shape is not None and p.shape is not None and d.shape != p.shape:
+    if d.shape != p.shape:
         raise ValueError(f"shape mismatch: poset {p.label()} vs decomposition "
                          f"L'({d.shape.m},{d.shape.n})")
     seen: Counter = Counter()
@@ -172,15 +140,17 @@ def verify_scd(d: ChainDecomposition, p: GradedPoset) -> ScdReport:
     profile: Counter = Counter()
     for ci, chain in enumerate(d.chains):
         seen.update(chain)
-        absent, saturated, symmetric = _check_chain(chain, p)
-        unknown.extend(absent)
-        if not saturated:
-            unsaturated.append(ci)
+        absent = [key for key in chain if key not in p]
         if absent:
+            unknown.extend(absent)
+            unsaturated.append(ci)
             continue
-        if not symmetric:
+        if not all(map(p.is_cover, chain[1:], chain)):
+            unsaturated.append(ci)
+        bottom = p.rank_of(chain[-1])
+        if p.rank_of(chain[0]) + bottom != p.height:
             asymmetric.append(ci)
-        profile[p.rank_of(chain[-1])] += 1
+        profile[bottom] += 1
     missing = tuple(sorted(key for key in p.elements if key not in seen))
     duplicated = tuple(sorted(k for k, v in seen.items() if v > 1))
     return ScdReport(
@@ -316,65 +286,42 @@ def _two_column_seed(s: int) -> list[Chain]:
     return out
 
 
-def lindstrom_odd(t: int) -> ChainDecomposition:
-    """Recursive decomposition of the three-size lattice with ``m = 2t + 1``.
-
-    The decomposition for ``m - 2`` re-embeds by adding one to the first and
-    last entry of every key (ranks shift by 3, the height by 6, so symmetry
-    is preserved), and the two outer faces are filled by :func:`_odd_shell`.
-    Unrolled, shell ``k = 1, 3, ..., m`` sits at offset ``(m - k) / 2``, so
-    each chain is written once, in its final position.  The base ``m = 1``
-    is the single four-element chain.  Over ``ELEMENT_LIMIT`` elements raise
-    ``ValueError`` before any work.
-    """
-    if t < 0:
-        raise ValueError(f"need t >= 0, got {t}")
-    m = 2 * t + 1
-    _require_within_limit(m, 3)
-    chains = [ch for k in range(1, m + 1, 2) for ch in _odd_shell(k, (m - k) // 2)]
-    return ChainDecomposition(Shape(m, 3), chains)
-
-
-def lindstrom_even(t: int) -> ChainDecomposition:
-    """Recursive decomposition of the three-size lattice with ``m = 2t``.
-
-    The decomposition for ``m - 4`` re-embeds by adding two to the first and
-    last entry of every key (rank shift 6), and the outer two layers are
-    filled by :func:`_even_shell`.  Base cases: ``m = 2`` is the conjugated
-    two-column decomposition, and the embedded core of ``m = 4`` is the
-    single middle node ``(2, 0, 0, 2)``.  Unrolled, shell ``k`` sits at
-    offset ``(m - k) / 2``, the ``m = 4`` core at ``(m - 4) / 2`` and the
-    two-column seed at ``(m - 2) / 2``, so each chain is written once, in
-    its final position.  Over ``ELEMENT_LIMIT`` elements raise ``ValueError``
-    before any work.
-    """
-    if t < 1:
-        raise ValueError(f"need t >= 1, got {t}")
-    m = 2 * t
-    _require_within_limit(m, 3)
-    if m % 4 == 0:
-        chains: list[Chain] = [((m // 2, 0, 0, m // 2),)]
-        start = 4
-    else:
-        chains = _two_column_seed((m - 2) // 2)
-        start = 6
-    for k in range(start, m + 1, 4):
-        chains.extend(_even_shell(k, (m - k) // 2))
-    return ChainDecomposition(Shape(m, 3), chains)
-
-
 def lindstrom(m: int) -> ChainDecomposition:
-    """Symmetric chain decomposition of the three-size lattice for any ``m >= 1``.
+    """Recursive symmetric chain decomposition of the three-size lattice, ``m >= 1``.
 
-    Dispatches to the odd or even recursion, each bounded by ``ELEMENT_LIMIT``.
-    Through the multiplicity bijection the result also decomposes the
-    partition form of the lattice, and by conjugation its transpose.
+    Odd ``m``: the decomposition for ``m - 2`` re-embeds by adding one to the
+    first and last entry of every key (ranks shift by 3, the height by 6, so
+    symmetry is preserved), and the two outer faces are filled by
+    :func:`_odd_shell`.  The base ``m = 1`` is the single four-element chain.
+
+    Even ``m``: the decomposition for ``m - 4`` re-embeds by adding two to the
+    first and last entry of every key (rank shift 6), and the outer two
+    layers are filled by :func:`_even_shell`.  Base cases: ``m = 2`` is the
+    conjugated two-column decomposition, and the embedded core of ``m = 4``
+    is the single middle node ``(2, 0, 0, 2)``.
+
+    Unrolled, shell ``k`` sits at offset ``(m - k) / 2``, the ``m = 4`` core
+    at ``(m - 4) / 2`` and the two-column seed at ``(m - 2) / 2``, so each
+    chain is written once, in its final position.  Through the multiplicity
+    bijection the result also decomposes the partition form of the lattice,
+    and by conjugation its transpose.  Over ``ELEMENT_LIMIT`` elements raise
+    ``ValueError`` before any work.
     """
     if m < 1:
         raise ValueError(f"need m >= 1, got {m}")
+    _require_within_limit(m, 3)
     if m % 2:
-        return lindstrom_odd((m - 1) // 2)
-    return lindstrom_even(m // 2)
+        chains = [ch for k in range(1, m + 1, 2) for ch in _odd_shell(k, (m - k) // 2)]
+    else:
+        if m % 4 == 0:
+            chains = [((m // 2, 0, 0, m // 2),)]
+            start = 4
+        else:
+            chains = _two_column_seed((m - 2) // 2)
+            start = 6
+        for k in range(start, m + 1, 4):
+            chains.extend(_even_shell(k, (m - k) // 2))
+    return ChainDecomposition(Shape(m, 3), chains)
 
 
 # ---------------------------------------------------------------------------
@@ -410,9 +357,7 @@ def brute_force_scd(p: GradedPoset, budget: int = 100_000_000) -> SearchResult:
     if n_el == 0:
         return SearchResult("found", ChainDecomposition(p.shape, ()), 0)
     ht = p.height
-    counts = [0] * (ht + 1)
-    for r in p.ranks:
-        counts[r] += 1
+    counts = rank_profile(p)
     if any(counts[r] != counts[ht - r] for r in range(ht + 1)):
         return SearchResult("not-found", None, 0)
     if any(counts[r] > counts[r + 1] for r in range(ht // 2)):
@@ -487,15 +432,18 @@ def brute_force_scd(p: GradedPoset, budget: int = 100_000_000) -> SearchResult:
 
 def serialize_decomposition(d: ChainDecomposition) -> str:
     """Render ``d`` in the decomposition file format."""
-    if d.shape is None:
-        raise ValueError("cannot serialize a decomposition without a shape")
     lines = [f"scd L'({d.shape.m},{d.shape.n}) chains={len(d.chains)}"]
     lines += [" ".join(map(format_composition, chain)) for chain in d.chains]
     return "\n".join(lines) + "\n"
 
 
 def parse_decomposition(text: str) -> ChainDecomposition:
-    """Parse a decomposition file; semantic checks are left to the verifier."""
+    """Parse a decomposition file; semantic checks are left to the verifier.
+
+    The chains must come in canonical order, so a text that parses is
+    :func:`serialize_decomposition` of the result up to line ends and runs
+    of blanks.
+    """
     lines = text.splitlines()
     if not lines:
         raise ParseError(1, "empty decomposition file")
@@ -523,4 +471,9 @@ def parse_decomposition(text: str) -> ChainDecomposition:
         raise ParseError(
             len(lines), f"header declares {declared} chains, found {len(chains)}"
         )
-    return ChainDecomposition(shape, chains)
+    d = ChainDecomposition(shape, chains)
+    for line_no, (chain, canonical) in enumerate(zip(chains, d.chains), 2):
+        if chain != canonical:
+            raise ParseError(line_no, "chains out of canonical order "
+                             "(bottom rank, then bottom key)")
+    return d

@@ -10,6 +10,7 @@ from itertools import combinations
 
 import pytest
 
+from conftest import chain_lengths, composition_lower_covers, lower_covers, partitions_in_box
 from younglat.cli import main
 from younglat.partitions import (
     Shape,
@@ -18,7 +19,6 @@ from younglat.partitions import (
     covers,
     from_multiplicity,
     leq,
-    partitions_in_box,
     rank,
     to_multiplicity,
 )
@@ -96,7 +96,6 @@ def test_criterion_4_bijection_fidelity(capsys):
         for child, image in children.items():
             assert covers((3, 2, 1, 1), child, shape)
             assert to_multiplicity(child, shape) == image
-        from younglat.partitions import composition_lower_covers, lower_covers
 
         for m in range(1, 6):
             for n in range(1, 6):
@@ -180,7 +179,7 @@ def test_criterion_8_oracle_agreement(capsys):
         found33 = brute_force_scd(p33)
         assert found33.status == "found"
         assert verify_scd(found33.decomposition, p33).passed
-        assert found33.decomposition.chain_lengths() == lindstrom(3).chain_lengths()
+        assert chain_lengths(found33.decomposition) == chain_lengths(lindstrom(3))
         p43 = build_lattice(Shape(4, 3), "composition")
         found43 = brute_force_scd(p43)
         assert found43.status == "found"
@@ -221,7 +220,7 @@ def test_criterion_10_rendering_soundness(capsys):
                 dot = to_dot(p)
                 assert dot.count("[label=") == len(p), (m, n)
                 assert dot.count(" -> ") == len(p.covers), (m, n)
-                svg = to_svg(p, RenderSpec(max_height=60))
+                svg = to_svg(p, RenderSpec())
                 assert svg.count('class="node"') == len(p), (m, n)
                 assert svg.count("<line ") == len(p.covers), (m, n)
         import re

@@ -5,7 +5,7 @@ import time
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from conftest import mutated_text
@@ -90,6 +90,14 @@ class TestScdCommands:
         assert code == 1
         assert "mismatch" in out
 
+    def test_verify_shape_mismatch_exact_line(self, tmp_path, capsys):
+        poset_file = tmp_path / "p.poset"
+        scd_file = tmp_path / "d.scd"
+        run(capsys, "lattice", "2", "3", "--coords", "composition", "--out", str(poset_file))
+        run(capsys, "scd", "lindstrom", "3", "--out", str(scd_file))
+        assert run(capsys, "scd", "verify", str(poset_file), str(scd_file)) == (
+            1, "shape mismatch: poset L'(2,3) vs decomposition L'(3,3)\n", "")
+
     def test_n2_roundtrip(self, tmp_path, capsys):
         poset_file = tmp_path / "p.poset"
         scd_file = tmp_path / "d.scd"
@@ -152,6 +160,14 @@ class TestRender:
         code, _, err = run(capsys, "render", str(poset_file), "--scd", str(scd_file))
         assert code == 2
         assert "mismatch" in err
+
+    def test_render_shape_mismatch_exact_line(self, tmp_path, capsys):
+        poset_file = tmp_path / "p.poset"
+        scd_file = tmp_path / "d.scd"
+        run(capsys, "lattice", "2", "3", "--coords", "composition", "--out", str(poset_file))
+        run(capsys, "scd", "lindstrom", "3", "--out", str(scd_file))
+        assert run(capsys, "render", str(poset_file), "--scd", str(scd_file)) == (
+            2, "", "error: shape mismatch: poset L'(2,3) vs decomposition L'(3,3)\n")
 
 
 class TestErrorPaths:
@@ -269,6 +285,19 @@ class TestErrorPaths:
             assert out == ""
             assert err.startswith("error: ") and str(target) in err
 
+    @pytest.mark.parametrize("argv", [
+        ["lattice", "1", "1", "--out", "a\x00b"],
+        ["scd", "n2", "1", "--out", "\ud800"],
+        ["render", "a\x00b"],
+        ["scd", "verify", "\ud800", "b"],
+    ])
+    def test_unusable_file_name_is_a_usage_error(self, tmp_path, monkeypatch, capsys, argv):
+        # a NUL or a lone surrogate can reach main() from Python, not from a shell
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: '") and err.endswith("\n")
+
     def test_highlight_key_not_in_poset_is_a_usage_error(self, tmp_path, capsys):
         poset_file, scd_file = tmp_path / "p.poset", tmp_path / "d.scd"
         poset_file.write_text(serialize_poset(build_lattice(Shape(2, 2))))
@@ -345,6 +374,19 @@ class TestParserBuiltOnce:
         assert {code for code, _, _ in cached} == {0, 2}
         assert cli._build_parser() is cli._build_parser()
 
+    def test_constructions_are_looked_up_when_called(self, monkeypatch, capsys):
+        # a wrapper installed after the parser is built must still be called
+        cli._build_parser()
+        calls = []
+        for name in ("lindstrom", "scd_n2"):
+            def counting(m, original=getattr(cli, name), name=name):
+                calls.append(name)
+                return original(m)
+            monkeypatch.setattr(cli, name, counting)
+        assert run(capsys, "scd", "lindstrom", "3")[0] == 0
+        assert run(capsys, "scd", "n2", "3")[0] == 0
+        assert calls == ["lindstrom", "scd_n2"]
+
     def test_import_builds_no_parser(self):
         probe = ("import younglat.cli as cli; "
                  "print(cli._build_parser.cache_info().currsize)")
@@ -377,3 +419,78 @@ class TestAnyFileContent:
         p, d = str(files / "p.poset"), str(files / "d.scd")
         assert main(["scd", "verify", p, d]) in (0, 1, 2)
         assert main(["render", p, "--scd", d]) in (0, 1, 2)
+
+
+# Any argv: drawn from the subcommand grammar, and any token may then be
+# replaced by arbitrary text.  Numbers are 0-4 or at least 10**7, so every
+# shape is tiny or refused by a limit; replacement text keeps that rule and
+# names no path outside the working directory.  File arguments name "a" and
+# "b", each missing, empty, arbitrary bytes or a valid file, or "gone",
+# which is never there when a command starts.
+_NUMBER = st.one_of(st.integers(0, 4), st.integers(10**7, 10**30)).map(str)
+_FILE = st.sampled_from(["a", "b", "gone"])
+
+
+def _keeps_the_rules(text):
+    if "/" in text:
+        return False
+    try:
+        value = int(text)
+    except ValueError:
+        return True
+    return not 4 < value < 10**7
+
+
+@st.composite
+def _argvs(draw):
+    def option(flag, values):
+        return [flag, draw(values)] if draw(st.booleans()) else []
+
+    number = lambda: draw(_NUMBER)  # noqa: E731
+    command = draw(st.sampled_from(
+        ["lattice", "ranks", "identities", "lindstrom", "n2", "brute", "verify", "render"]))
+    if command == "lattice":
+        argv = ["lattice", number(), number(),
+                *option("--coords", st.sampled_from(["partition", "composition"])),
+                *option("--out", _FILE)]
+    elif command in ("ranks", "identities"):
+        argv = [command, number(), number()]
+    elif command in ("lindstrom", "n2"):
+        argv = ["scd", command, number(), *option("--out", _FILE)]
+    elif command == "brute":
+        argv = ["scd", "brute", number(), number()]
+    elif command == "verify":
+        argv = ["scd", "verify", draw(_FILE), draw(_FILE)]
+    else:
+        argv = ["render", draw(_FILE), *option("--scd", _FILE),
+                *option("--format", st.sampled_from(["dot", "svg"])),
+                *option("--labels", st.sampled_from(["partition", "composition", "young"]))]
+    for i in range(len(argv)):
+        if draw(st.integers(0, 7)) == 0:
+            argv[i] = draw(st.text(max_size=12).filter(_keeps_the_rules))
+    if "brute" in argv:  # the last --budget wins, so every search is short
+        argv += ["--budget", str(draw(st.integers(0, 10_000)))]
+    return argv
+
+
+_VALID_FILES = _POSETS + _DECOMPOSITIONS
+
+
+class TestAnyArgv:
+    @settings(deadline=1000, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(_argvs(), st.data())
+    def test_main_returns_a_documented_exit_code(self, tmp_path, monkeypatch, capsys,
+                                                 argv, data):
+        monkeypatch.chdir(tmp_path)
+        for name in ("a", "b", "gone"):
+            Path(name).unlink(missing_ok=True)
+        for name in ("a", "b"):
+            kind = data.draw(st.sampled_from(["missing", "empty", "bytes", "valid"]))
+            if kind == "empty":
+                Path(name).write_bytes(b"")
+            elif kind == "bytes":
+                Path(name).write_bytes(data.draw(st.binary(max_size=80)))
+            elif kind == "valid":
+                Path(name).write_text(data.draw(st.sampled_from(_VALID_FILES)))
+        assert main(argv) in (0, 1, 2)
+        capsys.readouterr()

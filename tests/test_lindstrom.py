@@ -1,16 +1,13 @@
 import pytest
 
-from younglat.partitions import Shape, format_composition
+from younglat.partitions import Shape, format_composition, from_multiplicity
 from younglat.poset import build_lattice, gaussian_binomial
 from younglat.scd import (
     ChainDecomposition,
     _even_shell,
     _odd_shell,
     _two_column_seed,
-    as_partition_chains,
     lindstrom,
-    lindstrom_even,
-    lindstrom_odd,
     serialize_decomposition,
     verify_scd,
 )
@@ -53,7 +50,7 @@ def expected_start_profile(m):
 
 class TestOddCases:
     def test_base_is_the_four_element_chain(self):
-        d = lindstrom_odd(0)
+        d = lindstrom(1)
         assert d.chains == (
             ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)),
         )
@@ -61,12 +58,12 @@ class TestOddCases:
     def test_m3_contains_embedded_image_of_base(self):
         # the image of the base chain under the (+1, ., ., +1) embedding;
         # the middle element is 1011: sums must stay 3 and covers must hold
-        d = lindstrom_odd(1)
+        d = lindstrom(3)
         embedded = ((2, 0, 0, 1), (1, 1, 0, 1), (1, 0, 1, 1), (1, 0, 0, 2))
         assert embedded in d.chains
 
     def test_m3_full_decomposition(self):
-        d = lindstrom_odd(1)
+        d = lindstrom(3)
         p = build_lattice(Shape(3, 3), "composition")
         report = verify_scd(d, p)
         assert report.passed
@@ -87,7 +84,7 @@ class TestOddCases:
 
 class TestEvenCases:
     def test_m2_is_the_conjugated_two_column_decomposition(self):
-        d = lindstrom_even(1)
+        d = lindstrom(2)
         text = {
             " ".join(format_composition(k) for k in ch) for ch in d.chains
         }
@@ -97,16 +94,16 @@ class TestEvenCases:
         }
 
     def test_m4_center_is_the_single_node(self):
-        d = lindstrom_even(2)
+        d = lindstrom(4)
         assert ((2, 0, 0, 2),) in d.chains
 
     def test_m4_red_chain_is_the_middle_root_string(self):
-        d = lindstrom_even(2)
+        d = lindstrom(4)
         red = tuple((0, 4 - k, k, 0) for k in range(5))
         assert red in d.chains
 
     def test_m4_full_decomposition(self):
-        d = lindstrom_even(2)
+        d = lindstrom(4)
         p = build_lattice(Shape(4, 3), "composition")
         report = verify_scd(d, p)
         assert report.passed
@@ -114,7 +111,7 @@ class TestEvenCases:
         assert report.start_profile == {0: 1, 2: 1, 3: 1, 4: 1, 6: 1}
 
     def test_m6_valid_with_84_elements(self):
-        d = lindstrom_even(3)
+        d = lindstrom(6)
         p = build_lattice(Shape(6, 3), "composition")
         assert len(p) == 84
         assert verify_scd(d, p).passed
@@ -129,10 +126,11 @@ class TestChainsWrittenOnce:
 
 class TestDispatch:
     def test_m1_goes_to_odd(self):
-        assert lindstrom(1) == lindstrom_odd(0)
+        assert lindstrom(1) == ChainDecomposition(Shape(1, 3), _odd_shell(1, 0))
 
     def test_m4_goes_to_even(self):
-        assert lindstrom(4) == lindstrom_even(2)
+        assert lindstrom(4) == ChainDecomposition(
+            Shape(4, 3), [((2, 0, 0, 2),)] + _even_shell(4, 0))
 
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
@@ -198,6 +196,7 @@ class TestPartitionForm:
         from younglat.partitions import covers
 
         shape = Shape(5, 3)
-        for chain in as_partition_chains(lindstrom(5)):
+        for keys in lindstrom(5).chains:
+            chain = [from_multiplicity(key, shape) for key in keys]
             for upper, lower in zip(chain, chain[1:]):
                 assert covers(upper, lower, shape)

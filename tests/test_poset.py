@@ -6,17 +6,22 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from conftest import cover_pairs_by_scan, mutated_text
+from conftest import (
+    _poly_mul,
+    composition_lower_covers,
+    cover_pairs_by_scan,
+    lower_covers,
+    mutated_text,
+    partitions_in_box,
+    q_factorial,
+)
 from younglat import poset
 from younglat.partitions import (
     Shape,
-    composition_lower_covers,
     enumerate_compositions,
     format_composition,
     from_multiplicity,
     leq,
-    lower_covers,
-    partitions_in_box,
     to_multiplicity,
     weighted_sum,
 )
@@ -32,7 +37,6 @@ from younglat.poset import (
     check_splitting_identities,
     gaussian_binomial,
     parse_poset,
-    q_factorial,
     rank_profile,
     serialize_poset,
 )
@@ -100,8 +104,6 @@ class TestGaussianBinomial:
 
     def test_q_factorial_factorization(self):
         # (m+n)! = m! n! [m+n choose m] as polynomials
-        from younglat.poset import _poly_mul
-
         for m in range(1, 7):
             for n in range(1, 7):
                 lhs = list(q_factorial(m + n))

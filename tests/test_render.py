@@ -140,12 +140,15 @@ class TestLabels:
 class TestSvgLimits:
     def test_height_limit_enforced(self):
         p = build_lattice(Shape(8, 8))
-        with pytest.raises(DiagramSizeError):
-            to_svg(p, RenderSpec(max_height=60))
+        with pytest.raises(DiagramSizeError) as err:
+            to_svg(p)
+        assert str(err.value) == "poset height 64 exceeds the drawing limit 60"
 
-    def test_limit_is_configurable(self):
+    def test_limit_is_configurable(self, monkeypatch):
+        # the limit is the module constant, read at each call
+        monkeypatch.setattr(render, "MAX_HEIGHT", 64)
         p = build_lattice(Shape(8, 8))
-        text = to_svg(p, RenderSpec(max_height=64))
+        text = to_svg(p)
         assert svg_counts(text)[0] == len(p)
 
     def test_l12_nodes_on_one_vertical_line(self):

@@ -9,31 +9,37 @@ from younglat.partitions import (
 )
 from younglat.poset import build_lattice
 from younglat.roots import (
-    ColorMap,
     NotACoverError,
     edge_color,
-    simple_roots,
+    root_color,
     weight_string,
 )
 
 
 class TestSimpleRoots:
+    # root j is the step of weight_string(gamma, j, shape)
     def test_vectors(self):
-        roots = simple_roots(3)
-        assert [r.vector for r in roots] == [
-            (1, -1, 0, 0),
-            (0, 1, -1, 0),
-            (0, 0, 1, -1),
-        ]
-        assert [r.index for r in roots] == [1, 2, 3]
+        steps = []
+        for j in (1, 2, 3):
+            upper, lower = weight_string((1, 1, 1, 0), j, Shape(3, 3))[:2]
+            steps.append(tuple(u - v for u, v in zip(upper, lower)))
+        assert steps == [(1, -1, 0, 0), (0, 1, -1, 0), (0, 0, 1, -1)]
 
     def test_count_equals_n(self):
         for n in range(1, 8):
-            assert len(simple_roots(n)) == n
+            gamma = (1,) + (0,) * n
+            accepted = []
+            for j in range(n + 2):
+                try:
+                    weight_string(gamma, j, Shape(1, n))
+                except ValueError:
+                    continue
+                accepted.append(j)
+            assert accepted == list(range(1, n + 1))
 
     def test_rejects_zero_rank(self):
         with pytest.raises(ValueError):
-            simple_roots(0)
+            weight_string((1,), 1, Shape(1, 0))
 
 
 class TestEdgeColor:
@@ -143,7 +149,7 @@ class TestWeightString:
             for n in range(1, 6):
                 shape = Shape(m, n)
                 p = build_lattice(shape, "composition")
-                for root in simple_roots(n):
+                for root in range(1, n + 1):
                     strings = {
                         weight_string(c, root, shape) for c in p.elements
                     }
@@ -153,13 +159,13 @@ class TestWeightString:
     def test_strings_are_saturated_and_single_colored(self):
         shape = Shape(4, 3)
         p = build_lattice(shape, "composition")
-        for root in simple_roots(3):
+        for root in (1, 2, 3):
             for gamma in p.elements:
                 s = weight_string(gamma, root, shape)
                 assert gamma in s
                 for upper, lower in zip(s, s[1:]):
                     assert p.is_cover(lower, upper)
-                    assert edge_color(lower, upper) == root.index
+                    assert edge_color(lower, upper) == root
 
 
 class TestColorUsage:
@@ -179,14 +185,9 @@ class TestColorUsage:
 
 class TestColorMap:
     def test_default_first_three(self):
-        cm = ColorMap.default(3)
-        assert [cm.name(j) for j in (1, 2, 3)] == ["green", "red", "blue"]
+        assert [root_color(j) for j in (1, 2, 3)] == ["green", "red", "blue"]
 
     def test_default_is_injective_past_palette(self):
-        cm = ColorMap.default(20)
-        names = [cm.name(j) for j in range(1, 21)]
+        names = [root_color(j) for j in range(1, 21)]
         assert len(set(names)) == 20
-
-    def test_rejects_duplicate_colors(self):
-        with pytest.raises(ValueError):
-            ColorMap({1: "green", 2: "green"})
+        assert names[12:14] == ["#00000d", "#00000e"]
