@@ -460,7 +460,8 @@ class TestGeneratorArguments:
 
     @pytest.mark.parametrize("construction, argument, label", [
         ("lindstrom", 287, "L(287,3)"),
-        ("lindstrom", 288, "L(288,3)"),
+        pytest.param("lindstrom", 289, "L(289,3)", id="lindstrom_odd-289-L(289,3)"),
+        pytest.param("lindstrom", 288, "L(288,3)", id="lindstrom_even-288-L(288,3)"),
         ("scd_n2", 2827, "L(2827,2)"),
         ("lindstrom", 10**9, "L(1000000000,3)"),
     ])
