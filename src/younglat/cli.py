@@ -11,7 +11,10 @@ Subcommands:
   render POSET_FILE [--scd SCD_FILE] [--format dot|svg] [--labels ...]
 
 Exit codes: 0 success or pass, 1 verification failure or not-found, 2 usage
-or file errors.  Reports go to stdout, diagnostics to stderr.  There is no
+or file errors.  A ``ValueError`` from the library on a command-line input
+is exit 2 with ``error: <message>`` on stderr, except for the shape mismatch
+of ``scd verify``, which is a verification failure (exit 1, on stdout).
+Reports go to stdout, diagnostics to stderr.  There is no
 environment-variable configuration; flags are the whole interface.
 """
 
@@ -33,6 +36,7 @@ from .poset import (
 )
 from .render import RenderSpec, to_dot, to_svg
 from .scd import (
+    _require_same_shape,
     brute_force_scd,
     lindstrom,
     parse_decomposition,
@@ -43,9 +47,7 @@ from .scd import (
 
 
 class CliError(Exception):
-    def __init__(self, message: str, code: int = 2):
-        super().__init__(message)
-        self.code = code
+    """A refused input, reported as ``error: <message>`` with exit 2."""
 
 
 def _nonneg(text: str) -> int:
@@ -86,29 +88,15 @@ def _read(path: str) -> str:
         raise CliError(f"{path!r}: {exc}") from None
 
 
-def _load_poset(path: str):
+def _load(parse, path: str):
     try:
-        return parse_poset(_read(path))
+        return parse(_read(path))
     except ParseError as exc:
         raise CliError(f"{path}: {exc}") from None
-
-
-def _load_decomposition(path: str):
-    try:
-        return parse_decomposition(_read(path))
-    except ParseError as exc:
-        raise CliError(f"{path}: {exc}") from None
-
-
-def _build(m: int, n: int, coords: str):
-    try:
-        return build_lattice(Shape(m, n), coords)
-    except ValueError as exc:  # over the element limit
-        raise CliError(str(exc)) from None
 
 
 def _cmd_lattice(args) -> int:
-    p = _build(args.m, args.n, args.coords)
+    p = build_lattice(Shape(args.m, args.n), args.coords)
     _emit(
         serialize_poset(p),
         args.out,
@@ -118,20 +106,13 @@ def _cmd_lattice(args) -> int:
 
 
 def _cmd_ranks(args) -> int:
-    try:
-        coefficients = gaussian_binomial(args.m, args.n)
-    except ValueError as exc:  # over the degree limit
-        raise CliError(str(exc)) from None
-    for coefficient in coefficients:
+    for coefficient in gaussian_binomial(args.m, args.n):
         print(coefficient)
     return 0
 
 
 def _cmd_identities(args) -> int:
-    try:
-        result = check_splitting_identities(args.m, args.n)
-    except ValueError as exc:  # over the element limit
-        raise CliError(str(exc)) from None
+    result = check_splitting_identities(args.m, args.n)
     print(f"part-size split identity: {'ok' if result.first_identity else 'FAIL'}")
     print(f"part-count split identity: {'ok' if result.second_identity else 'FAIL'}")
     print(f"elements with a part of size {args.n}: {result.with_largest}")
@@ -144,10 +125,7 @@ def _cmd_identities(args) -> int:
 def _cmd_scd_construct(args) -> int:
     # looked up per call, not bound into the cached parser's defaults
     construct = lindstrom if args.scd_command == "lindstrom" else scd_n2
-    try:
-        d = construct(args.m)
-    except ValueError as exc:  # over the element limit
-        raise CliError(str(exc)) from None
+    d = construct(args.m)
     _emit(
         serialize_decomposition(d),
         args.out,
@@ -157,7 +135,7 @@ def _cmd_scd_construct(args) -> int:
 
 
 def _cmd_scd_brute(args) -> int:
-    p = _build(args.m, args.n, "composition")
+    p = build_lattice(Shape(args.m, args.n), "composition")
     result = brute_force_scd(p, budget=args.budget)
     if result.status == "found":
         print(serialize_decomposition(result.decomposition), end="")
@@ -170,8 +148,8 @@ def _cmd_scd_brute(args) -> int:
 
 
 def _cmd_scd_verify(args) -> int:
-    p = _load_poset(args.poset_file)
-    d = _load_decomposition(args.scd_file)
+    p = _load(parse_poset, args.poset_file)
+    d = _load(parse_decomposition, args.scd_file)
     try:
         report = verify_scd(d, p)
     except ValueError as exc:  # shape mismatch
@@ -183,21 +161,14 @@ def _cmd_scd_verify(args) -> int:
 
 
 def _cmd_render(args) -> int:
-    p = _load_poset(args.poset_file)
+    p = _load(parse_poset, args.poset_file)
     highlight = None
     if args.scd:
-        highlight = _load_decomposition(args.scd)
-        if highlight.shape != p.shape:
-            raise CliError(
-                f"shape mismatch: poset {p.label()} vs decomposition "
-                f"L'({highlight.shape.m},{highlight.shape.n})"
-            )
+        highlight = _load(parse_decomposition, args.scd)
+        _require_same_shape(highlight, p)
     spec = RenderSpec(labels=args.labels, highlight=highlight)
-    try:
-        text = to_dot(p, spec) if args.format == "dot" else to_svg(p, spec)
-    except ValueError as exc:  # too tall, or a highlight key not in the poset
-        raise CliError(str(exc)) from None
-    print(text, end="")
+    # too tall, or a highlight key not in the poset: ValueError, exit 2
+    print(to_dot(p, spec) if args.format == "dot" else to_svg(p, spec), end="")
     return 0
 
 
@@ -231,15 +202,12 @@ def _build_parser() -> argparse.ArgumentParser:
     scd = sub.add_parser("scd", help="symmetric chain decompositions")
     scd_sub = scd.add_subparsers(dest="scd_command", required=True)
 
-    lind = scd_sub.add_parser("lindstrom", help="recursive construction, three sizes")
-    lind.add_argument("m", type=_positive)
-    lind.add_argument("--out", metavar="FILE")
-    lind.set_defaults(func=_cmd_scd_construct)
-
-    n2 = scd_sub.add_parser("n2", help="alternating construction, two sizes")
-    n2.add_argument("m", type=_positive)
-    n2.add_argument("--out", metavar="FILE")
-    n2.set_defaults(func=_cmd_scd_construct)
+    for name, help_text in (("lindstrom", "recursive construction, three sizes"),
+                            ("n2", "alternating construction, two sizes")):
+        construct = scd_sub.add_parser(name, help=help_text)
+        construct.add_argument("m", type=_positive)
+        construct.add_argument("--out", metavar="FILE")
+        construct.set_defaults(func=_cmd_scd_construct)
 
     brute = scd_sub.add_parser("brute", help="backtracking search")
     brute.add_argument("m", type=_nonneg)
@@ -271,9 +239,9 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         return args.func(args)
-    except CliError as exc:
+    except (CliError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return exc.code
+        return 2
 
 
 if __name__ == "__main__":

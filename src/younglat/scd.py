@@ -5,7 +5,11 @@ poset of height ``h`` when it is saturated and its endpoint ranks add up to
 ``h``.  A decomposition partitions the whole poset into symmetric chains.
 This module provides the universal verifier, the alternating construction
 for two part sizes, the recursive construction for three part sizes, and a
-small backtracking search used as an oracle on small posets.
+small backtracking search used as an oracle on small posets.  Every chain
+of the two constructions is a zigzag down one face of the simplex (the
+whole chain for two part sizes); for three part sizes it goes on through
+an optional one-element detour into the next layer and a sweep down the
+other face.
 
 Decomposition file format, one file per decomposition::
 
@@ -121,6 +125,13 @@ class ScdReport:
         return out
 
 
+def _require_same_shape(d: ChainDecomposition, p: GradedPoset) -> None:
+    """Raise ``ValueError`` unless ``d`` decomposes a lattice of ``p``'s shape."""
+    if d.shape != p.shape:
+        raise ValueError(f"shape mismatch: poset {p.label()} vs decomposition "
+                         f"L'({d.shape.m},{d.shape.n})")
+
+
 def verify_scd(d: ChainDecomposition, p: GradedPoset) -> ScdReport:
     """Check ``d`` against the definition of a symmetric chain decomposition.
 
@@ -130,9 +141,7 @@ def verify_scd(d: ChainDecomposition, p: GradedPoset) -> ScdReport:
     do not add up to the height.  The report also counts how many chains
     start (bottom out) at each rank.  Differing shapes raise ``ValueError``.
     """
-    if d.shape != p.shape:
-        raise ValueError(f"shape mismatch: poset {p.label()} vs decomposition "
-                         f"L'({d.shape.m},{d.shape.n})")
+    _require_same_shape(d, p)
     seen: Counter = Counter()
     unknown: list = []
     unsaturated: list[int] = []
@@ -171,29 +180,43 @@ def verify_scd(d: ChainDecomposition, p: GradedPoset) -> ScdReport:
 # constructions
 
 
+def _zigzag(a: int, b: int) -> list[tuple[int, int, int]]:
+    """The alternating chain from ``(a, b, 0)`` down to ``(0, b, a)``.
+
+    Each unit leaves the first slot through the middle one, largest-part
+    step first, so the middle slot stays at ``b`` or ``b + 1``: the
+    ``L(m, 2)`` picture on one face of the simplex.
+    """
+    chain = [(a, b, 0)]
+    for c in range(a):
+        chain += ((a - 1 - c, b + 1, c), (a - 1 - c, b, c + 1))
+    return chain
+
+
+def _sweep(k: int, i: int, top: int, bend: int, s: int) -> Iterator[WeakComposition]:
+    """One key per rank from ``top`` down to ``2i`` on the first-slot-zero
+    face of layer ``s`` (ranks counted from the layer's own bottom, ``3s``),
+    all keys summing to ``k + 2s``: the second slot is ``i`` up to rank
+    ``bend`` and climbs one every two ranks above it."""
+    for r in range(top, 2 * i - 1, -1):
+        b = i + max(0, (r - bend) // 2)
+        yield (s, b, r - 2 * b, k - r + b + s)
+
+
 def scd_n2(m: int) -> ChainDecomposition:
     """Alternating decomposition of the lattice with two part sizes.
 
-    Chain ``i`` starts at ``(m - 2i, 2i, 0)`` and alternates the two root
-    steps, largest-part step first, for ``2(m - 2i)`` covers.  The middle
-    slot stays at ``2i`` or ``2i + 1`` along chain ``i``, so the chains
-    partition the triangle.  Even ``m`` leaves a singleton chain; odd ``m``
-    bottoms out with a chain of length 2.  Over ``ELEMENT_LIMIT`` elements
-    raise ``ValueError`` before any work.
+    Chain ``i`` is :func:`_zigzag` from ``(m - 2i, 2i, 0)``: it alternates
+    the two root steps, largest-part step first, for ``2(m - 2i)`` covers.
+    The middle slot stays at ``2i`` or ``2i + 1`` along chain ``i``, so the
+    chains partition the triangle.  Even ``m`` leaves a singleton chain; odd
+    ``m`` bottoms out with a chain of length 2.  Over ``ELEMENT_LIMIT``
+    elements raise ``ValueError`` before any work.
     """
     if m < 1:
         raise ValueError(f"need m >= 1, got {m}")
     _require_within_limit(m, 2)
-    chains = []
-    for i in range(m // 2 + 1):
-        a, b, c = m - 2 * i, 2 * i, 0
-        chain = [(a, b, c)]
-        while a > 0:
-            a -= 1
-            chain.append((a, b + 1, c))
-            chain.append((a, b, c + 1))
-            c += 1
-        chains.append(tuple(chain))
+    chains = [_zigzag(m - 2 * i, 2 * i) for i in range(m // 2 + 1)]
     return ChainDecomposition(Shape(m, 2), chains)
 
 
@@ -212,18 +235,8 @@ def _odd_shell(m: int, s: int) -> list[Chain]:
     """
     chains = []
     for i in range((m + 1) // 2):
-        a, b, c = m - 2 * i, 2 * i, 0
-        chain = [(a + s, b, c, s)]
-        while a > 0:
-            a -= 1
-            chain.append((a + s, b + 1, c, s))
-            chain.append((a + s, b, c + 1, s))
-            c += 1
-        # face sweep: at rank r the chain sits at second slot bb, one rank a step
-        for r in range(m - 1 + 2 * i, 2 * i - 1, -1):
-            bb = i + max(0, (r - (m - 1)) // 2)
-            chain.append((s, bb, r - 2 * bb, m - r + bb + s))
-        chains.append(tuple(chain))
+        face = [(a + s, b, c, s) for a, b, c in _zigzag(m - 2 * i, 2 * i)]
+        chains.append((*face, *_sweep(m, i, m - 1 + 2 * i, m - 1, s)))
     return chains
 
 
@@ -243,32 +256,13 @@ def _even_shell(m: int, s: int) -> list[Chain]:
         raise ValueError(f"generic even shell needs even m >= 4, got {m}")
     chains: list[Chain] = [tuple((s, m - k, k, s) for k in range(m + 1))]
     for i in range(m // 2):
-        a, b, c = m - 2 * i, 2 * i, 0
-        chain = [(a + s, b, c, s)]
-        while a > 1:
-            a -= 1
-            chain.append((a + s, b + 1, c, s))
-            chain.append((a + s, b, c + 1, s))
-            c += 1
-        chain.append((1 + s, b, c - 1, 1 + s))  # inner-layer detour past the edge chain
-        for r in range(m + 2 * i, 2 * i - 1, -1):
-            bb = max(0, r - m + 1) + i - max(0, -(-(r - m) // 2))
-            chain.append((s, bb, r - 2 * bb, m - r + bb + s))
-        chains.append(tuple(chain))
+        face = [(a + s, b, c, s) for a, b, c in _zigzag(m - 2 * i, 2 * i)[:-2]]
+        detour = (1 + s, 2 * i, m - 2 - 2 * i, 1 + s)  # inner layer, past the edge chain
+        chains.append((*face, detour, *_sweep(m, i, m + 2 * i, m - 2, s)))
     inner = m - 2
     for j in range(m // 2 - 1):
-        a, b, c = inner - 2 * j, 2 * j, 0
-        chain = [(a + 1 + s, b, c, 1 + s)]
-        while a > 0:
-            a -= 1
-            chain.append((a + 1 + s, b + 1, c, 1 + s))
-            if a > 0:
-                chain.append((a + 1 + s, b, c + 1, 1 + s))
-                c += 1
-        for r in range(inner + 2 * j, 2 * j - 1, -1):
-            bb = max(0, r - inner + 1) + j - max(0, -(-(r - inner) // 2))
-            chain.append((1 + s, bb, r - 2 * bb, inner - r + bb + 1 + s))
-        chains.append(tuple(chain))
+        face = [(a + 1 + s, b, c, 1 + s) for a, b, c in _zigzag(inner - 2 * j, 2 * j)[:-1]]
+        chains.append((*face, *_sweep(inner, j, inner + 2 * j, inner - 2, 1 + s)))
     return chains
 
 

@@ -3,6 +3,7 @@ import pytest
 from younglat.partitions import Shape, format_composition, from_multiplicity
 from younglat.poset import build_lattice, gaussian_binomial
 from younglat.scd import (
+    Chain,
     ChainDecomposition,
     _even_shell,
     _odd_shell,
@@ -11,6 +12,83 @@ from younglat.scd import (
     serialize_decomposition,
     verify_scd,
 )
+
+
+# The shells as they were written before the zigzag and sweep primitives,
+# frozen here as the oracle for the rewrite.
+def reference_odd_shell(m: int, s: int) -> list[Chain]:
+    """Chains covering the two outer faces of the simplex for odd ``m``,
+    written at offset ``s``: ``s`` is added to the first and last entry of
+    every key, which moves the chains ``s`` layers into a larger simplex.
+
+    Chain ``i`` (0-based, up to (m - 1) / 2) starts at ``(m - 2i, 2i, 0, 0)``,
+    zigzags down the last-slot-zero face with its second slot held at ``2i``
+    or ``2i + 1``, crosses onto the first-slot-zero face, and then sweeps one
+    element per rank down to rank ``2i``.  Endpoint ranks are ``3m - 2i`` and
+    ``2i``, so every chain is symmetric; together the chains cover exactly
+    the compositions whose first or last entry is zero.  The offset raises
+    both endpoint ranks by ``3s``, mirroring them in the height ``3m + 6s``.
+    """
+    chains = []
+    for i in range((m + 1) // 2):
+        a, b, c = m - 2 * i, 2 * i, 0
+        chain = [(a + s, b, c, s)]
+        while a > 0:
+            a -= 1
+            chain.append((a + s, b + 1, c, s))
+            chain.append((a + s, b, c + 1, s))
+            c += 1
+        # face sweep: at rank r the chain sits at second slot bb, one rank a step
+        for r in range(m - 1 + 2 * i, 2 * i - 1, -1):
+            bb = i + max(0, (r - (m - 1)) // 2)
+            chain.append((s, bb, r - 2 * bb, m - r + bb + s))
+        chains.append(tuple(chain))
+    return chains
+
+
+def reference_even_shell(m: int, s: int) -> list[Chain]:
+    """Chains covering the outer two layers of the simplex for even ``m`` >= 4,
+    written at offset ``s`` as in :func:`reference_odd_shell`.
+
+    One marked chain runs the full middle-root string along the edge shared
+    by the two outer faces, from ``(0, m, 0, 0)`` down to ``(0, 0, m, 0)``;
+    its endpoint ranks ``2m`` and ``m`` mirror.  Outer chains then zigzag the
+    last-slot-zero face but stop one step short of that occupied edge, detour
+    through a single inner-layer element, and sweep the first-slot-zero face.
+    Inner chains repeat the pattern one layer in, where the detours of the
+    outer chains have already consumed the even positions of the inner edge.
+    """
+    if m < 4 or m % 2:
+        raise ValueError(f"generic even shell needs even m >= 4, got {m}")
+    chains: list[Chain] = [tuple((s, m - k, k, s) for k in range(m + 1))]
+    for i in range(m // 2):
+        a, b, c = m - 2 * i, 2 * i, 0
+        chain = [(a + s, b, c, s)]
+        while a > 1:
+            a -= 1
+            chain.append((a + s, b + 1, c, s))
+            chain.append((a + s, b, c + 1, s))
+            c += 1
+        chain.append((1 + s, b, c - 1, 1 + s))  # inner-layer detour past the edge chain
+        for r in range(m + 2 * i, 2 * i - 1, -1):
+            bb = max(0, r - m + 1) + i - max(0, -(-(r - m) // 2))
+            chain.append((s, bb, r - 2 * bb, m - r + bb + s))
+        chains.append(tuple(chain))
+    inner = m - 2
+    for j in range(m // 2 - 1):
+        a, b, c = inner - 2 * j, 2 * j, 0
+        chain = [(a + 1 + s, b, c, 1 + s)]
+        while a > 0:
+            a -= 1
+            chain.append((a + 1 + s, b + 1, c, 1 + s))
+            if a > 0:
+                chain.append((a + 1 + s, b, c + 1, 1 + s))
+                c += 1
+        for r in range(inner + 2 * j, 2 * j - 1, -1):
+            bb = max(0, r - inner + 1) + j - max(0, -(-(r - inner) // 2))
+            chain.append((1 + s, bb, r - 2 * bb, inner - r + bb + 1 + s))
+        chains.append(tuple(chain))
+    return chains
 
 
 def shift(chain, s):
@@ -24,7 +102,7 @@ def reference_lindstrom(m):
         chains = []
         for k in range(1, m + 1, 2):
             chains = [shift(ch, 1) for ch in chains]
-            chains.extend(_odd_shell(k, 0))
+            chains.extend(reference_odd_shell(k, 0))
     elif m == 2:
         chains = _two_column_seed(0)
     else:
@@ -32,10 +110,10 @@ def reference_lindstrom(m):
             chains, start = [((2, 0, 0, 2),)], 4
         else:
             chains, start = [shift(ch, 2) for ch in _two_column_seed(0)], 6
-        chains.extend(_even_shell(start, 0))
+        chains.extend(reference_even_shell(start, 0))
         for k in range(start + 4, m + 1, 4):
             chains = [shift(ch, 2) for ch in chains]
-            chains.extend(_even_shell(k, 0))
+            chains.extend(reference_even_shell(k, 0))
     return ChainDecomposition(Shape(m, 3), chains)
 
 
@@ -122,6 +200,18 @@ class TestChainsWrittenOnce:
         for m in range(1, 61):
             assert serialize_decomposition(lindstrom(m)) == serialize_decomposition(
                 reference_lindstrom(m))
+
+
+class TestShellsMatchTheFrozenReference:
+    @pytest.mark.parametrize("s", range(3))
+    def test_odd_shell(self, s):
+        for m in range(1, 60, 2):
+            assert _odd_shell(m, s) == reference_odd_shell(m, s), (m, s)
+
+    @pytest.mark.parametrize("s", range(3))
+    def test_even_shell(self, s):
+        for m in range(4, 60, 2):
+            assert _even_shell(m, s) == reference_even_shell(m, s), (m, s)
 
 
 class TestDispatch:

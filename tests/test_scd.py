@@ -4,7 +4,14 @@ from hypothesis import strategies as st
 
 from conftest import chain_lengths, mutated_text
 from younglat.partitions import Shape
-from younglat.poset import GradedPoset, ParseError, build_lattice, gaussian_binomial
+from younglat.poset import (
+    GradedPoset,
+    ParseError,
+    build_lattice,
+    gaussian_binomial,
+    parse_poset,
+    serialize_poset,
+)
 from younglat.scd import (
     ChainDecomposition,
     SearchResult,
@@ -451,6 +458,41 @@ class TestVerifierCatchesCorruption:
         d = ChainDecomposition(Shape(m, 3), [tuple(ch) for ch in chains])
         p = build_lattice(Shape(m, 3), "composition")
         assert not verify_scd(d, p).passed
+
+    @given(st.sampled_from([2, 3]), st.integers(1, 6), st.integers(0, 1),
+           st.sampled_from(["drop", "duplicate", "swap", "digit"]), st.data())
+    def test_any_structured_file_mutation_is_refused(self, n, m, which, kind, data):
+        # a valid poset and decomposition pair with one whole line dropped,
+        # duplicated or swapped with another, or one digit raised by 1-9 mod
+        # 10; no two lines of a valid file are equal, so each changes the text.
+        # ``which`` picks the file: 0 the poset, 1 the decomposition
+        shape = Shape(m, n)
+        texts = [serialize_poset(build_lattice(shape, "composition")),
+                 serialize_decomposition((lindstrom if n == 3 else scd_n2)(m))]
+        lines = texts[which].splitlines(keepends=True)
+        index = st.integers(0, len(lines) - 1)
+        if kind == "drop":
+            del lines[data.draw(index)]
+        elif kind == "duplicate":
+            lines.insert(data.draw(st.integers(0, len(lines))), lines[data.draw(index)])
+        elif kind == "swap":
+            i = data.draw(index)
+            j = (i + data.draw(st.integers(1, len(lines) - 1))) % len(lines)
+            lines[i], lines[j] = lines[j], lines[i]
+        else:
+            text = "".join(lines)
+            at = data.draw(st.sampled_from([k for k, ch in enumerate(text) if ch.isdigit()]))
+            digit = str((int(text[at]) + data.draw(st.integers(1, 9))) % 10)
+            lines = [text[:at], digit, text[at + 1:]]
+        texts[which] = "".join(lines)
+        try:
+            report = verify_scd(parse_decomposition(texts[1]), parse_poset(texts[0]))
+        except ParseError:
+            return
+        except ValueError as exc:
+            assert str(exc).startswith("shape mismatch: ")
+            return
+        assert not report.passed
 
 
 class TestGeneratorArguments:
