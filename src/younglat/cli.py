@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from functools import cache
+from functools import cache, partial
 from pathlib import Path
 
 from .partitions import Shape
@@ -149,7 +149,7 @@ def _cmd_scd_brute(args) -> int:
 
 def _cmd_scd_verify(args) -> int:
     p = _load(parse_poset, args.poset_file)
-    d = _load(parse_decomposition, args.scd_file)
+    d = _load(partial(parse_decomposition, poset=p), args.scd_file)
     try:
         report = verify_scd(d, p)
     except ValueError as exc:  # shape mismatch
@@ -164,7 +164,7 @@ def _cmd_render(args) -> int:
     p = _load(parse_poset, args.poset_file)
     highlight = None
     if args.scd:
-        highlight = _load(parse_decomposition, args.scd)
+        highlight = _load(partial(parse_decomposition, poset=p), args.scd)
         _require_same_shape(highlight, p)
     spec = RenderSpec(labels=args.labels, highlight=highlight)
     # too tall, or a highlight key not in the poset: ValueError, exit 2

@@ -148,10 +148,11 @@ class GradedPoset:
     color)`` triples sorted by index pair.  The lattice factory guarantees a unique
     minimum and maximum.  Covers must be root steps between composition keys:
     :meth:`is_cover` and :meth:`color_of` decide from the two keys alone.
+    :attr:`key_strings` formats every key once, on first use, for all readers.
     """
 
     __slots__ = ("shape", "coords", "elements", "ranks", "covers", "height",
-                 "_index")
+                 "_index", "_key_strings")
 
     def __init__(self, shape, coords, elements, ranks, covers, height):
         self.shape = shape
@@ -163,6 +164,7 @@ class GradedPoset:
         if len(self.elements) != len(self.ranks):
             raise ValueError("one rank per element required")
         self._index = {key: i for i, key in enumerate(self.elements)}
+        self._key_strings = None
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -177,6 +179,17 @@ class GradedPoset:
                 self.covers, self.height) == (
                     other.shape, other.coords, other.elements, other.ranks,
                     other.covers, other.height)
+
+    @property
+    def key_strings(self) -> tuple[str, ...]:
+        """``format_composition`` of each element, in element order.
+
+        Formatted on first access and kept; two threads racing here format
+        the same strings, so the poset stays safe to share.
+        """
+        if self._key_strings is None:
+            self._key_strings = tuple(map(format_composition, self.elements))
+        return self._key_strings
 
     def index_of(self, key) -> int:
         if key not in self._index:
@@ -223,9 +236,10 @@ def build_lattice(shape: Shape, coordinates: str = "partition") -> GradedPoset:
 
     The elements are the weak compositions of ``m`` with ``n + 1`` entries,
     stably sorted by rank (lexicographic within a rank), in both coordinate
-    systems; ``coordinates`` only sets the label.  ``m = 0`` or ``n = 0``
-    gives the empty poset; over ``ELEMENT_LIMIT`` elements raise
-    ``ValueError``.
+    systems; ``coordinates`` only sets the label.  Each key's rank is
+    computed once, and a stable argsort by rank puts the keys in order.
+    ``m = 0`` or ``n = 0`` gives the empty poset; over ``ELEMENT_LIMIT``
+    elements raise ``ValueError``.
 
     The color-``j + 1`` covers are the translations by the simple root
     ``e_j - e_(j+1)``: a unit moves from slot ``j + 1`` to slot ``j``.  That
@@ -246,9 +260,10 @@ def build_lattice(shape: Shape, coordinates: str = "partition") -> GradedPoset:
     if m == 0 or n == 0:
         return GradedPoset(shape, coordinates, (), (), (), 0)
     _require_within_limit(m, n)
-    comps = enumerate_compositions(m, n + 1)
-    comps.sort(key=weighted_sum)
-    ranks = list(map(weighted_sum, comps))
+    lex = enumerate_compositions(m, n + 1)
+    weights = list(map(weighted_sum, lex))
+    comps = list(map(lex.__getitem__, sorted(range(len(lex)), key=weights.__getitem__)))
+    ranks = sorted(weights)
     everyone = list(range(len(comps)))  # shared int objects, not one per cover end
     runs = [zip(compress(everyone, map(itemgetter(j + 1), comps)),
                 compress(everyone, map(itemgetter(j), comps)), repeat(j + 1))
@@ -334,10 +349,9 @@ def check_splitting_identities(m: int, n: int) -> SplitCheck:
 
 def _poset_lines(p: GradedPoset):
     """The lines of ``p`` in the interchange format, each ending in ``\\n``."""
-    keys = map(format_composition, p.elements)
     return chain(
         [f"poset {p.label()} height={p.height} count={len(p)}\n"],
-        map("%d %d %s\n".__mod__, zip(count(), p.ranks, keys)),
+        map("%d %d %s\n".__mod__, zip(count(), p.ranks, p.key_strings)),
         map("%d %d %d\n".__mod__, p.covers),
     )
 

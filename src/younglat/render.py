@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from itertools import repeat
 from operator import mul
 
-from .partitions import format_composition, from_multiplicity
+from .partitions import from_multiplicity
 from .poset import GradedPoset
 from .roots import root_color
 from .scd import ChainDecomposition
@@ -52,7 +52,7 @@ def _node_labels(p: GradedPoset, spec: RenderSpec) -> list[str]:
     """
     comps = p.elements
     if spec.labels == "composition":
-        return [format_composition(c) for c in comps]
+        return list(p.key_strings)
     n = p.shape.n if comps else 0
     if spec.labels == "young":
         rows = ["■" * (n - j) + "\\n" for j in range(n)]
@@ -76,19 +76,23 @@ def _absent_message(p: GradedPoset, chain) -> str:
     return f"highlight element {chain[0]} not in poset"
 
 
-def _chain_steps(p: GradedPoset, spec: RenderSpec) -> set[tuple] | None:
-    """The overlay's ``(lower key, upper key)`` steps, or None without one.
+def _chain_steps(p: GradedPoset, spec: RenderSpec) -> set[int] | None:
+    """The overlay's steps as codes ``lower * len(p) + upper`` of element
+    indices, or None without one; a cover ``(lo, hi, color)`` is on a chain
+    when ``lo * len(p) + hi`` is in the set.
 
     Every key of every chain must be an element of ``p``; otherwise
     ``ValueError`` names the first step (or lone key) that is not.
     """
     if spec.highlight is None:
         return None
+    size = len(p)
     steps = set()
     for chain in spec.highlight.chains:
         if not all(map(p.__contains__, chain)):
             raise ValueError(_absent_message(p, chain))
-        steps.update(zip(chain[1:], chain))
+        at = list(map(p.index_of, chain))
+        steps.update(lo * size + hi for lo, hi in zip(at[1:], at))
     return steps
 
 
@@ -105,10 +109,10 @@ def to_dot(p: GradedPoset, spec: RenderSpec | None = None) -> str:
         else:
             styles[color, True] = f'color="{name}", penwidth=2.4'
             styles[color, False] = f'color="{name}", style=dotted, penwidth=0.8'
-    comps = p.elements
-    keys = list(map(format_composition, comps))
+    keys = p.key_strings
+    size = len(p)
     on_chain = (repeat(False) if steps is None else
-                [(comps[lo], comps[hi]) in steps for lo, hi, _ in p.covers])
+                [lo * size + hi in steps for lo, hi, _ in p.covers])
     out = [
         f'digraph "{p.label()}" {{',
         "  rankdir=BT;",
@@ -138,6 +142,7 @@ def to_svg(p: GradedPoset, spec: RenderSpec | None = None) -> str:
     young = spec.labels == "young"
     labels = None if young else _node_labels(p, spec)
     comps = p.elements
+    size = len(p)
     levels = p.levels()
     widest = max((len(level) for level in levels), default=1) or 1
     width = 2 * _MARGIN + (widest - 1) * _DX
@@ -160,7 +165,7 @@ def to_svg(p: GradedPoset, spec: RenderSpec | None = None) -> str:
         stroke = root_color(color)
         extra = ""
         if steps is not None:
-            if (comps[lo], comps[hi]) in steps:
+            if lo * size + hi in steps:
                 extra = ' stroke-width="2.6"'
             else:
                 extra = ' stroke-width="1" stroke-opacity="0.35"'
@@ -171,9 +176,9 @@ def to_svg(p: GradedPoset, spec: RenderSpec | None = None) -> str:
     out.append("  </g>")
     out.append('  <g class="nodes">')
     cell = 7
-    for i in range(len(p)):
+    for i, key in enumerate(p.key_strings):
         x, y = pos[i]
-        out.append(f'    <g class="node" data-key="{format_composition(comps[i])}">')
+        out.append(f'    <g class="node" data-key="{key}">')
         if young:
             rows = _young_rows(from_multiplicity(comps[i], p.shape))
             if not rows:

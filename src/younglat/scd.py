@@ -431,12 +431,19 @@ def serialize_decomposition(d: ChainDecomposition) -> str:
     return "\n".join(lines) + "\n"
 
 
-def parse_decomposition(text: str) -> ChainDecomposition:
+def parse_decomposition(text: str, poset: GradedPoset | None = None) -> ChainDecomposition:
     """Parse a decomposition file; semantic checks are left to the verifier.
 
     The chains must come in canonical order, so a text that parses is
     :func:`serialize_decomposition` of the result up to line ends and runs
     of blanks.
+
+    With ``poset``, a token equal to one of its :attr:`GradedPoset.key_strings`
+    reads as that element, and any other token goes through
+    :func:`parse_composition`.  Those strings are ``format_composition`` of
+    their keys, and ``parse_composition`` inverts ``format_composition``, so
+    the result, and every :class:`ParseError` with its line and message, is
+    the same with any poset or none: the poset only saves parsing.
     """
     lines = text.splitlines()
     if not lines:
@@ -452,13 +459,15 @@ def parse_decomposition(text: str) -> ChainDecomposition:
         declared = parse_natural(value)
     except ValueError:
         raise ParseError(1, f"bad header field: {fields[2]!r}") from None
+    known = dict(zip(poset.key_strings, poset.elements)) if poset is not None else {}
     chains = []
     for offset, line in enumerate(lines[1:]):
         line_no = offset + 2
         if not line.strip():
             raise ParseError(line_no, "empty chain line")
         try:
-            chains.append(tuple(parse_composition(tok) for tok in line.split()))
+            chains.append(tuple(known[tok] if tok in known else parse_composition(tok)
+                                for tok in line.split()))
         except ValueError as exc:
             raise ParseError(line_no, str(exc)) from None
     if len(chains) != declared:

@@ -9,7 +9,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from conftest import mutated_text
-from younglat import cli
+from younglat import cli, partitions, poset, render, scd
 from younglat.cli import main
 from younglat.partitions import Shape
 from younglat.poset import build_lattice, serialize_poset
@@ -168,6 +168,34 @@ class TestRender:
         run(capsys, "scd", "lindstrom", "3", "--out", str(scd_file))
         assert run(capsys, "render", str(poset_file), "--scd", str(scd_file)) == (
             2, "", "error: shape mismatch: poset L'(2,3) vs decomposition L'(3,3)\n")
+
+
+class TestKeysReadOnce:
+    """A command that parsed the poset reads the decomposition's keys through
+    the poset's key strings: no key is parsed, and each is formatted once."""
+
+    @pytest.mark.parametrize("command", [["scd", "verify"], ["render"]])
+    def test_each_key_is_formatted_once_and_never_parsed(self, tmp_path, monkeypatch,
+                                                         capsys, command):
+        poset_file, scd_file = str(tmp_path / "p.poset"), str(tmp_path / "d.scd")
+        run(capsys, "lattice", "6", "3", "--coords", "composition", "--out", poset_file)
+        run(capsys, "scd", "lindstrom", "6", "--out", scd_file)
+        calls = {"format_composition": 0, "parse_composition": 0}
+        for name in calls:
+            original = getattr(partitions, name)
+
+            def counting(arg, original=original, name=name):
+                calls[name] += 1
+                return original(arg)
+
+            for module in (partitions, poset, scd, render, cli):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, counting)
+        argv = [*command, poset_file] + (
+            ["--scd", scd_file] if command == ["render"] else [scd_file])
+        assert run(capsys, *argv)[0] == 0
+        assert calls == {"format_composition": len(build_lattice(Shape(6, 3))),
+                         "parse_composition": 0}
 
 
 class TestErrorPaths:

@@ -13,7 +13,7 @@ from younglat.render import (
     to_dot,
     to_svg,
 )
-from younglat.scd import ChainDecomposition, scd_n2
+from younglat.scd import ChainDecomposition, brute_force_scd, lindstrom, scd_n2
 
 
 def dot_counts(text):
@@ -173,3 +173,115 @@ class TestOverlayKeys:
         with pytest.raises(ValueError) as err:
             draw(p, RenderSpec(highlight=overlay))
         assert str(err.value) == "highlight element (0, 1, 1) or (3, 0, 0) not in poset"
+
+
+# The overlay as it was drawn from key pairs: the frozen reference for the
+# element-index codes of render._chain_steps.
+
+
+def reference_chain_steps(p, spec):
+    """The overlay's ``(lower key, upper key)`` steps, or None without one."""
+    if spec.highlight is None:
+        return None
+    steps = set()
+    for chain in spec.highlight.chains:
+        if not all(map(p.__contains__, chain)):
+            for upper, lower in zip(chain, chain[1:]):
+                if upper not in p or lower not in p:
+                    raise ValueError(f"highlight element {upper} or {lower} not in poset")
+            raise ValueError(f"highlight element {chain[0]} not in poset")
+        steps.update(zip(chain[1:], chain))
+    return steps
+
+
+def reference_on_chain(p, spec):
+    """For each cover of ``p``, in order: is its key pair a step of the overlay?"""
+    steps = reference_chain_steps(p, spec)
+    comps = p.elements
+    return [(comps[lo], comps[hi]) in steps for lo, hi, _ in p.covers]
+
+
+def reference_dot(p, spec):
+    """``to_dot`` with the overlay styles put onto the plain drawing's edges."""
+    on_chain = iter(reference_on_chain(p, spec))
+    lines = to_dot(p, RenderSpec(labels=spec.labels)).splitlines(keepends=True)
+    for i, line in enumerate(lines):
+        if " -> " in line:
+            style = ", penwidth=2.4" if next(on_chain) else ", style=dotted, penwidth=0.8"
+            lines[i] = line.replace('"];', f'"{style}];')
+    assert next(on_chain, None) is None
+    return "".join(lines)
+
+
+def reference_svg(p, spec):
+    """``to_svg`` with the overlay strokes put onto the plain drawing's lines."""
+    on_chain = iter(reference_on_chain(p, spec))
+    lines = to_svg(p, RenderSpec(labels=spec.labels)).splitlines(keepends=True)
+    for i, line in enumerate(lines):
+        if line.startswith("    <line "):
+            extra = (' stroke-width="2.6"' if next(on_chain)
+                     else ' stroke-width="1" stroke-opacity="0.35"')
+            lines[i] = line.replace('"/>', f'"{extra}/>')
+    assert next(on_chain, None) is None
+    return "".join(lines)
+
+
+def _overlays_that_are_not_decompositions():
+    chains = lindstrom(4).chains
+    longest = max(chains, key=len)
+    shape = Shape(4, 3)
+    p44 = build_lattice(Shape(4, 4), "composition")
+    found = brute_force_scd(p44).decomposition
+    return [
+        pytest.param(shape, ChainDecomposition(shape, chains[::2]), id="subset"),
+        # every other key: each step joins keys two ranks apart, never a cover
+        pytest.param(shape, ChainDecomposition(shape, [longest[::2]]), id="skipping"),
+        pytest.param(shape, ChainDecomposition(shape, chains + (longest,)), id="repeated"),
+        pytest.param(shape, ChainDecomposition(shape, [(k,) for k in longest]),
+                     id="singletons"),
+        pytest.param(Shape(4, 4), ChainDecomposition(Shape(4, 4), found.chains[1::3]),
+                     id="brute-subset"),
+        pytest.param(Shape(4, 4), found, id="brute"),
+    ]
+
+
+class TestOverlayMatchesKeyPairReference:
+    @pytest.mark.parametrize("shape, overlay", _overlays_that_are_not_decompositions())
+    @pytest.mark.parametrize("coords", ["partition", "composition"])
+    def test_partial_overlays(self, shape, overlay, coords):
+        p = build_lattice(shape, coords)
+        for labels in ("partition", "composition", "young"):
+            spec = RenderSpec(labels=labels, highlight=overlay)
+            assert to_dot(p, spec) == reference_dot(p, spec)
+            assert to_svg(p, spec) == reference_svg(p, spec)
+
+    def test_skipping_chain_has_no_bold_edge(self):
+        p = build_lattice(Shape(4, 3), "composition")
+        longest = max(lindstrom(4).chains, key=len)
+        spec = RenderSpec(highlight=ChainDecomposition(Shape(4, 3), [longest[::2]]))
+        assert "penwidth=2.4" not in to_dot(p, spec)
+        assert 'stroke-width="2.6"' not in to_svg(p, spec)
+
+    @pytest.mark.parametrize("n, top, construct", [(3, 6, lindstrom), (2, 8, scd_n2)])
+    def test_construction_overlays(self, n, top, construct):
+        for m in range(1, top + 1):
+            p = build_lattice(Shape(m, n), "composition")
+            spec = RenderSpec(labels="composition", highlight=construct(m))
+            assert to_dot(p, spec) == reference_dot(p, spec)
+            assert to_svg(p, spec) == reference_svg(p, spec)
+
+    @pytest.mark.parametrize("chains", [
+        [((0, 1, 1), (0, 0, 2)), ((2, 0, 2),)],
+        [((0, 2, 0), (0, 1, 1), (3, 0, 0))],
+        [((3, 0, 0), (0, 1, 1))],
+        [((0, 2, 0), (0, 1, 1)), ((0, 1, 1, 0),)],
+    ])
+    @pytest.mark.parametrize("draw", [to_dot, to_svg])
+    def test_absent_key_message(self, chains, draw):
+        p = build_lattice(Shape(2, 2), "composition")
+        spec = RenderSpec(highlight=ChainDecomposition(Shape(2, 2), chains))
+        with pytest.raises(ValueError) as expected:
+            reference_chain_steps(p, spec)
+        with pytest.raises(ValueError) as err:
+            draw(p, spec)
+        assert str(err.value) == str(expected.value)

@@ -316,6 +316,28 @@ class TestBruteForce:
         assert (result.status, result.assignments) == ("budget-exhausted", 100_001)
 
 
+# posets for the poset-resolved parse: the shapes of the decompositions the
+# tests below write, the L'(2,2) of their examples, bracketed keys, and the
+# empty lattice; any text is parsed with a poset of its own shape and of others
+PARSE_POSETS = [build_lattice(Shape(m, n), "composition")
+                for m, n in ((2, 2), (3, 2), (4, 2), (3, 3), (4, 3), (10, 2), (0, 3))]
+
+
+def parse_with_and_without(text, p):
+    """``parse_decomposition(text)``, after checking that ``p`` changes
+    nothing: the same result, or a ``ParseError`` with the same line and
+    message, which is raised again."""
+    try:
+        alone = parse_decomposition(text)
+    except ParseError as exc:
+        with pytest.raises(ParseError) as err:
+            parse_decomposition(text, p)
+        assert (err.value.line, str(err.value)) == (exc.line, str(exc))
+        raise
+    assert parse_decomposition(text, p) == alone
+    return alone
+
+
 def assert_writers_text(text, d):
     """``text`` is what serialize_decomposition writes for ``d``, up to line
     ends and runs of blanks."""
@@ -383,14 +405,15 @@ class TestDecompositionFiles:
         assert str(err.value) == (
             "line 2: chains out of canonical order (bottom rank, then bottom key)")
 
-    @given(st.sampled_from([lindstrom(3), lindstrom(4), scd_n2(3), scd_n2(4)]), st.data())
-    def test_a_text_that_parses_is_the_writers_text(self, d, data):
+    @given(st.sampled_from([lindstrom(3), lindstrom(4), scd_n2(3), scd_n2(4)]),
+           st.sampled_from(PARSE_POSETS), st.data())
+    def test_a_text_that_parses_is_the_writers_text(self, d, p, data):
         # the writer's text with its chain lines permuted, then edited a little
         lines = serialize_decomposition(d).splitlines()
         lines[1:] = data.draw(st.permutations(lines[1:]))
         text = mutated_text("\n".join(lines) + "\n", data)
         try:
-            back = parse_decomposition(text)
+            back = parse_with_and_without(text, p)
         except ParseError:
             return
         assert_writers_text(text, back)
@@ -410,29 +433,32 @@ class TestDecompositionFiles:
         assert again == d
         assert all(type(key) is tuple for chain in again.chains for key in chain)
 
-    @given(st.text())
-    @example("scd L'(2,2) chains=\u00b2\n")
-    @example("scd L'(100000,100000) chains=1\n1\n")
-    @example("scd L'(+2,2) chains=1\n002\n")
-    @example("scd L'(2,2) chains=0_1\n002\n")
-    @example("scd L'(2,2) chains=\u0661\n002\n")
-    @example("scd L'(2,2) chains=1\n[0,0,+2]\n")
-    @example("scd L'(2,2) chains=1\n[0,0,0_2]\n")
-    @example("scd L'(2,2) chains=1\n00\u0662\n")
-    def test_any_text_parses_or_raises_parse_error(self, text):
+    @given(st.text(), st.sampled_from(PARSE_POSETS))
+    @example("scd L'(2,2) chains=\u00b2\n", PARSE_POSETS[0])
+    @example("scd L'(100000,100000) chains=1\n1\n", PARSE_POSETS[0])
+    @example("scd L'(+2,2) chains=1\n002\n", PARSE_POSETS[0])
+    @example("scd L'(2,2) chains=0_1\n002\n", PARSE_POSETS[0])
+    @example("scd L'(2,2) chains=\u0661\n002\n", PARSE_POSETS[0])
+    @example("scd L'(2,2) chains=1\n[0,0,+2]\n", PARSE_POSETS[0])
+    @example("scd L'(2,2) chains=1\n[0,0,0_2]\n", PARSE_POSETS[0])
+    @example("scd L'(2,2) chains=1\n00\u0662\n", PARSE_POSETS[0])
+    @example("scd L'(2,2) chains=1\n002 011\n", PARSE_POSETS[0])
+    @example("scd L'(2,2) chains=1\n002 011\n", PARSE_POSETS[3])
+    def test_any_text_parses_or_raises_parse_error(self, text, p):
         try:
-            d = parse_decomposition(text)
+            d = parse_with_and_without(text, p)
         except ParseError:
             return
         assert_writers_text(text, d)
         # numbers are ASCII digits only: no sign, no underscore, no other digit
         assert not any(ch in "+_" or ch.isdigit() and not ch.isascii() for ch in text)
 
-    @given(st.sampled_from([lindstrom(3), lindstrom(4), scd_n2(3)]), st.data())
-    def test_mutated_file_parses_or_raises_parse_error(self, d, data):
+    @given(st.sampled_from([lindstrom(3), lindstrom(4), scd_n2(3)]),
+           st.sampled_from(PARSE_POSETS), st.data())
+    def test_mutated_file_parses_or_raises_parse_error(self, d, p, data):
         text = mutated_text(serialize_decomposition(d), data)
         try:
-            assert isinstance(parse_decomposition(text), ChainDecomposition)
+            assert isinstance(parse_with_and_without(text, p), ChainDecomposition)
         except ParseError:
             pass
 
@@ -486,7 +512,10 @@ class TestVerifierCatchesCorruption:
             lines = [text[:at], digit, text[at + 1:]]
         texts[which] = "".join(lines)
         try:
-            report = verify_scd(parse_decomposition(texts[1]), parse_poset(texts[0]))
+            # read as the command line reads them: the poset first, and its
+            # keys resolve the decomposition's tokens
+            p = parse_poset(texts[0])
+            report = verify_scd(parse_decomposition(texts[1], p), p)
         except ParseError:
             return
         except ValueError as exc:
