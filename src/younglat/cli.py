@@ -36,6 +36,7 @@ from .poset import (
 )
 from .render import RenderSpec, to_dot, to_svg
 from .scd import (
+    DEFAULT_BUDGET,
     _require_same_shape,
     brute_force_scd,
     lindstrom,
@@ -212,7 +213,7 @@ def _build_parser() -> argparse.ArgumentParser:
     brute = scd_sub.add_parser("brute", help="backtracking search")
     brute.add_argument("m", type=_nonneg)
     brute.add_argument("n", type=_nonneg)
-    brute.add_argument("--budget", type=_nonneg, default=100_000_000)
+    brute.add_argument("--budget", type=_nonneg, default=DEFAULT_BUDGET)
     brute.set_defaults(func=_cmd_scd_brute)
 
     verify = scd_sub.add_parser("verify", help="check a decomposition file")

@@ -13,15 +13,17 @@ right) counts the parts of size ``n + 1 - j``.  The first entry counts parts
 of size ``n`` and the last counts padding zeros.  ``to_multiplicity`` and
 ``from_multiplicity`` convert between the two coordinate systems and carry
 cover edges to cover edges in both directions.  Every ``poset.GradedPoset``
-keys its elements by weak composition, in either coordinate system; partitions
-are a view of those keys, taken with ``from_multiplicity`` for labels and
-partition-form chains.
+keys its elements by weak composition, in either coordinate system, and the
+program converts no key to a partition except to make a label; ``render``
+writes even those straight from the composition.
 
 ``poset.build_lattice`` and ``poset.check_splitting_identities`` enumerate
-elements with ``enumerate_compositions`` alone; the partition-side helpers
-(``leq``, ``covers``, ``conjugate``, ``complement``) are the order and the
-involutions of the partition form.  The rank of a composition is
-``weighted_sum``.
+elements with ``enumerate_compositions`` alone, and the rank of a
+composition is ``weighted_sum``.  The partition-side names
+(``from_multiplicity``, ``to_multiplicity``, ``leq``, ``covers``,
+``conjugate``, ``complement`` and the partition strings) are the public
+partition API: the package re-exports them, and no other module imports
+them.
 
 Everything here is a pure function over immutable tuples; concurrent callers
 need no coordination.

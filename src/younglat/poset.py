@@ -25,6 +25,7 @@ names, up to line ends and runs of blanks.
 from __future__ import annotations
 
 import re
+from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import accumulate, chain, compress, count, repeat
 from math import comb
@@ -140,30 +141,30 @@ def gaussian_binomial(m: int, n: int) -> RankPolynomial:
 
 
 class GradedPoset:
-    """A finite leveled poset with colored cover edges.
+    """The lattice of its shape, with colored cover edges.
 
+    Every poset is built by :func:`build_lattice`, so the shape fixes the
+    rest: ``height`` is ``m * n``, and equality is by shape and coordinates.
     ``elements`` holds weak-composition keys sorted by rank and then
     lexicographically, whatever ``coords`` is: ``coords`` only picks the
     label of :meth:`label`.  ``covers`` holds ``(lower_index, upper_index,
-    color)`` triples sorted by index pair.  The lattice factory guarantees a unique
-    minimum and maximum.  Covers must be root steps between composition keys:
-    :meth:`is_cover` and :meth:`color_of` decide from the two keys alone.
-    :attr:`key_strings` formats every key once, on first use, for all readers.
+    color)`` triples sorted by index pair.  Covers are root steps between
+    composition keys: :meth:`is_cover` and :meth:`color_of` decide from the
+    two keys alone.  :attr:`key_strings` formats every key once, on first
+    use, for all readers.
     """
 
     __slots__ = ("shape", "coords", "elements", "ranks", "covers", "height",
                  "_index", "_key_strings")
 
-    def __init__(self, shape, coords, elements, ranks, covers, height):
+    def __init__(self, shape, coords, elements, ranks, covers):
         self.shape = shape
         self.coords = coords
-        self.elements = tuple(elements)
-        self.ranks = tuple(ranks)
-        self.covers = tuple(covers)
-        self.height = height
-        if len(self.elements) != len(self.ranks):
-            raise ValueError("one rank per element required")
-        self._index = {key: i for i, key in enumerate(self.elements)}
+        self.elements = elements
+        self.ranks = ranks
+        self.covers = covers
+        self.height = shape.m * shape.n
+        self._index = {key: i for i, key in enumerate(elements)}
         self._key_strings = None
 
     def __len__(self) -> int:
@@ -175,10 +176,7 @@ class GradedPoset:
     def __eq__(self, other) -> bool:
         if not isinstance(other, GradedPoset):
             return NotImplemented
-        return (self.shape, self.coords, self.elements, self.ranks,
-                self.covers, self.height) == (
-                    other.shape, other.coords, other.elements, other.ranks,
-                    other.covers, other.height)
+        return (self.shape, self.coords) == (other.shape, other.coords)
 
     @property
     def key_strings(self) -> tuple[str, ...]:
@@ -213,12 +211,11 @@ class GradedPoset:
             raise KeyError(f"{upper_key} does not cover {lower_key} in {self.label()}")
         return edge_color(lower_key, upper_key)
 
-    def levels(self) -> list[list[int]]:
-        """Element indices grouped by rank, rank 0 first."""
-        out: list[list[int]] = [[] for _ in range(self.height + 1)]
-        for i, r in enumerate(self.ranks):
-            out[r].append(i)
-        return out
+    def levels(self) -> list[range]:
+        """Element indices grouped by rank, rank 0 first: the ranges between
+        the offsets of each rank in the sorted ``ranks``."""
+        starts = [bisect_left(self.ranks, r) for r in range(self.height + 2)]
+        return list(map(range, starts, starts[1:]))
 
     def label(self) -> str:
         prime = "" if self.coords == "partition" else "'"
@@ -258,26 +255,23 @@ def build_lattice(shape: Shape, coordinates: str = "partition") -> GradedPoset:
     if coordinates not in ("partition", "composition"):
         raise ValueError(f"unknown coordinate system {coordinates!r}")
     if m == 0 or n == 0:
-        return GradedPoset(shape, coordinates, (), (), (), 0)
+        return GradedPoset(shape, coordinates, (), (), ())
     _require_within_limit(m, n)
     lex = enumerate_compositions(m, n + 1)
     weights = list(map(weighted_sum, lex))
-    comps = list(map(lex.__getitem__, sorted(range(len(lex)), key=weights.__getitem__)))
-    ranks = sorted(weights)
+    comps = tuple(map(lex.__getitem__, sorted(range(len(lex)), key=weights.__getitem__)))
+    ranks = tuple(sorted(weights))
     everyone = list(range(len(comps)))  # shared int objects, not one per cover end
     runs = [zip(compress(everyone, map(itemgetter(j + 1), comps)),
                 compress(everyone, map(itemgetter(j), comps)), repeat(j + 1))
             for j in range(n)]
-    edges = sorted(chain.from_iterable(runs))
-    return GradedPoset(shape, coordinates, comps, ranks, edges, m * n)
+    edges = tuple(sorted(chain.from_iterable(runs)))
+    return GradedPoset(shape, coordinates, comps, ranks, edges)
 
 
 def rank_profile(p: GradedPoset) -> RankPolynomial:
     """Per-level element counts of ``p``; equals the Gaussian binomial for lattices."""
-    counts = [0] * (p.height + 1)
-    for r in p.ranks:
-        counts[r] += 1
-    return RankPolynomial(tuple(counts))
+    return RankPolynomial(tuple(map(len, p.levels())))
 
 
 def _shifted(coeffs: list[int], k: int) -> list[int]:

@@ -9,10 +9,9 @@ function of the inputs, byte for byte.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import chain, repeat
 from operator import mul
 
-from .partitions import from_multiplicity
 from .poset import GradedPoset
 from .roots import root_color
 from .scd import ChainDecomposition
@@ -33,10 +32,6 @@ class RenderSpec:
     highlight: ChainDecomposition | None = None
 
 
-def _young_rows(partition) -> list[str]:
-    return ["■" * v for v in partition]
-
-
 def _repeat_join(c, tokens: list[str], sep: str) -> str:
     # token j repeated c[j] times; every token ends in sep, the last one is cut
     text = "".join(map(mul, tokens, c))
@@ -47,8 +42,9 @@ def _node_labels(p: GradedPoset, spec: RenderSpec) -> list[str]:
     """One label per element, in element order.
 
     Partition and Young labels are built straight from the composition, part
-    size ``n - j`` repeated ``c[j]`` times for ``j < n``; they equal
-    ``format_partition`` and ``_young_rows`` of ``from_multiplicity(c)``.
+    size ``n - j`` repeated ``c[j]`` times for ``j < n``: the partition
+    ``from_multiplicity(c)``, as ``format_partition`` writes it or as rows
+    of Young cells.
     """
     comps = p.elements
     if spec.labels == "composition":
@@ -111,8 +107,7 @@ def to_dot(p: GradedPoset, spec: RenderSpec | None = None) -> str:
             styles[color, False] = f'color="{name}", style=dotted, penwidth=0.8'
     keys = p.key_strings
     size = len(p)
-    on_chain = (repeat(False) if steps is None else
-                [lo * size + hi in steps for lo, hi, _ in p.covers])
+    chained = steps or ()  # no overlay, or one with no steps: no edge is on a chain
     out = [
         f'digraph "{p.label()}" {{',
         "  rankdir=BT;",
@@ -122,8 +117,8 @@ def to_dot(p: GradedPoset, spec: RenderSpec | None = None) -> str:
             for level in p.levels() if level]
     out += [f'  "{key}" [label="{label}"];'
             for key, label in zip(keys, _node_labels(p, spec))]
-    out += [f'  "{keys[lo]}" -> "{keys[hi]}" [{styles[color, on]}];'
-            for (lo, hi, color), on in zip(p.covers, on_chain)]
+    out += [f'  "{keys[lo]}" -> "{keys[hi]}" [{styles[color, lo * size + hi in chained]}];'
+            for lo, hi, color in p.covers]
     out.append("}")
     return "\n".join(out) + "\n"
 
@@ -142,6 +137,7 @@ def to_svg(p: GradedPoset, spec: RenderSpec | None = None) -> str:
     young = spec.labels == "young"
     labels = None if young else _node_labels(p, spec)
     comps = p.elements
+    n = p.shape.n
     size = len(p)
     levels = p.levels()
     widest = max((len(level) for level in levels), default=1) or 1
@@ -180,14 +176,14 @@ def to_svg(p: GradedPoset, spec: RenderSpec | None = None) -> str:
         x, y = pos[i]
         out.append(f'    <g class="node" data-key="{key}">')
         if young:
-            rows = _young_rows(from_multiplicity(comps[i], p.shape))
+            # c[j] rows of n - j cells, the rule of _node_labels
+            rows = list(chain.from_iterable(map(repeat, range(n, 0, -1), comps[i])))
             if not rows:
                 out.append(
                     f'      <text x="{x:.1f}" y="{y:.1f}" text-anchor="middle" '
                     f'font-size="10">∅</text>'
                 )
-            for ridx, row in enumerate(rows):
-                row_len = len(row)
+            for ridx, row_len in enumerate(rows):
                 x0 = x - row_len * cell / 2
                 y0 = y - len(rows) * cell / 2 + ridx * cell
                 for cidx in range(row_len):

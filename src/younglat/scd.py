@@ -30,17 +30,16 @@ from typing import Iterator
 from .partitions import (
     Shape,
     WeakComposition,
-    conjugate,
     format_composition,
-    from_multiplicity,
     parse_composition,
     parse_natural,
-    to_multiplicity,
     weighted_sum,
 )
 from .poset import GradedPoset, ParseError, _parse_label, _require_within_limit, rank_profile
 
 Chain = tuple[WeakComposition, ...]
+
+DEFAULT_BUDGET = 100_000_000  # assignments brute_force_scd may spend, unless told otherwise
 
 
 class ChainDecomposition:
@@ -266,18 +265,18 @@ def _even_shell(m: int, s: int) -> list[Chain]:
     return chains
 
 
+# the two chains of the (2, 3) lattice: the conjugates of the alternating
+# chains of the (3, 2) box
+_TWO_COLUMN = (
+    ((2, 0, 0, 0), (1, 1, 0, 0), (0, 2, 0, 0), (0, 1, 1, 0), (0, 0, 2, 0),
+     (0, 0, 1, 1), (0, 0, 0, 2)),
+    ((1, 0, 1, 0), (1, 0, 0, 1), (0, 1, 0, 1)),
+)
+
+
 def _two_column_seed(s: int) -> list[Chain]:
-    """Decomposition of the (2, 3) lattice obtained by conjugating the
-    alternating decomposition of the (3, 2) box, written at offset ``s``."""
-    out = []
-    for chain in scd_n2(3).chains:
-        mapped = []
-        for key in chain:
-            part = from_multiplicity(key, Shape(3, 2))
-            a, b, c, d = to_multiplicity(conjugate(part), Shape(2, 3))
-            mapped.append((a + s, b, c, d + s))
-        out.append(tuple(mapped))
-    return out
+    """The decomposition of the (2, 3) lattice, written at offset ``s``."""
+    return [tuple((a + s, b, c, d + s) for a, b, c, d in chain) for chain in _TWO_COLUMN]
 
 
 def lindstrom(m: int) -> ChainDecomposition:
@@ -335,27 +334,22 @@ class SearchResult:
     assignments: int
 
 
-def brute_force_scd(p: GradedPoset, budget: int = 100_000_000) -> SearchResult:
+def brute_force_scd(p: GradedPoset, budget: int = DEFAULT_BUDGET) -> SearchResult:
     """Backtracking search for a symmetric chain decomposition of ``p``.
 
     The highest-ranked unassigned element must top a chain descending to the
     mirror rank; candidate paths are explored in canonical element order, so
     the result is deterministic.  Branches are pruned with the forced count
     of chain tops per level (the consecutive differences of the rank
-    numbers).  An asymmetric or non-unimodal rank profile is proof that no
-    decomposition exists.  Each attempted placement consumes one unit of
-    ``budget``; running out is reported distinctly from proven absence.  The
-    search keeps its own stack, so no shape reaches the recursion limit.
+    numbers).  Each attempted placement consumes one unit of ``budget``;
+    running out is reported distinctly from proven absence.  The search
+    keeps its own stack, so no shape reaches the recursion limit.
     """
     n_el = len(p)
     if n_el == 0:
         return SearchResult("found", ChainDecomposition(p.shape, ()), 0)
     ht = p.height
     counts = rank_profile(p)
-    if any(counts[r] != counts[ht - r] for r in range(ht + 1)):
-        return SearchResult("not-found", None, 0)
-    if any(counts[r] > counts[r + 1] for r in range(ht // 2)):
-        return SearchResult("not-found", None, 0)
 
     tops_quota = {}
     for t in range((ht + 1) // 2, ht + 1):
@@ -364,10 +358,8 @@ def brute_force_scd(p: GradedPoset, budget: int = 100_000_000) -> SearchResult:
             tops_quota[t] = quota
 
     down: list[list[int]] = [[] for _ in range(n_el)]
-    for lo, hi, _ in p.covers:
+    for lo, hi, _ in p.covers:  # in lower-index order, so each list is ascending
         down[hi].append(lo)
-    for targets in down:
-        targets.sort()
 
     ranks = p.ranks
     unassigned = [True] * n_el

@@ -116,6 +116,13 @@ class TestScdCommands:
         assert code == 1
         assert out.startswith("budget-exhausted")
 
+    def test_budget_default_is_the_library_default(self):
+        import inspect
+
+        args = cli._build_parser().parse_args(["scd", "brute", "3", "3"])
+        library = inspect.signature(scd.brute_force_scd).parameters["budget"].default
+        assert args.budget == library == scd.DEFAULT_BUDGET == 100_000_000
+
     def test_generated_files_always_verify(self, tmp_path, capsys):
         for m in range(1, 21):
             poset_file = tmp_path / f"p{m}.poset"

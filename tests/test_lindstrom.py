@@ -1,6 +1,12 @@
 import pytest
 
-from younglat.partitions import Shape, format_composition, from_multiplicity
+from younglat.partitions import (
+    Shape,
+    conjugate,
+    format_composition,
+    from_multiplicity,
+    to_multiplicity,
+)
 from younglat.poset import build_lattice, gaussian_binomial
 from younglat.scd import (
     Chain,
@@ -9,6 +15,7 @@ from younglat.scd import (
     _odd_shell,
     _two_column_seed,
     lindstrom,
+    scd_n2,
     serialize_decomposition,
     verify_scd,
 )
@@ -202,6 +209,21 @@ class TestChainsWrittenOnce:
                 reference_lindstrom(m))
 
 
+def reference_two_column_seed(s: int) -> list[Chain]:
+    """The seed as it was derived: the alternating decomposition of the
+    (3, 2) box, conjugated through the partition form into the (2, 3)
+    lattice, written at offset ``s``."""
+    out = []
+    for chain in scd_n2(3).chains:
+        mapped = []
+        for key in chain:
+            part = from_multiplicity(key, Shape(3, 2))
+            a, b, c, d = to_multiplicity(conjugate(part), Shape(2, 3))
+            mapped.append((a + s, b, c, d + s))
+        out.append(tuple(mapped))
+    return out
+
+
 class TestShellsMatchTheFrozenReference:
     @pytest.mark.parametrize("s", range(3))
     def test_odd_shell(self, s):
@@ -212,6 +234,10 @@ class TestShellsMatchTheFrozenReference:
     def test_even_shell(self, s):
         for m in range(4, 60, 2):
             assert _even_shell(m, s) == reference_even_shell(m, s), (m, s)
+
+    @pytest.mark.parametrize("s", range(4))
+    def test_two_column_seed(self, s):
+        assert _two_column_seed(s) == reference_two_column_seed(s)
 
 
 class TestDispatch:

@@ -362,3 +362,31 @@ class TestArgumentValidation:
     def test_negative_part_rejected(self):
         with pytest.raises(ValueError):
             as_partition([3, -1])
+
+
+PARTITION_SIDE = {"from_multiplicity", "to_multiplicity", "conjugate", "complement",
+                  "leq", "covers", "as_partition", "format_partition", "parse_partition"}
+
+
+class TestPartitionsAreALabel:
+    def test_no_module_imports_the_partition_side(self):
+        # the program keeps composition keys; only the package re-exports
+        # the partition API
+        import ast
+        from pathlib import Path
+
+        import younglat
+
+        offenders = []
+        for path in sorted(Path(younglat.__file__).parent.glob("*.py")):
+            if path.name == "partitions.py":
+                continue
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if not isinstance(node, ast.ImportFrom):
+                    continue
+                if path.name == "__init__.py" and node.module == "partitions":
+                    continue  # the package's public names
+                # a whole-module import would reach the same names
+                offenders += [f"{path.name}:{node.lineno} {alias.name}" for alias in node.names
+                              if alias.name in PARTITION_SIDE | {"partitions"}]
+        assert offenders == []

@@ -1,19 +1,25 @@
 import re
+from math import comb
 
 import pytest
 
-from younglat import render
-from younglat.partitions import Shape, format_partition, from_multiplicity
+from younglat import partitions, render
+from younglat.partitions import Shape, format_composition, format_partition, from_multiplicity
 from younglat.poset import build_lattice
 from younglat.render import (
     DiagramSizeError,
     RenderSpec,
     _node_labels,
-    _young_rows,
     to_dot,
     to_svg,
 )
+from younglat.roots import root_color
 from younglat.scd import ChainDecomposition, brute_force_scd, lindstrom, scd_n2
+
+
+def young_rows(partition):
+    """The rows of Young cells of a partition, one glyph per cell."""
+    return ["■" * v for v in partition]
 
 
 def dot_counts(text):
@@ -121,20 +127,22 @@ class TestLabels:
                     format_partition(a) for a in parts
                 ]
                 assert _node_labels(p, RenderSpec(labels="young")) == [
-                    "\\n".join(_young_rows(a)) or "∅" for a in parts
+                    "\\n".join(young_rows(a)) or "∅" for a in parts
                 ]
 
-    def test_svg_young_converts_each_element_once(self, monkeypatch):
+    def test_svg_young_converts_no_element(self, monkeypatch):
+        # the cells come from the composition key, not from a partition
         calls = []
 
         def counting(c, shape):
             calls.append(c)
             return from_multiplicity(c, shape)
 
-        monkeypatch.setattr(render, "from_multiplicity", counting)
+        monkeypatch.setattr(partitions, "from_multiplicity", counting)
+        assert not hasattr(render, "from_multiplicity")
         p = build_lattice(Shape(3, 3), "composition")
         to_svg(p, RenderSpec(labels="young"))
-        assert sorted(calls) == sorted(p.elements)
+        assert calls == []
 
 
 class TestSvgLimits:
@@ -285,3 +293,73 @@ class TestOverlayMatchesKeyPairReference:
         with pytest.raises(ValueError) as err:
             draw(p, spec)
         assert str(err.value) == str(expected.value)
+
+
+def reference_young_svg(p, spec):
+    """``to_svg`` with Young labels as it was drawn: each key converted with
+    ``from_multiplicity`` and its cells taken from the partition's rows, the
+    overlay from key pairs."""
+    steps = reference_chain_steps(p, spec)
+    comps = p.elements
+    levels = [[i for i, r in enumerate(p.ranks) if r == rank] for rank in range(p.height + 1)]
+    widest = max((len(level) for level in levels), default=1) or 1
+    width = 80 + (widest - 1) * 64
+    height_px = 80 + p.height * 48
+    pos = {}
+    for r, level in enumerate(levels):
+        y = 40 + (p.height - r) * 48
+        for slot, i in enumerate(level):
+            pos[i] = (width / 2 + (slot - (len(level) - 1) / 2) * 64, y)
+    out = [
+        '<?xml version="1.0" encoding="UTF-8"?>',
+        f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
+        f'width="{width}" height="{height_px}" viewBox="0 0 {width} {height_px}">',
+        f"  <title>{p.label()}</title>",
+        '  <g class="edges">',
+    ]
+    for lo, hi, color in p.covers:
+        (x1, y1), (x2, y2) = pos[lo], pos[hi]
+        extra = ""
+        if steps is not None:
+            extra = (' stroke-width="2.6"' if (comps[lo], comps[hi]) in steps
+                     else ' stroke-width="1" stroke-opacity="0.35"')
+        out.append(f'    <line x1="{x1:.1f}" y1="{y1:.1f}" x2="{x2:.1f}" y2="{y2:.1f}" '
+                   f'stroke="{root_color(color)}"{extra}/>')
+    out += ["  </g>", '  <g class="nodes">']
+    for i, c in enumerate(comps):
+        x, y = pos[i]
+        out.append(f'    <g class="node" data-key="{format_composition(c)}">')
+        rows = young_rows(from_multiplicity(c, p.shape))
+        if not rows:
+            out.append(f'      <text x="{x:.1f}" y="{y:.1f}" text-anchor="middle" '
+                       f'font-size="10">∅</text>')
+        for ridx, row in enumerate(rows):
+            x0 = x - len(row) * 7 / 2
+            y0 = y - len(rows) * 7 / 2 + ridx * 7
+            out += [f'      <rect x="{x0 + cidx * 7:.1f}" y="{y0:.1f}" '
+                    f'width="7" height="7" fill="white" stroke="black"/>'
+                    for cidx in range(len(row))]
+        out.append("    </g>")
+    out += ["  </g>", "</svg>"]
+    return "\n".join(out) + "\n"
+
+
+# the shapes of the small-diagram sweep: every drawable box of at most 1,001 elements
+SMALL_SHAPES = [(m, n) for m in range(1, 61) for n in range(1, 61)
+                if m * n <= 60 and comb(m + n, m) <= 1001]
+
+
+class TestYoungCellsMatchThePartitionReference:
+    def test_every_small_shape(self):
+        assert len(SMALL_SHAPES) == 222
+        for m, n in SMALL_SHAPES:
+            p = build_lattice(Shape(m, n), "composition")
+            overlay = scd_n2(m) if n == 2 else lindstrom(m) if n == 3 else None
+            spec = RenderSpec(labels="young", highlight=overlay)
+            assert to_svg(p, spec) == reference_young_svg(p, spec), (m, n)
+
+    def test_partition_coordinates_and_no_overlay(self):
+        for shape in ((3, 3), (1, 5), (5, 1), (4, 2)):
+            p = build_lattice(Shape(*shape))
+            spec = RenderSpec(labels="young")
+            assert to_svg(p, spec) == reference_young_svg(p, spec), shape
