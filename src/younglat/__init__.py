@@ -27,6 +27,7 @@ from .partitions import (
     covers,
     enumerate_compositions,
     format_composition,
+    format_compositions,
     format_partition,
     from_multiplicity,
     leq,

@@ -28,11 +28,11 @@ from pathlib import Path
 from .partitions import Shape
 from .poset import (
     ParseError,
+    _poset_blocks,
     build_lattice,
     check_splitting_identities,
     gaussian_binomial,
     parse_poset,
-    serialize_poset,
 )
 from .render import RenderSpec, to_dot, to_svg
 from .scd import (
@@ -65,17 +65,20 @@ def _positive(text: str) -> int:
     return value
 
 
-def _emit(text: str, out: str | None, summary: str) -> None:
-    if out:
-        try:
-            Path(out).write_text(text, encoding="utf-8")
-        except OSError as exc:
-            raise CliError(str(exc)) from None
-        except ValueError as exc:  # a NUL or an unencodable character in the name
-            raise CliError(f"{out!r}: {exc}") from None
-        print(summary, file=sys.stderr)
-    else:
-        print(text, end="")
+def _emit(blocks, out: str | None, summary: str) -> None:
+    """Write the strings ``blocks`` one after another to the file ``out``,
+    opened as ``Path.write_text`` opens it, or to stdout without ``out``."""
+    if not out:
+        sys.stdout.writelines(blocks)
+        return
+    try:
+        with Path(out).open("w", encoding="utf-8") as fh:
+            fh.writelines(blocks)
+    except OSError as exc:
+        raise CliError(str(exc)) from None
+    except ValueError as exc:  # a NUL or an unencodable character in the name
+        raise CliError(f"{out!r}: {exc}") from None
+    print(summary, file=sys.stderr)
 
 
 def _read(path: str) -> str:
@@ -99,7 +102,7 @@ def _load(parse, path: str):
 def _cmd_lattice(args) -> int:
     p = build_lattice(Shape(args.m, args.n), args.coords)
     _emit(
-        serialize_poset(p),
+        _poset_blocks(p),
         args.out,
         f"wrote {p.label()}: {len(p)} elements, {len(p.covers)} covers to {args.out}",
     )
@@ -128,7 +131,7 @@ def _cmd_scd_construct(args) -> int:
     construct = lindstrom if args.scd_command == "lindstrom" else scd_n2
     d = construct(args.m)
     _emit(
-        serialize_decomposition(d),
+        [serialize_decomposition(d)],
         args.out,
         f"wrote {len(d)} chains for L'({args.m},{d.shape.n}) to {args.out}",
     )

@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import re
 from functools import lru_cache
+from itertools import chain
 from typing import Iterable, NamedTuple, Sequence
 
 Partition = tuple[int, ...]
@@ -230,9 +231,22 @@ def _key_templates(length: int) -> tuple[str, str]:
     return "%d" * length, "[" + ",".join(["%d"] * length) + "]"
 
 
+def _key_template(c: WeakComposition) -> str:
+    return _key_templates(len(c))[bool(c) and max(c) > 9]
+
+
 def format_composition(c: WeakComposition) -> str:
     """Digit-string key ("1120"), bracketed ("[10,0,2,0]") when an entry exceeds 9."""
-    return _key_templates(len(c))[bool(c) and max(c) > 9] % tuple(c)
+    return _key_template(c) % tuple(c)
+
+
+def format_compositions(keys: Sequence[WeakComposition]) -> list[str]:
+    """``list(map(format_composition, keys))``, made by one ``%`` of the keys'
+    templates joined by newlines over all their entries, then split; no key
+    string holds a newline."""
+    if not keys:
+        return []
+    return ("\n".join(map(_key_template, keys)) % tuple(chain.from_iterable(keys))).split("\n")
 
 
 def parse_natural(text: str) -> int:

@@ -20,6 +20,11 @@ ordered by rank and then lexicographically; covers are sorted by index pair.
 Output is byte-stable.  The header fixes everything after it, so a file
 parses exactly when it is the writer's text for the lattice its header
 names, up to line ends and runs of blanks.
+
+The writer makes the text in blocks of a fixed number of lines, each block
+by one ``%`` of the repeated line template over the block's values, so it
+never holds one string per line.  A command writes the blocks out as they
+come, and the parser compares a text with them block by block, in place.
 """
 
 from __future__ import annotations
@@ -27,14 +32,14 @@ from __future__ import annotations
 import re
 from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import accumulate, chain, compress, count, repeat
+from itertools import accumulate, chain, compress, count, islice, repeat
 from math import comb
 from operator import itemgetter, sub
 
 from .partitions import (
     Shape,
     enumerate_compositions,
-    format_composition,
+    format_compositions,
     parse_natural,
     weighted_sum,
 )
@@ -45,6 +50,7 @@ _FIRST_LINE = re.compile(r"[^\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029]*")
 
 ELEMENT_LIMIT = 4_000_000  # above L(12,12); build_lattice refuses larger lattices
 DEGREE_LIMIT = 90_000  # m * n of L(300,300); gaussian_binomial refuses larger boxes
+_BLOCK_LINES = 4096  # lines per block of the poset writer
 
 
 class ParseError(ValueError):
@@ -182,11 +188,12 @@ class GradedPoset:
     def key_strings(self) -> tuple[str, ...]:
         """``format_composition`` of each element, in element order.
 
-        Formatted on first access and kept; two threads racing here format
-        the same strings, so the poset stays safe to share.
+        Formatted on first access, all at once by ``format_compositions``,
+        and kept for the writer's blocks and every other reader; two threads
+        racing here format the same strings, so the poset stays safe to share.
         """
         if self._key_strings is None:
-            self._key_strings = tuple(map(format_composition, self.elements))
+            self._key_strings = tuple(format_compositions(self.elements))
         return self._key_strings
 
     def index_of(self, key) -> int:
@@ -341,18 +348,33 @@ def check_splitting_identities(m: int, n: int) -> SplitCheck:
                       len(without_big), bijective)
 
 
+def _blocks(template: str, rows):
+    """``template`` filled from ``rows`` of three values, ``_BLOCK_LINES`` rows
+    to a block: one ``%`` over the block's values.  ``rows`` is read as an
+    iterator, never sliced, so any iterable will do."""
+    rows = iter(rows)
+    while values := tuple(chain.from_iterable(islice(rows, _BLOCK_LINES))):
+        yield template * (len(values) // 3) % values
+
+
+def _poset_blocks(p: GradedPoset):
+    """The interchange text of ``p``: the header line, then the element lines
+    and the cover lines in blocks of at most ``_BLOCK_LINES`` lines."""
+    yield f"poset {p.label()} height={p.height} count={len(p)}\n"
+    yield from _blocks("%d %d %s\n", zip(count(), p.ranks, p.key_strings))
+    yield from _blocks("%d %d %d\n", p.covers)
+
+
 def _poset_lines(p: GradedPoset):
-    """The lines of ``p`` in the interchange format, each ending in ``\\n``."""
-    return chain(
-        [f"poset {p.label()} height={p.height} count={len(p)}\n"],
-        map("%d %d %s\n".__mod__, zip(count(), p.ranks, p.key_strings)),
-        map("%d %d %d\n".__mod__, p.covers),
-    )
+    """The lines of ``p`` in the interchange format, without their line ends."""
+    return chain.from_iterable(map(str.splitlines, _poset_blocks(p)))
 
 
 def serialize_poset(p: GradedPoset) -> str:
-    """Render ``p`` in the interchange format."""
-    return "".join(_poset_lines(p))
+    """Render ``p`` in the interchange format: the writer's blocks of
+    ``_BLOCK_LINES`` lines, joined; ``lattice`` writes the blocks out one by
+    one instead."""
+    return "".join(_poset_blocks(p))
 
 
 def _parse_label(label: str) -> tuple[Shape, str]:
@@ -403,9 +425,10 @@ def parse_poset(text: str) -> GradedPoset:
     lattice up to line ends (as ``str.splitlines`` cuts them) and runs of
     blanks.  The header is read first and the lines are counted, so a lattice
     is built only for a text with as many lines as its own, and at most once.
-    The exact bytes the writer produces are accepted by one comparison; any
-    other text is compared line by line, and the first line whose words
-    differ raises :class:`ParseError`, the only exception raised.
+    The writer's exact bytes are accepted by comparing the text with its
+    blocks one at a time, in place, without a second full copy; any other
+    text is compared line by line, and the first line whose words differ
+    raises :class:`ParseError`, the only exception raised.
     """
     shape, coords = _parse_header(text)
     m, n = shape
@@ -416,13 +439,18 @@ def parse_poset(text: str) -> GradedPoset:
     if got != expected:
         raise _line_count_error(got, expected)
     built = build_lattice(shape, coords)
-    canonical = serialize_poset(built)
-    if text == canonical:
-        return built
+    pos = 0
+    for block in _poset_blocks(built):
+        if not text.startswith(block, pos):
+            break
+        pos += len(block)
+    else:
+        if pos == len(text):
+            return built
     lines = text.splitlines()
     if len(lines) != expected:  # other line breaks besides the right number of "\n"
         raise _line_count_error(len(lines), expected)
     for number, line, want in zip(count(1), lines, _poset_lines(built)):
         if line.split() != want.split():
-            raise ParseError(number, f"expected {want[:-1]!r}, got {line!r}")
+            raise ParseError(number, f"expected {want!r}, got {line!r}")
     return built

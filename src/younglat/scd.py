@@ -25,12 +25,14 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import islice
 from typing import Iterator
 
 from .partitions import (
     Shape,
     WeakComposition,
     format_composition,
+    format_compositions,
     parse_composition,
     parse_natural,
     weighted_sum,
@@ -417,9 +419,11 @@ def brute_force_scd(p: GradedPoset, budget: int = DEFAULT_BUDGET) -> SearchResul
 
 
 def serialize_decomposition(d: ChainDecomposition) -> str:
-    """Render ``d`` in the decomposition file format."""
+    """Render ``d`` in the decomposition file format; every key of every
+    chain is formatted by one :func:`format_compositions` call."""
+    keys = iter(format_compositions([key for c in d.chains for key in c]))
     lines = [f"scd L'({d.shape.m},{d.shape.n}) chains={len(d.chains)}"]
-    lines += [" ".join(map(format_composition, chain)) for chain in d.chains]
+    lines += [" ".join(islice(keys, len(c))) for c in d.chains]
     return "\n".join(lines) + "\n"
 
 

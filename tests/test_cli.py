@@ -2,6 +2,7 @@ import os
 import subprocess
 import sys
 import time
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -42,6 +43,20 @@ class TestLattice:
         assert out == ""
         assert "20 elements" in err
         assert target.read_text() == serialize_poset(build_lattice(Shape(3, 3)))
+
+    @pytest.mark.parametrize("block_lines", [1, 7])
+    def test_streamed_blocks_give_the_written_bytes(self, tmp_path, monkeypatch, capsys,
+                                                    block_lines):
+        # the blocks go out one by one: the file gets the bytes Path.write_text
+        # gives the whole text, and stdout gets the text
+        monkeypatch.setattr(poset, "_BLOCK_LINES", block_lines)
+        text = serialize_poset(build_lattice(Shape(4, 3), "composition"))
+        whole, target = tmp_path / "whole.poset", tmp_path / "streamed.poset"
+        whole.write_text(text, encoding="utf-8")
+        argv = ["lattice", "4", "3", "--coords", "composition"]
+        assert run(capsys, *argv, "--out", str(target))[:2] == (0, "")
+        assert target.read_bytes() == whole.read_bytes()
+        assert run(capsys, *argv) == (0, text, "")
 
     def test_composition_coordinates(self, capsys):
         code, out, _ = run(capsys, "lattice", "2", "2", "--coords", "composition")
@@ -179,7 +194,8 @@ class TestRender:
 
 class TestKeysReadOnce:
     """A command that parsed the poset reads the decomposition's keys through
-    the poset's key strings: no key is parsed, and each is formatted once."""
+    the poset's key strings: no key is parsed, and each is formatted once,
+    singly or in a batch."""
 
     @pytest.mark.parametrize("command", [["scd", "verify"], ["render"]])
     def test_each_key_is_formatted_once_and_never_parsed(self, tmp_path, monkeypatch,
@@ -187,22 +203,33 @@ class TestKeysReadOnce:
         poset_file, scd_file = str(tmp_path / "p.poset"), str(tmp_path / "d.scd")
         run(capsys, "lattice", "6", "3", "--coords", "composition", "--out", poset_file)
         run(capsys, "scd", "lindstrom", "6", "--out", scd_file)
-        calls = {"format_composition": 0, "parse_composition": 0}
-        for name in calls:
-            original = getattr(partitions, name)
+        formatted, parsed = Counter(), []
 
-            def counting(arg, original=original, name=name):
-                calls[name] += 1
-                return original(arg)
+        def format_one(key, original=partitions.format_composition):
+            formatted[key] += 1
+            return original(key)
 
+        def format_batch(keys, original=partitions.format_compositions):
+            formatted.update(keys)
+            return original(keys)
+
+        def parse_one(text, original=partitions.parse_composition):
+            parsed.append(text)
+            return original(text)
+
+        counting = {"format_composition": format_one, "format_compositions": format_batch,
+                    "parse_composition": parse_one}
+        for name, fake in counting.items():
             for module in (partitions, poset, scd, render, cli):
                 if hasattr(module, name):
-                    monkeypatch.setattr(module, name, counting)
+                    monkeypatch.setattr(module, name, fake)
         argv = [*command, poset_file] + (
             ["--scd", scd_file] if command == ["render"] else [scd_file])
         assert run(capsys, *argv)[0] == 0
-        assert calls == {"format_composition": len(build_lattice(Shape(6, 3))),
-                         "parse_composition": 0}
+        elements = build_lattice(Shape(6, 3)).elements
+        assert len(elements) == 84
+        assert formatted == Counter(elements)
+        assert parsed == []
 
 
 class TestErrorPaths:

@@ -1,3 +1,4 @@
+import tracemalloc
 from collections import Counter
 from math import comb
 from time import perf_counter
@@ -20,6 +21,7 @@ from younglat.partitions import (
     Shape,
     enumerate_compositions,
     format_composition,
+    format_compositions,
     from_multiplicity,
     leq,
     to_multiplicity,
@@ -611,6 +613,11 @@ class TestCanonicalPosetIO:
         keys |= {(), (0,), (9,), (10,), (10, 0, 2, 0), (123, 4), (9, 9, 9)}
         for c in keys:
             assert format_composition(c) == reference_format_composition(c)
+        keys = sorted(keys)  # mixed lengths and widths in one call
+        assert format_compositions(keys) == list(map(reference_format_composition, keys))
+        for batch in ([], [()], [(), ()], [(10, 0, 2, 0), (1, 2), (9, 9, 9)],
+                      [(1, 2), (), (123, 4), (0,), ()]):
+            assert format_compositions(batch) == list(map(reference_format_composition, batch))
 
     @pytest.mark.parametrize("coords", ["partition", "composition"])
     def test_fast_path_returns_what_the_validator_returns(self, coords):
@@ -648,6 +655,89 @@ class TestCanonicalPosetIO:
         lines = 1 + comb(24, 12) + 12 * comb(23, 12)
         assert lines == 18_929_093
         assert str(err.value) == "line 5: expected 18929093 lines, got 4"
+
+
+def traced_peak(fn, *args):
+    """The most memory ``fn(*args)`` had allocated at once, in bytes."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def _change_first_line(text):
+    """The index of the first element line changed from 0 to 1."""
+    start = text.index("\n") + 1
+    return text[:start] + "1" + text[start + 1:]
+
+
+def _change_last_line(text):
+    """The color of the last cover line changed."""
+    return text[:-2] + ("2" if text[-2] == "1" else "1") + "\n"
+
+
+class TestBlockWriter:
+    """The writer makes the text in blocks of ``_BLOCK_LINES`` lines, and the
+    parser compares a text with those blocks in place; where the blocks end
+    changes no byte written and no result or error of a parse."""
+
+    SHAPES = [Shape(m, n) for m in range(7) for n in range(7)]
+
+    @pytest.mark.parametrize("block_lines", [1, 2, 3, 7])
+    @pytest.mark.parametrize("coords", ["partition", "composition"])
+    def test_any_block_size_writes_and_reads_the_reference_text(self, monkeypatch,
+                                                                block_lines, coords):
+        monkeypatch.setattr(poset, "_BLOCK_LINES", block_lines)
+        for shape in self.SHAPES:
+            p = build_lattice(shape, coords)
+            blocks = list(poset._poset_blocks(p))
+            assert all(0 < block.count("\n") <= block_lines for block in blocks), shape
+            text = serialize_poset(p)
+            assert text == "".join(blocks) == reference_serialize_poset(p), shape
+            assert lattice_fields(p) == reference_parse_lines(text), shape
+            validated = parse_poset(text.replace("\n", "\r\n"))  # not the writer's bytes
+            assert_same_poset(validated, p)
+            assert_same_poset(parse_poset(text), validated)
+            assert_same_poset(parse_poset(LineSplitForbidden(text)), validated)
+
+    @pytest.mark.parametrize("block_lines", [1, 2, 3, 7, poset._BLOCK_LINES])
+    @pytest.mark.parametrize("shape, coords, count, first_key, last_lo_hi", [
+        ((4, 3), "composition", 96, "0004", "33 34"),
+        ((2, 2), "partition", 13, "002", "4 5"),
+        ((6, 6), "partition", 3697, "0000006", "922 923"),
+    ])
+    def test_near_misses_raise_the_line_validators_errors(self, monkeypatch, block_lines,
+                                                           shape, coords, count, first_key,
+                                                           last_lo_hi):
+        monkeypatch.setattr(poset, "_BLOCK_LINES", block_lines)
+        p = build_lattice(Shape(*shape), coords)
+        text = serialize_poset(p)
+        assert_same_poset(parse_poset(text[:-1]), p)  # the final line end is free
+        last_line = f"{last_lo_hi} 1"
+        for variant, line, message in [
+            (text + "x", count + 1, f"expected {count} lines, got {count + 1}"),
+            (text[:-2] + "\n", count, f"expected {last_line!r}, got '{last_lo_hi} '"),
+            (_change_first_line(text), 2, f"expected '0 0 {first_key}', got '1 0 {first_key}'"),
+            (_change_last_line(text), count, f"expected {last_line!r}, got '{last_lo_hi} 2'"),
+        ]:
+            with pytest.raises(ParseError) as err:
+                parse_poset(variant)
+            assert (err.value.line, str(err.value)) == (line, f"line {line}: {message}")
+
+    def test_write_and_parse_hold_one_text_at_a_time(self):
+        # L'(60,3): 39,711 elements and 113,460 covers.  Joining one string
+        # per line held about 5.7 texts at the peak of a write and 6.5 texts
+        # beyond the build at the peak of a parse.
+        p = build_lattice(Shape(60, 3), "composition")
+        p.key_strings
+        text = serialize_poset(p)
+        size = len(text)
+        assert traced_peak(serialize_poset, p) < 3 * size
+        parse_peak = traced_peak(parse_poset, text)
+        build_peak = traced_peak(build_lattice, Shape(60, 3), "composition")
+        assert parse_peak - build_peak < 3 * size
 
 
 _L22 = serialize_poset(build_lattice(Shape(2, 2)))
