@@ -34,7 +34,7 @@ from .poset import (
     gaussian_binomial,
     parse_poset,
 )
-from .render import RenderSpec, to_dot, to_svg
+from .render import RenderSpec, _dot_blocks, to_svg
 from .scd import (
     DEFAULT_BUDGET,
     _require_same_shape,
@@ -110,8 +110,8 @@ def _cmd_lattice(args) -> int:
 
 
 def _cmd_ranks(args) -> int:
-    for coefficient in gaussian_binomial(args.m, args.n):
-        print(coefficient)
+    coefficients = gaussian_binomial(args.m, args.n)
+    sys.stdout.write("\n".join(map(str, coefficients)) + "\n")
     return 0
 
 
@@ -171,8 +171,12 @@ def _cmd_render(args) -> int:
         highlight = _load(partial(parse_decomposition, poset=p), args.scd)
         _require_same_shape(highlight, p)
     spec = RenderSpec(labels=args.labels, highlight=highlight)
-    # too tall, or a highlight key not in the poset: ValueError, exit 2
-    print(to_dot(p, spec) if args.format == "dot" else to_svg(p, spec), end="")
+    # too tall, or a highlight key not in the poset: ValueError, exit 2,
+    # raised before the first block is written
+    if args.format == "dot":
+        sys.stdout.writelines(_dot_blocks(p, spec))
+    else:
+        sys.stdout.write(to_svg(p, spec))
     return 0
 
 

@@ -100,27 +100,53 @@ class RankPolynomial:
         return True
 
 
-def _times_one_minus_power(poly: list[int], k: int) -> list[int]:
-    """``poly * (1 - q^k)``: the coefficients of ``poly`` subtracted ``k`` places up."""
-    out = poly + [0] * k
-    out[k:] = map(sub, out[k:], poly)
-    return out
+def _half_quotient(low: list[int], i: int) -> list[int]:
+    """The lower half of ``T / (1 - q^i)`` from ``low``, the lower half of ``T``.
 
+    ``T`` is anti-palindromic (``T[D - j] = -T[j]``) of a degree ``D`` that
+    is a multiple of ``i``, and ``low`` holds its coefficients below
+    ``D / 2``: ``len(low) = ceil(D / 2)``, at least ``i``.  The quotient's
+    ``quot[j] = T[j] + quot[j - i]`` is a running sum over each residue class
+    mod ``i``, so its lower coefficients need only ``low``.
 
-def _exact_quotient_one_minus_power(poly: list[int], k: int) -> list[int]:
-    """``poly / (1 - q^k)``; ``ArithmeticError`` unless exact and ``deg >= k``.
-
-    ``quot[j] = poly[j] + quot[j - k]`` is a running sum over each residue
-    class mod ``k``; run over all of ``poly``, the last ``k`` sums are the
-    remainder.
+    The division is exact when the sum of ``T`` over every residue class is
+    zero.  ``j -> D - j`` maps class ``r`` onto class ``-r``, because ``i``
+    divides ``D``, and it negates the coefficient, so the part of class ``r``
+    above ``D / 2`` sums to ``-L(-r)``, where ``L(r)`` is the last running
+    sum of class ``r`` in ``low`` (a middle coefficient ``T[D / 2]`` is its
+    own negative, zero).  Class ``r`` therefore sums to ``L(r) - L(-r)``,
+    and the division is exact exactly when ``L(r) == L(-r)`` for every
+    ``r``; otherwise ``ArithmeticError``.
     """
-    sums = [0] * len(poly)
-    for r in range(k):
-        sums[r::k] = accumulate(poly[r::k])
-    if len(poly) <= k or any(sums[-k:]):
+    sums = [0] * len(low)
+    for r in range(i):
+        sums[r::i] = accumulate(low[r::i])
+    # the last running sum of each class r, indexed by r
+    last = [sums[len(low) - 1 - (len(low) - 1 - r) % i] for r in range(i)]
+    if last[1:] != last[:0:-1]:
         raise ArithmeticError("inexact polynomial division")
-    del sums[-k:]
     return sums
+
+
+def _next_polynomial(poly: list[int], m: int, i: int) -> list[int]:
+    """The ``(m, i)`` polynomial ``poly * (1 - q^(m+i)) / (1 - q^i)`` from
+    ``poly``, the ``(m, i - 1)`` polynomial, for ``m, i >= 1``.
+
+    Both are palindromic, so only lower halves are computed: the step
+    polynomial ``T = poly * (1 - q^(m+i))`` is anti-palindromic of degree
+    ``(m + 1) * i``, a multiple of ``i``, and :func:`_half_quotient` divides
+    its coefficients below ``ceil((m + 1) * i / 2)`` by ``1 - q^i`` with the
+    exactness check.  The lower ``m * i // 2 + 1`` coefficients of the
+    quotient and their mirror are the result.  A ``poly`` not of degree
+    ``m * (i - 1)`` raises ``ArithmeticError``.
+    """
+    if len(poly) != m * (i - 1) + 1:
+        raise ArithmeticError(f"the ({m}, {i - 1}) polynomial has degree {m * (i - 1)}")
+    half = ((m + 1) * i + 1) // 2
+    low = poly[:half] + [0] * (half - len(poly))  # short only for i = 1
+    low[m + i:] = map(sub, low[m + i:], poly)
+    lower = _half_quotient(low, i)[: m * i // 2 + 1]
+    return lower + lower[(m * i + 1) // 2 - 1::-1]
 
 
 def gaussian_binomial(m: int, n: int) -> RankPolynomial:
@@ -130,9 +156,11 @@ def gaussian_binomial(m: int, n: int) -> RankPolynomial:
     one, it is the exact product of ``(1 - q^(m+i)) / (1 - q^i)``, one
     ``i = 1..n`` at a time, with each division checked to leave no
     remainder; after step ``i`` it is the ``(m, i)`` polynomial, of degree
-    ``m * i``.  The coefficient of ``q^k`` counts the partitions of ``k``
-    with at most ``m`` parts, each at most ``n``.  A degree ``m * n`` over
-    ``DEGREE_LIMIT`` raises ``ValueError`` before any work.
+    ``m * i``.  Every ``(m, i)`` polynomial is palindromic, so each step
+    computes its lower half and mirrors it (:func:`_next_polynomial`).  The
+    coefficient of ``q^k`` counts the partitions of ``k`` with at most ``m``
+    parts, each at most ``n``.  A degree ``m * n`` over ``DEGREE_LIMIT``
+    raises ``ValueError`` before any work.
     """
     if m < 0 or n < 0:
         raise ValueError("box dimensions must be nonnegative")
@@ -142,7 +170,7 @@ def gaussian_binomial(m: int, n: int) -> RankPolynomial:
     m, n = max(m, n), min(m, n)
     poly = [1]
     for i in range(1, n + 1):
-        poly = _exact_quotient_one_minus_power(_times_one_minus_power(poly, m + i), i)
+        poly = _next_polynomial(poly, m, i)
     return RankPolynomial(tuple(poly))
 
 

@@ -3,15 +3,18 @@
 Both renderers emit one node per element and one edge per cover, lay levels
 out by rank, color edges by root index, and optionally overlay a chain
 decomposition (chain edges bold, the rest dimmed).  Output is a pure
-function of the inputs, byte for byte.
+function of the inputs, byte for byte.  The DOT text is made in blocks of
+``poset._BLOCK_LINES`` lines, which ``render`` writes out as they come, so
+the command never holds the whole drawing; :func:`to_dot` joins them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, repeat
+from itertools import chain, islice, repeat
 from operator import mul
 
+from . import poset
 from .poset import GradedPoset
 from .roots import root_color
 from .scd import ChainDecomposition
@@ -92,10 +95,15 @@ def _chain_steps(p: GradedPoset, spec: RenderSpec) -> set[int] | None:
     return steps
 
 
-def to_dot(p: GradedPoset, spec: RenderSpec | None = None) -> str:
-    """Graphviz digraph: edges point upward, levels grouped rank=same."""
-    spec = spec or RenderSpec()
+def _dot_blocks(p: GradedPoset, spec: RenderSpec):
+    """The DOT text of ``p``: the header, then the rank, node and edge lines
+    and the closing brace in blocks of at most ``poset._BLOCK_LINES`` lines.
+
+    The overlay's keys are checked and the labels made before the first
+    block, so a refused drawing yields nothing.
+    """
     steps = _chain_steps(p, spec)
+    labels = _node_labels(p, spec)
     # the attribute text of each (color, on a chain) kind of edge
     styles = {}
     for color in range(1, p.shape.n + 1):
@@ -108,19 +116,28 @@ def to_dot(p: GradedPoset, spec: RenderSpec | None = None) -> str:
     keys = p.key_strings
     size = len(p)
     chained = steps or ()  # no overlay, or one with no steps: no edge is on a chain
-    out = [
-        f'digraph "{p.label()}" {{',
-        "  rankdir=BT;",
-        '  node [shape=box, fontname="monospace"];',
-    ]
-    out += ['  { rank=same; "%s"; }' % '"; "'.join(map(keys.__getitem__, level))
-            for level in p.levels() if level]
-    out += [f'  "{key}" [label="{label}"];'
-            for key, label in zip(keys, _node_labels(p, spec))]
-    out += [f'  "{keys[lo]}" -> "{keys[hi]}" [{styles[color, lo * size + hi in chained]}];'
-            for lo, hi, color in p.covers]
-    out.append("}")
-    return "\n".join(out) + "\n"
+    yield (f'digraph "{p.label()}" {{\n'
+           "  rankdir=BT;\n"
+           '  node [shape=box, fontname="monospace"];\n')
+    lines = chain(
+        ('  { rank=same; "%s"; }\n' % '"; "'.join(map(keys.__getitem__, level))
+         for level in p.levels() if level),
+        (f'  "{key}" [label="{label}"];\n' for key, label in zip(keys, labels)),
+        (f'  "{keys[lo]}" -> "{keys[hi]}" [{styles[color, lo * size + hi in chained]}];\n'
+         for lo, hi, color in p.covers),
+        ("}\n",),
+    )
+    while block := "".join(islice(lines, poset._BLOCK_LINES)):
+        yield block
+
+
+def to_dot(p: GradedPoset, spec: RenderSpec | None = None) -> str:
+    """Graphviz digraph: edges point upward, levels grouped rank=same.
+
+    The text of :func:`_dot_blocks`, joined; ``render --format dot`` writes
+    the blocks out one by one instead.
+    """
+    return "".join(_dot_blocks(p, spec or RenderSpec()))
 
 
 _DX, _DY, _MARGIN, _RADIUS = 64, 48, 40, 9

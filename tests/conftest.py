@@ -1,4 +1,5 @@
 import sys
+import tracemalloc
 from collections import Counter
 from pathlib import Path
 
@@ -139,3 +140,35 @@ def q_factorial(k: int) -> RankPolynomial:
     for i in range(2, k + 1):
         poly = _poly_mul(poly, [1] * i)
     return RankPolynomial(tuple(poly))
+
+
+def reference_gaussian_binomial(m, n):
+    """The two-phase loop that gaussian_binomial replaced: all n products by
+    (1 - q^(m+i)) first, then all n exact divisions by (1 - q^i)."""
+    poly = [1]
+    for i in range(1, n + 1):
+        k = m + i
+        out = poly + [0] * k
+        for j, v in enumerate(poly):
+            out[j + k] -= v
+        poly = out
+    for k in range(1, n + 1):
+        deg = len(poly) - 1
+        assert deg >= k
+        quot = [0] * (deg - k + 1)
+        for j in range(len(quot)):
+            quot[j] = poly[j] + (quot[j - k] if j >= k else 0)
+        for j in range(len(quot), deg + 1):
+            assert poly[j] == -(quot[j - k] if j - k >= 0 else 0)
+        poly = quot
+    return poly
+
+
+def traced_peak(fn, *args):
+    """The most memory ``fn(*args)`` had allocated at once, in bytes."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from conftest import mutated_text
+from conftest import mutated_text, reference_gaussian_binomial
 from younglat import cli, partitions, poset, render, scd
 from younglat.cli import main
 from younglat.partitions import Shape
@@ -28,6 +28,11 @@ class TestRanks:
         code, out, _ = run(capsys, "ranks", "3", "3")
         assert code == 0
         assert out == "1\n1\n2\n3\n3\n3\n3\n2\n1\n1\n"
+
+    @pytest.mark.parametrize("m, n", [(0, 0), (0, 5), (1, 1), (3, 3), (12, 7), (7, 12)])
+    def test_one_line_per_reference_coefficient(self, capsys, m, n):
+        want = "".join(f"{c}\n" for c in reference_gaussian_binomial(m, n))
+        assert run(capsys, "ranks", str(m), str(n)) == (0, want, "")
 
 
 class TestLattice:

@@ -1,4 +1,3 @@
-import tracemalloc
 from collections import Counter
 from math import comb
 from time import perf_counter
@@ -15,6 +14,8 @@ from conftest import (
     mutated_text,
     partitions_in_box,
     q_factorial,
+    reference_gaussian_binomial,
+    traced_peak,
 )
 from younglat import poset
 from younglat.partitions import (
@@ -34,7 +35,8 @@ from younglat.poset import (
     ParseError,
     RankPolynomial,
     SplitCheck,
-    _exact_quotient_one_minus_power,
+    _half_quotient,
+    _next_polynomial,
     build_lattice,
     check_splitting_identities,
     gaussian_binomial,
@@ -129,47 +131,74 @@ class TestGaussianBinomial:
                 assert lhs == rhs
 
 
-def reference_gaussian_binomial(m, n):
-    """The two-phase loop that gaussian_binomial replaced: all n products by
-    (1 - q^(m+i)) first, then all n exact divisions by (1 - q^i)."""
-    poly = [1]
-    for i in range(1, n + 1):
-        k = m + i
-        out = poly + [0] * k
-        for j, v in enumerate(poly):
-            out[j + k] -= v
-        poly = out
-    for k in range(1, n + 1):
-        deg = len(poly) - 1
-        assert deg >= k
-        quot = [0] * (deg - k + 1)
-        for j in range(len(quot)):
-            quot[j] = poly[j] + (quot[j - k] if j >= k else 0)
-        for j in range(len(quot), deg + 1):
-            assert poly[j] == -(quot[j - k] if j - k >= 0 else 0)
-        poly = quot
-    return poly
-
-
 class TestInterleavedGaussianBinomial:
     def test_matches_two_phase_reference(self):
-        for m in range(31):
-            for n in range(31):
-                assert list(gaussian_binomial(m, n)) == reference_gaussian_binomial(m, n)
+        # m, n <= 40 covers both parities of m * i and (m + 1) * i; the
+        # polynomial is symmetric in m and n, so one reference serves both
+        for m in range(41):
+            for n in range(m + 1):
+                want = reference_gaussian_binomial(m, n)
+                assert list(gaussian_binomial(m, n)) == want, (m, n)
+                assert list(gaussian_binomial(n, m)) == want, (n, m)
 
     def test_matches_two_phase_reference_150(self):
         assert list(gaussian_binomial(150, 150)) == reference_gaussian_binomial(150, 150)
 
-    @pytest.mark.parametrize("poly, k", [
-        ([1, 1], 1),      # 1 + q leaves remainder 2
-        ([1, 0, 1], 1),   # 1 + q^2 leaves remainder 2
-        ([1, -1], 2),     # degree below k
-        ([5], 1),         # degree below k
-        ([0, 0], 2),      # degree below k, although nothing remains
+    @pytest.mark.parametrize("m, n", [(7, 150), (150, 7)])
+    def test_matches_two_phase_reference_one_long_side(self, m, n):
+        assert list(gaussian_binomial(m, n)) == reference_gaussian_binomial(m, n)
+
+    @pytest.mark.parametrize("poly, m, i", [
+        # palindromic of degree m * (i - 1), but not the (2, 2) polynomial
+        ([1, 0, 0, 0, 1], 2, 3),
+        ([1, 1, 3, 1, 1], 2, 3),
+        ([2, 1, 2, 1, 2], 2, 3),
+        ([1, -1], 2, 2),     # degree below m * (i - 1)
+        ([5], 1, 2),         # degree below m * (i - 1)
+        ([0, 0], 2, 2),      # degree below m * (i - 1), although nothing remains
+        ([1, 0, 0, 0, 0, 1], 2, 3),  # degree above m * (i - 1)
     ])
-    def test_inexact_division_raises(self, poly, k):
+    def test_inexact_division_raises(self, poly, m, i):
         with pytest.raises(ArithmeticError):
-            _exact_quotient_one_minus_power(poly, k)
+            _next_polynomial(poly, m, i)
+
+
+@st.composite
+def anti_palindromes(draw):
+    """``(T, i)``: ``T`` anti-palindromic of degree ``(m + 1) * i``, half the
+    time ``Q * (1 - q^i)`` for a palindromic ``Q``, so exactly divisible."""
+    m, i = draw(st.integers(1, 8)), draw(st.integers(1, 8))
+    degree = (m + 1) * i
+    small = st.integers(-3, 3)
+    if draw(st.booleans()):
+        lower = draw(st.lists(small, min_size=m * i // 2 + 1, max_size=m * i // 2 + 1))
+        quotient = lower + lower[(m * i + 1) // 2 - 1::-1]
+        return _poly_mul(quotient, [1] + [0] * (i - 1) + [-1]), i
+    lower = draw(st.lists(small, min_size=(degree + 1) // 2, max_size=(degree + 1) // 2))
+    middle = [0] if degree % 2 == 0 else []  # T[D / 2] is its own negative
+    return lower + middle + [-v for v in reversed(lower)], i
+
+
+class TestHalfQuotient:
+    @given(anti_palindromes())
+    @example(([1, 0, 0, 0, 1, 0, -1, 0, 0, 0, -1], 2))  # (1 + q^4)(1 - q^6), exact
+    @example(([1, 0, 0, 0, 1, -1, 0, 0, 0, -1], 3))  # (1 + q^4)(1 - q^5), inexact
+    def test_last_sums_decide_exactness(self, case):
+        """``L(r) == L(-r)`` for every class holds exactly when every full
+        class sum of ``T`` is zero, and the sums are then the quotient."""
+        T, i = case
+        degree = len(T) - 1
+        assert degree % i == 0 and T == [-v for v in reversed(T)]
+        exact = all(sum(T[r::i]) == 0 for r in range(i))
+        low = T[: (degree + 1) // 2]
+        if not exact:
+            with pytest.raises(ArithmeticError):
+                _half_quotient(low, i)
+            return
+        quotient = [0] * (degree - i + 1)
+        for j in range(len(quotient)):
+            quotient[j] = T[j] + (quotient[j - i] if j >= i else 0)
+        assert _half_quotient(low, i) == quotient[: len(low)]
 
 
 class TestRankPolynomialType:
@@ -655,16 +684,6 @@ class TestCanonicalPosetIO:
         lines = 1 + comb(24, 12) + 12 * comb(23, 12)
         assert lines == 18_929_093
         assert str(err.value) == "line 5: expected 18929093 lines, got 4"
-
-
-def traced_peak(fn, *args):
-    """The most memory ``fn(*args)`` had allocated at once, in bytes."""
-    tracemalloc.start()
-    try:
-        fn(*args)
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
 
 
 def _change_first_line(text):

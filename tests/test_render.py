@@ -1,11 +1,15 @@
+import os
 import re
+import sys
 from math import comb
 
 import pytest
 
-from younglat import partitions, render
+from conftest import traced_peak
+from younglat import partitions, poset, render
+from younglat.cli import main
 from younglat.partitions import Shape, format_composition, format_partition, from_multiplicity
-from younglat.poset import build_lattice
+from younglat.poset import build_lattice, parse_poset, serialize_poset
 from younglat.render import (
     DiagramSizeError,
     RenderSpec,
@@ -14,7 +18,13 @@ from younglat.render import (
     to_svg,
 )
 from younglat.roots import root_color
-from younglat.scd import ChainDecomposition, brute_force_scd, lindstrom, scd_n2
+from younglat.scd import (
+    ChainDecomposition,
+    brute_force_scd,
+    lindstrom,
+    scd_n2,
+    serialize_decomposition,
+)
 
 
 def young_rows(partition):
@@ -363,3 +373,87 @@ class TestYoungCellsMatchThePartitionReference:
             p = build_lattice(Shape(*shape))
             spec = RenderSpec(labels="young")
             assert to_svg(p, spec) == reference_young_svg(p, spec), shape
+
+
+def reference_to_dot(p, spec=None):
+    """``to_dot`` as it was before it wrote blocks: every line in one list,
+    joined once."""
+    spec = spec or RenderSpec()
+    steps = render._chain_steps(p, spec)
+    styles = {}
+    for color in range(1, p.shape.n + 1):
+        name = root_color(color)
+        if steps is None:
+            styles[color, False] = f'color="{name}"'
+        else:
+            styles[color, True] = f'color="{name}", penwidth=2.4'
+            styles[color, False] = f'color="{name}", style=dotted, penwidth=0.8'
+    keys = p.key_strings
+    size = len(p)
+    chained = steps or ()
+    out = [
+        f'digraph "{p.label()}" {{',
+        "  rankdir=BT;",
+        '  node [shape=box, fontname="monospace"];',
+    ]
+    out += ['  { rank=same; "%s"; }' % '"; "'.join(map(keys.__getitem__, level))
+            for level in p.levels() if level]
+    out += [f'  "{key}" [label="{label}"];'
+            for key, label in zip(keys, _node_labels(p, spec))]
+    out += [f'  "{keys[lo]}" -> "{keys[hi]}" [{styles[color, lo * size + hi in chained]}];'
+            for lo, hi, color in p.covers]
+    out.append("}")
+    return "\n".join(out) + "\n"
+
+
+class TestDotBlocks:
+    """``to_dot`` and ``render --format dot`` make the DOT text in blocks of
+    ``poset._BLOCK_LINES`` lines; where the blocks end changes no byte."""
+
+    CASES = [
+        pytest.param((6, 3), "partition", None, id="L(6,3)"),
+        pytest.param((6, 3), "composition", None, id="L'(6,3)"),
+        pytest.param((0, 3), "composition", None, id="L'(0,3)"),
+        pytest.param((6, 3), "composition", lindstrom, id="L'(6,3)-lindstrom"),
+        pytest.param((8, 2), "composition", scd_n2, id="L'(8,2)-n2"),
+    ]
+
+    @pytest.mark.parametrize("block_lines", [1, 2, 3, 7, 4096])
+    @pytest.mark.parametrize("labels", ["partition", "composition", "young"])
+    @pytest.mark.parametrize("shape, coords, construct", CASES)
+    def test_any_block_size_gives_the_joined_text(self, monkeypatch, tmp_path, capsys,
+                                                  block_lines, labels, shape, coords,
+                                                  construct):
+        monkeypatch.setattr(poset, "_BLOCK_LINES", block_lines)
+        p = build_lattice(Shape(*shape), coords)
+        overlay = construct(shape[0]) if construct else None
+        spec = RenderSpec(labels=labels, highlight=overlay)
+        want = reference_to_dot(p, spec)
+        header, *blocks = render._dot_blocks(p, spec)
+        assert header.count("\n") == 3
+        assert all(0 < block.count("\n") <= block_lines for block in blocks)
+        assert to_dot(p, spec) == header + "".join(blocks) == want
+        poset_file, scd_file = tmp_path / "p.poset", tmp_path / "d.scd"
+        poset_file.write_text(serialize_poset(p), encoding="utf-8")
+        argv = ["render", str(poset_file), "--format", "dot", "--labels", labels]
+        if overlay:
+            scd_file.write_text(serialize_decomposition(overlay), encoding="utf-8")
+            argv += ["--scd", str(scd_file)]
+        assert main(argv) == 0
+        assert capsys.readouterr() == (want, "")
+
+    def test_render_holds_one_block_at_a_time(self, tmp_path, monkeypatch):
+        # L'(30,3) with Lindström's chains: 5,456 elements, 14,880 covers and
+        # 1.4 MB of DOT.  Holding every line and then the joined text took
+        # 6.2 times the DOT text beyond the peak of the parse; blocks take 1.7.
+        p = build_lattice(Shape(30, 3), "composition")
+        text = serialize_poset(p)
+        poset_file, scd_file = tmp_path / "p.poset", tmp_path / "d.scd"
+        poset_file.write_text(text, encoding="utf-8")
+        scd_file.write_text(serialize_decomposition(lindstrom(30)), encoding="utf-8")
+        size = len(to_dot(p, RenderSpec(highlight=lindstrom(30))))
+        with open(os.devnull, "w", encoding="utf-8") as sink:
+            monkeypatch.setattr(sys, "stdout", sink)
+            argv = ["render", str(poset_file), "--scd", str(scd_file), "--format", "dot"]
+            render_peak = traced_peak(main, argv)
+        assert render_peak - traced_peak(parse_poset, text) < 3 * size
