@@ -6,6 +6,8 @@ decomposition (chain edges bold, the rest dimmed).  Output is a pure
 function of the inputs, byte for byte.  The DOT text is made in blocks of
 ``poset._BLOCK_LINES`` lines, which ``render`` writes out as they come, so
 the command never holds the whole drawing; :func:`to_dot` joins them.
+:func:`to_svg` makes each coordinate string once and reuses it wherever
+it is written, with the bytes of formatting it at each place.
 """
 
 from __future__ import annotations
@@ -140,11 +142,33 @@ def to_dot(p: GradedPoset, spec: RenderSpec | None = None) -> str:
     return "".join(_dot_blocks(p, spec or RenderSpec()))
 
 
-_DX, _DY, _MARGIN, _RADIUS = 64, 48, 40, 9
+_DX, _DY, _MARGIN, _RADIUS, _CELL = 64, 48, 40, 9, 7
+_CELL_END = f'" width="{_CELL}" height="{_CELL}" fill="white" stroke="black"/>\n'
+
+
+class _CellRows(dict):
+    """``(x, row_len)`` -> the ``<rect>`` lines of a row of ``row_len`` Young
+    cells centered on ``x``, cut where the row's y goes: ``y.join(pieces)``
+    is the row.  Each row is made on first use, so a drawing formats the x
+    of a cell once for every x and row length, not once for every node."""
+
+    def __missing__(self, key):
+        x, row_len = key
+        x0 = x - row_len * _CELL / 2
+        starts = ['      <rect x="%.1f" y="' % (x0 + cidx * _CELL) for cidx in range(row_len)]
+        pieces = self[key] = [starts[0], *[_CELL_END + start for start in starts[1:]], _CELL_END]
+        return pieces
 
 
 def to_svg(p: GradedPoset, spec: RenderSpec | None = None) -> str:
-    """Standalone SVG 1.1, nodes on rank rows, centered within each level."""
+    """Standalone SVG 1.1, nodes on rank rows, centered within each level.
+
+    Every coordinate string is made once: a node's x and y for its lines,
+    circle and text, the x strings of a row of Young cells for each x and
+    row length (:class:`_CellRows`), and the y of each row for each level
+    and number of rows.  The text is, byte for byte, that of formatting
+    each coordinate where it is written.
+    """
     spec = spec or RenderSpec()
     if p.height > MAX_HEIGHT:
         raise DiagramSizeError(
@@ -154,70 +178,70 @@ def to_svg(p: GradedPoset, spec: RenderSpec | None = None) -> str:
     young = spec.labels == "young"
     labels = None if young else _node_labels(p, spec)
     comps = p.elements
+    keys = p.key_strings
     n = p.shape.n
     size = len(p)
     levels = p.levels()
     widest = max((len(level) for level in levels), default=1) or 1
     width = 2 * _MARGIN + (widest - 1) * _DX
     height_px = 2 * _MARGIN + p.height * _DY
-    pos: dict[int, tuple[float, float]] = {}
+    # elements are in rank order, so the levels list every node in order
+    xs, y_text = [], []
+    for r, level in enumerate(levels):
+        xs += [width / 2 + (slot - (len(level) - 1) / 2) * _DX for slot in range(len(level))]
+        y_text += repeat("%.1f" % (_MARGIN + (p.height - r) * _DY), len(level))
+    x_text = ["%.1f" % x for x in xs]
+    # the attribute text of each (color, on a chain) kind of edge
+    styles = {}
+    for color in range(1, n + 1):
+        stroke = f'stroke="{root_color(color)}"'
+        if steps is None:
+            styles[color, False] = stroke
+        else:
+            styles[color, True] = stroke + ' stroke-width="2.6"'
+            styles[color, False] = stroke + ' stroke-width="1" stroke-opacity="0.35"'
+    chained = steps or ()  # no overlay, or one with no steps: no edge is on a chain
+    out = [
+        '<?xml version="1.0" encoding="UTF-8"?>\n'
+        f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
+        f'width="{width}" height="{height_px}" viewBox="0 0 {width} {height_px}">\n'
+        f"  <title>{p.label()}</title>\n"
+        '  <g class="edges">\n'
+    ]
+    out += ['    <line x1="%s" y1="%s" x2="%s" y2="%s" %s/>\n'
+            % (x_text[lo], y_text[lo], x_text[hi], y_text[hi],
+               styles[color, lo * size + hi in chained])
+            for lo, hi, color in p.covers]
+    out.append('  </g>\n  <g class="nodes">\n')
+    cells = _CellRows()
     for r, level in enumerate(levels):
         y = _MARGIN + (p.height - r) * _DY
-        for slot, i in enumerate(level):
-            x = width / 2 + (slot - (len(level) - 1) / 2) * _DX
-            pos[i] = (x, y)
-    out = [
-        '<?xml version="1.0" encoding="UTF-8"?>',
-        f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
-        f'width="{width}" height="{height_px}" viewBox="0 0 {width} {height_px}">',
-        f"  <title>{p.label()}</title>",
-        '  <g class="edges">',
-    ]
-    for lo, hi, color in p.covers:
-        (x1, y1), (x2, y2) = pos[lo], pos[hi]
-        stroke = root_color(color)
-        extra = ""
-        if steps is not None:
-            if lo * size + hi in steps:
-                extra = ' stroke-width="2.6"'
-            else:
-                extra = ' stroke-width="1" stroke-opacity="0.35"'
-        out.append(
-            f'    <line x1="{x1:.1f}" y1="{y1:.1f}" x2="{x2:.1f}" y2="{y2:.1f}" '
-            f'stroke="{stroke}"{extra}/>'
-        )
-    out.append("  </g>")
-    out.append('  <g class="nodes">')
-    cell = 7
-    for i, key in enumerate(p.key_strings):
-        x, y = pos[i]
-        out.append(f'    <g class="node" data-key="{key}">')
-        if young:
-            # c[j] rows of n - j cells, the rule of _node_labels
-            rows = list(chain.from_iterable(map(repeat, range(n, 0, -1), comps[i])))
-            if not rows:
-                out.append(
-                    f'      <text x="{x:.1f}" y="{y:.1f}" text-anchor="middle" '
-                    f'font-size="10">∅</text>'
-                )
-            for ridx, row_len in enumerate(rows):
-                x0 = x - row_len * cell / 2
-                y0 = y - len(rows) * cell / 2 + ridx * cell
-                for cidx in range(row_len):
-                    out.append(
-                        f'      <rect x="{x0 + cidx * cell:.1f}" y="{y0:.1f}" '
-                        f'width="{cell}" height="{cell}" fill="white" stroke="black"/>'
-                    )
+        if not young:
+            label_y = "%.1f" % (y + 3)
+            out += [f'    <g class="node" data-key="{keys[i]}">\n'
+                    f'      <circle cx="{x_text[i]}" cy="{y_text[i]}" r="{_RADIUS}" '
+                    'fill="white" stroke="black"/>\n'
+                    f'      <text x="{x_text[i]}" y="{label_y}" text-anchor="middle" '
+                    f'font-size="8">{labels[i]}</text>\n    </g>\n'
+                    for i in level]
+        elif r == 0:
+            out += [f'    <g class="node" data-key="{keys[i]}">\n'
+                    f'      <text x="{x_text[i]}" y="{y_text[i]}" text-anchor="middle" '
+                    'font-size="10">∅</text>\n    </g>\n'
+                    for i in level]
         else:
-            out.append(
-                f'      <circle cx="{x:.1f}" cy="{y:.1f}" r="{_RADIUS}" '
-                f'fill="white" stroke="black"/>'
-            )
-            out.append(
-                f'      <text x="{x:.1f}" y="{y + 3:.1f}" text-anchor="middle" '
-                f'font-size="8">{labels[i]}</text>'
-            )
-        out.append("    </g>")
-    out.append("  </g>")
-    out.append("</svg>")
-    return "\n".join(out) + "\n"
+            # c[j] rows of n - j cells, the rule of _node_labels; tops[k] holds
+            # the y strings of the rows of a node with k rows on this level
+            tops = {}
+            for i in level:
+                rows = list(chain.from_iterable(map(repeat, range(n, 0, -1), comps[i])))
+                ys = tops.get(len(rows))
+                if ys is None:
+                    top = y - len(rows) * _CELL / 2
+                    ys = tops[len(rows)] = ["%.1f" % (top + ridx * _CELL)
+                                            for ridx in range(len(rows))]
+                out.append(f'    <g class="node" data-key="{keys[i]}">\n')
+                out += map(str.join, ys, map(cells.__getitem__, zip(repeat(xs[i]), rows)))
+                out.append("    </g>\n")
+    out.append("  </g>\n</svg>\n")
+    return "".join(out)

@@ -196,6 +196,12 @@ class TestRender:
         assert run(capsys, "render", str(poset_file), "--scd", str(scd_file)) == (
             2, "", "error: shape mismatch: poset L'(2,3) vs decomposition L'(3,3)\n")
 
+    def test_svg_height_limit_is_a_usage_error(self, tmp_path, capsys):
+        poset_file = tmp_path / "p.poset"
+        run(capsys, "lattice", "8", "8", "--out", str(poset_file))
+        assert run(capsys, "render", str(poset_file), "--format", "svg") == (
+            2, "", "error: poset height 64 exceeds the drawing limit 60\n")
+
 
 class TestKeysReadOnce:
     """A command that parsed the poset reads the decomposition's keys through

@@ -1,6 +1,7 @@
 import os
 import re
 import sys
+from itertools import chain, repeat
 from math import comb
 
 import pytest
@@ -232,9 +233,10 @@ def reference_dot(p, spec):
 
 
 def reference_svg(p, spec):
-    """``to_svg`` with the overlay strokes put onto the plain drawing's lines."""
+    """``to_svg`` with the overlay strokes put onto the lines of the frozen
+    plain drawing, :func:`reference_to_svg`."""
     on_chain = iter(reference_on_chain(p, spec))
-    lines = to_svg(p, RenderSpec(labels=spec.labels)).splitlines(keepends=True)
+    lines = reference_to_svg(p, RenderSpec(labels=spec.labels)).splitlines(keepends=True)
     for i, line in enumerate(lines):
         if line.startswith("    <line "):
             extra = (' stroke-width="2.6"' if next(on_chain)
@@ -271,7 +273,7 @@ class TestOverlayMatchesKeyPairReference:
         for labels in ("partition", "composition", "young"):
             spec = RenderSpec(labels=labels, highlight=overlay)
             assert to_dot(p, spec) == reference_dot(p, spec)
-            assert to_svg(p, spec) == reference_svg(p, spec)
+            assert to_svg(p, spec) == reference_svg(p, spec) == reference_to_svg(p, spec)
 
     def test_skipping_chain_has_no_bold_edge(self):
         p = build_lattice(Shape(4, 3), "composition")
@@ -303,6 +305,119 @@ class TestOverlayMatchesKeyPairReference:
         with pytest.raises(ValueError) as err:
             draw(p, spec)
         assert str(err.value) == str(expected.value)
+
+
+def reference_to_svg(p, spec=None):
+    """``to_svg`` as it was before it formatted each position once: every
+    coordinate of every line, circle, text and cell formatted where it is
+    written, every line in one list, joined once."""
+    _DX, _DY, _MARGIN, _RADIUS = 64, 48, 40, 9
+    spec = spec or RenderSpec()
+    if p.height > render.MAX_HEIGHT:
+        raise DiagramSizeError(
+            f"poset height {p.height} exceeds the drawing limit {render.MAX_HEIGHT}"
+        )
+    steps = render._chain_steps(p, spec)
+    young = spec.labels == "young"
+    labels = None if young else _node_labels(p, spec)
+    comps = p.elements
+    n = p.shape.n
+    size = len(p)
+    levels = p.levels()
+    widest = max((len(level) for level in levels), default=1) or 1
+    width = 2 * _MARGIN + (widest - 1) * _DX
+    height_px = 2 * _MARGIN + p.height * _DY
+    pos = {}
+    for r, level in enumerate(levels):
+        y = _MARGIN + (p.height - r) * _DY
+        for slot, i in enumerate(level):
+            x = width / 2 + (slot - (len(level) - 1) / 2) * _DX
+            pos[i] = (x, y)
+    out = [
+        '<?xml version="1.0" encoding="UTF-8"?>',
+        f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
+        f'width="{width}" height="{height_px}" viewBox="0 0 {width} {height_px}">',
+        f"  <title>{p.label()}</title>",
+        '  <g class="edges">',
+    ]
+    for lo, hi, color in p.covers:
+        (x1, y1), (x2, y2) = pos[lo], pos[hi]
+        stroke = root_color(color)
+        extra = ""
+        if steps is not None:
+            if lo * size + hi in steps:
+                extra = ' stroke-width="2.6"'
+            else:
+                extra = ' stroke-width="1" stroke-opacity="0.35"'
+        out.append(
+            f'    <line x1="{x1:.1f}" y1="{y1:.1f}" x2="{x2:.1f}" y2="{y2:.1f}" '
+            f'stroke="{stroke}"{extra}/>'
+        )
+    out.append("  </g>")
+    out.append('  <g class="nodes">')
+    cell = 7
+    for i, key in enumerate(p.key_strings):
+        x, y = pos[i]
+        out.append(f'    <g class="node" data-key="{key}">')
+        if young:
+            rows = list(chain.from_iterable(map(repeat, range(n, 0, -1), comps[i])))
+            if not rows:
+                out.append(
+                    f'      <text x="{x:.1f}" y="{y:.1f}" text-anchor="middle" '
+                    f'font-size="10">∅</text>'
+                )
+            for ridx, row_len in enumerate(rows):
+                x0 = x - row_len * cell / 2
+                y0 = y - len(rows) * cell / 2 + ridx * cell
+                for cidx in range(row_len):
+                    out.append(
+                        f'      <rect x="{x0 + cidx * cell:.1f}" y="{y0:.1f}" '
+                        f'width="{cell}" height="{cell}" fill="white" stroke="black"/>'
+                    )
+        else:
+            out.append(
+                f'      <circle cx="{x:.1f}" cy="{y:.1f}" r="{_RADIUS}" '
+                f'fill="white" stroke="black"/>'
+            )
+            out.append(
+                f'      <text x="{x:.1f}" y="{y + 3:.1f}" text-anchor="middle" '
+                f'font-size="8">{labels[i]}</text>'
+            )
+        out.append("    </g>")
+    out.append("  </g>")
+    out.append("</svg>")
+    return "\n".join(out) + "\n"
+
+
+class TestSvgMatchesTheFrozenDrawing:
+    """``to_svg`` formats each position once and writes each node's cells by
+    one ``%``; the text is byte for byte that of :func:`reference_to_svg`."""
+
+    @pytest.mark.parametrize("coords", ["partition", "composition"])
+    def test_every_shape_up_to_6_6(self, coords):
+        for m in range(7):
+            for n in range(7):
+                p = build_lattice(Shape(m, n), coords)
+                overlays = [None]
+                if m and n == 3:
+                    overlays.append(lindstrom(m))
+                if m and n == 2:
+                    overlays.append(scd_n2(m))
+                for overlay in overlays:
+                    for labels in ("partition", "composition", "young"):
+                        spec = RenderSpec(labels=labels, highlight=overlay)
+                        assert to_svg(p, spec) == reference_to_svg(p, spec), (m, n, labels)
+
+    def test_peak_memory_of_the_largest_small_diagram(self):
+        # L'(3,16) with Young cells, the largest drawing of the small-diagram
+        # sweep: 2,197,394 characters.  One string per line, then the joined
+        # text and its copy with the last newline, peaked at 5.7 times its
+        # length; one string per row of cells and one join peak at 3.7.
+        p = build_lattice(Shape(3, 16), "composition")
+        spec = RenderSpec(labels="young")
+        size = len(to_svg(p, spec))
+        assert size == 2_197_394
+        assert traced_peak(to_svg, p, spec) < 4.5 * size
 
 
 def reference_young_svg(p, spec):
