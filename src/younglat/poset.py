@@ -7,7 +7,8 @@ text format.  Element keys are always weak compositions; the coordinate
 system of a poset (partition or composition) chooses only its label,
 ``L(m,n)`` or ``L'(m,n)``, and partitions are a view through the
 multiplicity bijection of :mod:`younglat.partitions`.  Posets are immutable
-after construction and safe to share between threads.
+after construction and safe to share between threads; the key index is made
+on first lookup.
 
 The interchange format, one file per poset::
 
@@ -32,6 +33,7 @@ from __future__ import annotations
 import re
 from bisect import bisect_left
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import accumulate, chain, compress, count, islice, repeat
 from math import comb
 from operator import itemgetter, sub
@@ -49,6 +51,7 @@ from .roots import NotACoverError, edge_color
 _FIRST_LINE = re.compile(r"[^\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029]*")
 
 ELEMENT_LIMIT = 4_000_000  # above L(12,12); build_lattice refuses larger lattices
+KEY_ENTRY_LIMIT = 40_000_000  # C(m+n, m) * (n + 1) entries in all keys; above L(12,12)
 DEGREE_LIMIT = 90_000  # m * n of L(300,300); gaussian_binomial refuses larger boxes
 _BLOCK_LINES = 4096  # lines per block of the poset writer
 
@@ -184,12 +187,10 @@ class GradedPoset:
     label of :meth:`label`.  ``covers`` holds ``(lower_index, upper_index,
     color)`` triples sorted by index pair.  Covers are root steps between
     composition keys: :meth:`is_cover` and :meth:`color_of` decide from the
-    two keys alone.  :attr:`key_strings` formats every key once, on first
-    use, for all readers.
+    two keys alone.  :attr:`key_strings` and the key index behind ``in``
+    and the lookups are each made on first use, so a poset that is only
+    written or drawn holds no index; threads racing there make equal values.
     """
-
-    __slots__ = ("shape", "coords", "elements", "ranks", "covers", "height",
-                 "_index", "_key_strings")
 
     def __init__(self, shape, coords, elements, ranks, covers):
         self.shape = shape
@@ -198,8 +199,6 @@ class GradedPoset:
         self.ranks = ranks
         self.covers = covers
         self.height = shape.m * shape.n
-        self._index = {key: i for i, key in enumerate(elements)}
-        self._key_strings = None
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -212,22 +211,20 @@ class GradedPoset:
             return NotImplemented
         return (self.shape, self.coords) == (other.shape, other.coords)
 
-    @property
+    @cached_property
     def key_strings(self) -> tuple[str, ...]:
-        """``format_composition`` of each element, in element order.
+        """``format_composition`` of each element, in element order."""
+        return tuple(format_compositions(self.elements))
 
-        Formatted on first access, all at once by ``format_compositions``,
-        and kept for the writer's blocks and every other reader; two threads
-        racing here format the same strings, so the poset stays safe to share.
-        """
-        if self._key_strings is None:
-            self._key_strings = tuple(format_compositions(self.elements))
-        return self._key_strings
+    @cached_property
+    def _index(self) -> dict:
+        return {key: i for i, key in enumerate(self.elements)}
 
     def index_of(self, key) -> int:
-        if key not in self._index:
-            raise KeyError(f"unknown element {key}")
-        return self._index[key]
+        try:
+            return self._index[key]
+        except KeyError:
+            raise KeyError(f"unknown element {key}") from None
 
     def rank_of(self, key) -> int:
         return self.ranks[self.index_of(key)]
@@ -258,9 +255,13 @@ class GradedPoset:
 
 
 def _require_within_limit(m: int, n: int) -> None:
-    """``ValueError`` when the ``(m, n)`` lattice has over ``ELEMENT_LIMIT`` elements."""
+    """``ValueError`` when the ``(m, n)`` lattice has over ``ELEMENT_LIMIT``
+    elements or, if not empty, its keys hold over ``KEY_ENTRY_LIMIT`` entries."""
     if min(m, n) > 32 or comb(m + n, m) > ELEMENT_LIMIT:  # C(66, 33) > 7e18
         raise ValueError(f"L({m},{n}) has more than {ELEMENT_LIMIT:,} elements")
+    if m and n and comb(m + n, m) * (n + 1) > KEY_ENTRY_LIMIT:
+        raise ValueError(f"L({m},{n}) has {comb(m + n, m):,} keys of {n + 1:,} "
+                         f"entries, over the limit of {KEY_ENTRY_LIMIT:,} entries")
 
 
 def build_lattice(shape: Shape, coordinates: str = "partition") -> GradedPoset:
@@ -271,7 +272,7 @@ def build_lattice(shape: Shape, coordinates: str = "partition") -> GradedPoset:
     systems; ``coordinates`` only sets the label.  Each key's rank is
     computed once, and a stable argsort by rank puts the keys in order.
     ``m = 0`` or ``n = 0`` gives the empty poset; over ``ELEMENT_LIMIT``
-    elements raise ``ValueError``.
+    elements or ``KEY_ENTRY_LIMIT`` key entries raise ``ValueError``.
 
     The color-``j + 1`` covers are the translations by the simple root
     ``e_j - e_(j+1)``: a unit moves from slot ``j + 1`` to slot ``j``.  That
@@ -309,16 +310,10 @@ def rank_profile(p: GradedPoset) -> RankPolynomial:
     return RankPolynomial(tuple(map(len, p.levels())))
 
 
-def _shifted(coeffs: list[int], k: int) -> list[int]:
-    return [0] * k + list(coeffs)
-
-
-def _padded_add(a: list[int], b: list[int]) -> list[int]:
-    width = max(len(a), len(b))
-    out = [0] * width
-    for i, v in enumerate(a):
-        out[i] += v
-    for i, v in enumerate(b):
+def _plus_shifted(a: list[int], b: list[int], k: int) -> list[int]:
+    """Coefficients of ``a + q^k * b``."""
+    out = a + [0] * (len(b) + k - len(a))
+    for i, v in enumerate(b, k):
         out[i] += v
     return out
 
@@ -352,8 +347,12 @@ def check_splitting_identities(m: int, n: int) -> SplitCheck:
     identities use exact arithmetic, and the first split is also replayed on
     the composition keys: a key with ``c[0] >= 1`` loses one part of size
     ``n`` as ``(c[0] - 1,) + c[1:]``, an ``(m - 1, n)`` key, and a key with
-    ``c[0] = 0`` drops that slot as ``c[1:]``, an ``(m, n - 1)`` key.  Boxes
-    over ``ELEMENT_LIMIT`` elements raise ``ValueError``.
+    ``c[0] = 0`` drops that slot as ``c[1:]``, an ``(m, n - 1)`` key.
+    Lexicographic order puts the ``c[0] = 0`` block first, and both maps keep
+    the order within a block, so a map is a bijection exactly when its
+    images, in order, equal the lexicographic listing of its target box.
+    Boxes over ``ELEMENT_LIMIT`` elements or ``KEY_ENTRY_LIMIT`` entries
+    raise ``ValueError``.
     """
     if m < 1 or n < 1:
         raise ValueError("both box dimensions must be at least 1")
@@ -361,17 +360,13 @@ def check_splitting_identities(m: int, n: int) -> SplitCheck:
     whole = list(gaussian_binomial(m, n))
     fewer_parts = list(gaussian_binomial(m - 1, n))
     smaller_parts = list(gaussian_binomial(m, n - 1))
-    first = whole == _padded_add(_shifted(fewer_parts, n), smaller_parts)
-    second = whole == _padded_add(fewer_parts, _shifted(smaller_parts, m))
+    first = whole == _plus_shifted(smaller_parts, fewer_parts, n)
+    second = whole == _plus_shifted(fewer_parts, smaller_parts, m)
     keys = enumerate_compositions(m, n + 1)
-    with_big = [c for c in keys if c[0]]
+    with_big = [(c[0] - 1,) + c[1:] for c in keys if c[0]]
     without_big = [c[1:] for c in keys if not c[0]]
-    image = {(c[0] - 1,) + c[1:] for c in with_big}
-    bijective = (
-        len(image) == len(with_big)
-        and image == set(enumerate_compositions(m - 1, n + 1))
-        and set(without_big) == set(enumerate_compositions(m, n))
-    )
+    bijective = (with_big == enumerate_compositions(m - 1, n + 1)
+                 and without_big == enumerate_compositions(m, n))
     return SplitCheck(Shape(m, n), first, second, len(with_big),
                       len(without_big), bijective)
 

@@ -90,9 +90,10 @@ def _chain_steps(p: GradedPoset, spec: RenderSpec) -> set[int] | None:
     size = len(p)
     steps = set()
     for chain in spec.highlight.chains:
-        if not all(map(p.__contains__, chain)):
-            raise ValueError(_absent_message(p, chain))
-        at = list(map(p.index_of, chain))
+        try:
+            at = list(map(p.index_of, chain))
+        except KeyError:
+            raise ValueError(_absent_message(p, chain)) from None
         steps.update(lo * size + hi for lo, hi in zip(at[1:], at))
     return steps
 

@@ -309,6 +309,18 @@ class TestErrorPaths:
         assert out == ""
         assert err == "error: L(13,13) has more than 4,000,000 elements\n"
 
+    @pytest.mark.parametrize("argv", [("lattice", "1", "100000"),
+                                      ("identities", "1", "20000"),
+                                      ("scd", "brute", "1", "100000")])
+    def test_shape_over_key_entry_limit_is_a_usage_error(self, capsys, argv):
+        # far under the element limit, but (n + 1)^2 key entries
+        n = int(argv[-1])
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err == (f"error: L(1,{n}) has {n + 1:,} keys of {n + 1:,} entries, "
+                       f"over the limit of 40,000,000 entries\n")
+
     @pytest.mark.parametrize("poset_text,scd_text,field", [
         ("poset L(2,2) height=\u00b2 count=6\n", "scd L'(2,2) chains=1\n002\n", "height=\u00b2"),
         (None, "scd L'(2,2) chains=\u00b2\n", "chains=\u00b2"),

@@ -254,8 +254,8 @@ class TestDispatch:
 
 
 class TestValidityRange:
-    @pytest.mark.parametrize("m", range(1, 21))
-    def test_valid_up_to_twenty(self, m):
+    @pytest.mark.parametrize("m", range(1, 61))
+    def test_valid_up_to_sixty(self, m):
         d = lindstrom(m)
         p = build_lattice(Shape(m, 3), "composition")
         report = verify_scd(d, p)

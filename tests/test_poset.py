@@ -1,3 +1,5 @@
+import sys
+import threading
 from collections import Counter
 from math import comb
 from time import perf_counter
@@ -31,6 +33,7 @@ from younglat.partitions import (
 from younglat.poset import (
     DEGREE_LIMIT,
     ELEMENT_LIMIT,
+    KEY_ENTRY_LIMIT,
     GradedPoset,
     ParseError,
     RankPolynomial,
@@ -44,6 +47,8 @@ from younglat.poset import (
     rank_profile,
     serialize_poset,
 )
+from younglat.render import RenderSpec, to_dot, to_svg
+from younglat.scd import brute_force_scd
 
 
 def lattice_fields(p):
@@ -260,6 +265,18 @@ class TestBuildLattice:
                       Shape(99999999, 99999999)):
             with pytest.raises(ValueError, match="more than"):
                 build_lattice(shape, "composition")
+
+    def test_refuses_more_than_key_entry_limit(self):
+        # L(12,12) and the largest shapes the two constructions accept stay in
+        assert comb(24, 12) * 13 <= KEY_ENTRY_LIMIT
+        assert comb(289, 3) * 4 <= KEY_ENTRY_LIMIT and comb(2828, 2) * 3 <= KEY_ENTRY_LIMIT
+        for m, n in ((1, 20000), (1, 100000), (10, 15)):
+            with pytest.raises(ValueError) as err:
+                build_lattice(Shape(m, n), "composition")
+            assert str(err.value) == (f"L({m},{n}) has {comb(m + n, m):,} keys of {n + 1:,} "
+                                      f"entries, over the limit of 40,000,000 entries")
+        # an empty lattice holds no key, whatever its other dimension
+        assert len(build_lattice(Shape(0, 10**9))) == len(build_lattice(Shape(10**9, 0))) == 0
 
     def test_rejects_unknown_coordinate_mode(self):
         with pytest.raises(ValueError):
@@ -912,6 +929,27 @@ class TestSplittingIdentities:
         assert str(err.value) == "L(13,13) has more than 4,000,000 elements"
         assert check_splitting_identities(2000, 1).passed
 
+    def test_refuses_more_than_key_entry_limit(self):
+        with pytest.raises(ValueError) as err:
+            check_splitting_identities(1, 20000)
+        assert str(err.value) == ("L(1,20000) has 20,001 keys of 20,001 entries, "
+                                  "over the limit of 40,000,000 entries")
+
+    @pytest.mark.parametrize("at", [-2, 1])  # in the c[0] >= 1 block, in the c[0] = 0 block
+    def test_a_broken_key_split_is_reported(self, monkeypatch, at):
+        # the (4, 3) keys with one key listed twice, in place of its successor:
+        # the coefficient identities still hold, the replayed split does not
+        def listing(m, n):
+            keys = enumerate_compositions(m, n)
+            if (m, n) == (4, 4):
+                keys[at] = keys[at - 1]
+            return keys
+
+        monkeypatch.setattr(poset, "enumerate_compositions", listing)
+        result = check_splitting_identities(4, 3)
+        assert result.first_identity and result.second_identity
+        assert not result.split_bijective and not result.passed
+
     def test_exhaustive_up_to_8(self):
         for m in range(1, 9):
             for n in range(1, 9):
@@ -1044,6 +1082,14 @@ class TestParseAnyText:
             parse_poset(header + "\n")
         assert str(err.value) == f"line 1: {label} has more than 4,000,000 elements"
 
+    def test_header_over_key_entry_limit_is_refused(self):
+        with pytest.raises(ParseError) as err:
+            parse_poset("poset L'(1,100000) height=100000 count=100001\n")
+        assert (err.value.line, str(err.value)) == (1, (
+            "line 1: L(1,100000) has 100,001 keys of 100,001 entries, "
+            "over the limit of 40,000,000 entries"))
+        assert len(parse_poset("poset L(0,1000000000) height=0 count=0\n")) == 0
+
 
 def reference_cover_error(comps, n, lines, first_line_no):
     """The tuple-slicing cover check that parse_poset's code arithmetic
@@ -1113,6 +1159,45 @@ class TestArithmeticCoverCheck:
 
 
 class TestIndexStaysInPoset:
+    def test_index_is_built_on_the_first_lookup(self):
+        p = build_lattice(Shape(6, 3), "composition")
+        serialize_poset(p)
+        to_dot(p)
+        to_svg(p, RenderSpec(labels="young"))
+        brute_force_scd(p, 1000)
+        assert "_index" not in vars(p)
+        assert (0, 0, 0, 6) in p
+        assert "_index" in vars(p)
+
+    def test_first_uses_from_many_threads_agree(self):
+        keys = build_lattice(Shape(30, 3), "composition").elements
+        want = (tuple(map(format_composition, keys)), list(range(len(keys))))
+        shared = build_lattice(Shape(30, 3), "composition")
+        start = threading.Barrier(8)
+        got = [None] * 8
+
+        def first_use(t):
+            start.wait(timeout=30)
+            if t % 2:  # half the threads touch the index first, half the key strings
+                at = list(map(shared.index_of, keys))
+                got[t] = (shared.key_strings, at)
+            else:
+                strings = shared.key_strings
+                got[t] = (strings, list(map(shared.index_of, keys)))
+
+        threads = [threading.Thread(target=first_use, args=(t,)) for t in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert got == [want] * 8
+
     def test_no_other_module_reads_the_private_index(self):
         import ast
         from pathlib import Path
