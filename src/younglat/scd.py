@@ -329,11 +329,48 @@ class SearchResult:
 
     ``status`` is ``"found"``, ``"not-found"`` (proven), or
     ``"budget-exhausted"`` (gave up after the assignment budget).
+    ``assignments`` counts every placement of the depth-first order,
+    including those of a dead descent, which the search counts without
+    making; an exhausted search reports ``budget + 1``.
     """
 
     status: str
     decomposition: ChainDecomposition | None
     assignments: int
+
+
+def _dead_walk(x: int, stop: int, limit: int, down: list[list[int]], ranks,
+               unassigned: list[bool], dead: dict[int, int]) -> int:
+    """The placements the depth-first order makes from ``x`` on, its own
+    included, when no path of free elements leads from ``x`` down to rank
+    ``stop``; 0 when one does.
+
+    Every element the walk settles gets its answer in ``dead``, which stays
+    valid while the free elements below ``x`` do.  A count that passes
+    ``limit`` is returned as it stands, since the search stops there.
+    """
+    walked = 1
+    stack = [(x, iter(down[x]), 0)]  # element, its untried lower covers, walked before it
+    while stack:
+        y, below, before = stack[-1]
+        for d in below:
+            if unassigned[d]:
+                cost = 0 if ranks[d] == stop else dead.get(d)
+                if cost is None:
+                    stack.append((d, iter(down[d]), walked))
+                    walked += 1
+                    break
+                if not cost:
+                    for y, _, _ in stack:
+                        dead[y] = 0
+                    return 0
+                walked += cost
+        else:
+            dead[y] = walked - before
+            stack.pop()
+        if walked > limit:
+            return walked
+    return walked
 
 
 def brute_force_scd(p: GradedPoset, budget: int = DEFAULT_BUDGET) -> SearchResult:
@@ -343,9 +380,12 @@ def brute_force_scd(p: GradedPoset, budget: int = DEFAULT_BUDGET) -> SearchResul
     mirror rank; candidate paths are explored in canonical element order, so
     the result is deterministic.  Branches are pruned with the forced count
     of chain tops per level (the consecutive differences of the rank
-    numbers).  Each attempted placement consumes one unit of ``budget``;
-    running out is reported distinctly from proven absence.  The search
-    keeps its own stack, so no shape reaches the recursion limit.
+    numbers).  Each placement of that depth-first order consumes one unit of
+    ``budget``, including the placements of a dead descent, an element from
+    which no path of free elements reaches the chain's mirror rank: the
+    search counts those without making them.  Running out is reported
+    distinctly from proven absence.  The search keeps its own stacks, so no
+    shape reaches the recursion limit.
     """
     n_el = len(p)
     if n_el == 0:
@@ -353,11 +393,9 @@ def brute_force_scd(p: GradedPoset, budget: int = DEFAULT_BUDGET) -> SearchResul
     ht = p.height
     counts = rank_profile(p)
 
-    tops_quota = {}
+    tops_quota = [0] * (ht + 1)
     for t in range((ht + 1) // 2, ht + 1):
-        quota = counts[t] - (counts[t + 1] if t < ht else 0)
-        if quota:
-            tops_quota[t] = quota
+        tops_quota[t] = counts[t] - (counts[t + 1] if t < ht else 0)
 
     down: list[list[int]] = [[] for _ in range(n_el)]
     for lo, hi, _ in p.covers:  # in lower-index order, so each list is ascending
@@ -368,35 +406,51 @@ def brute_force_scd(p: GradedPoset, budget: int = DEFAULT_BUDGET) -> SearchResul
     # one entry per placed element, chains concatenated top-down: the element
     # and the iterator over the alternatives still untried in its position
     placed: list[tuple[int, Iterator[int]]] = []
-    tops: list[int] = []  # positions in ``placed`` where the chains start
+    # one entry per chain: where it starts in ``placed``, its mirror rank
+    # (where it ends), and _dead_walk's answers within it
+    tops: list[tuple[int, int, dict[int, int]]] = []
+    stop, dead = -1, {}
     spent = 0
     while True:
-        starting = not tops or (
-            ranks[placed[-1][0]] == ht - ranks[placed[tops[-1]][0]])
+        starting = not placed or ranks[placed[-1][0]] == stop
         if starting:
             # the highest unassigned element tops the next chain; every
             # element above the previous top is assigned already
-            top = (placed[tops[-1]][0] if tops else n_el) - 1
+            top = (placed[tops[-1][0]][0] if tops else n_el) - 1
             while top >= 0 and not unassigned[top]:
                 top -= 1
             if top < 0:
                 break
-            options = iter((top,) if tops_quota.get(ranks[top]) else ())
+            stop, dead = ht - ranks[top], {}
+            options = iter((top,) if tops_quota[ranks[top]] else ())
         else:
             options = iter(down[placed[-1][0]])
-        # take the first unassigned option; backtrack while there is none
+        # take the first unassigned option that is no dead descent, charging
+        # each dead one its walk; backtrack while there is none
         while True:
             for child in options:
                 if unassigned[child]:
-                    break
+                    if ranks[child] == stop:
+                        break
+                    cost = dead.get(child)
+                    if cost is None:
+                        cost = _dead_walk(child, stop, budget - spent, down, ranks,
+                                          unassigned, dead)
+                    if not cost:
+                        break
+                    spent += cost
+                    if spent > budget:
+                        return SearchResult("budget-exhausted", None, budget + 1)
             else:
                 if not placed:
                     return SearchResult("not-found", None, spent)
                 undone, options = placed.pop()
                 unassigned[undone] = True
-                if tops[-1] == len(placed):
+                if tops[-1][0] == len(placed):
                     tops.pop()
                     tops_quota[ranks[undone]] += 1
+                if tops:
+                    _, stop, dead = tops[-1]
                 starting = False
                 continue
             break
@@ -405,10 +459,10 @@ def brute_force_scd(p: GradedPoset, budget: int = DEFAULT_BUDGET) -> SearchResul
             return SearchResult("budget-exhausted", None, spent)
         unassigned[child] = False
         if starting:
-            tops.append(len(placed))
+            tops.append((len(placed), stop, dead))
             tops_quota[ranks[child]] -= 1
         placed.append((child, options))
-    bounds = tops + [len(placed)]
+    bounds = [start for start, _, _ in tops] + [len(placed)]
     chains = [tuple(p.elements[i] for i, _ in placed[lo:hi])
               for lo, hi in zip(bounds, bounds[1:])]
     return SearchResult("found", ChainDecomposition(p.shape, chains), spent)

@@ -1,3 +1,7 @@
+import sys
+from math import comb
+from typing import Iterator
+
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
@@ -5,13 +9,16 @@ from hypothesis import strategies as st
 from conftest import chain_lengths, mutated_text
 from younglat.partitions import Shape
 from younglat.poset import (
+    GradedPoset,
     ParseError,
     build_lattice,
     gaussian_binomial,
     parse_poset,
+    rank_profile,
     serialize_poset,
 )
 from younglat.scd import (
+    DEFAULT_BUDGET,
     ChainDecomposition,
     SearchResult,
     brute_force_scd,
@@ -113,6 +120,87 @@ def reference_brute_force_scd(p, budget):
     return SearchResult("found", ChainDecomposition(p.shape, chains), spent[0])
 
 
+
+# brute_force_scd as it was before it charged dead descents without walking
+# them, frozen here under another name as the oracle for that change
+def reference_stack_brute_force_scd(p: GradedPoset, budget: int = DEFAULT_BUDGET) -> SearchResult:
+    """Backtracking search for a symmetric chain decomposition of ``p``.
+
+    The highest-ranked unassigned element must top a chain descending to the
+    mirror rank; candidate paths are explored in canonical element order, so
+    the result is deterministic.  Branches are pruned with the forced count
+    of chain tops per level (the consecutive differences of the rank
+    numbers).  Each attempted placement consumes one unit of ``budget``;
+    running out is reported distinctly from proven absence.  The search
+    keeps its own stack, so no shape reaches the recursion limit.
+    """
+    n_el = len(p)
+    if n_el == 0:
+        return SearchResult("found", ChainDecomposition(p.shape, ()), 0)
+    ht = p.height
+    counts = rank_profile(p)
+
+    tops_quota = {}
+    for t in range((ht + 1) // 2, ht + 1):
+        quota = counts[t] - (counts[t + 1] if t < ht else 0)
+        if quota:
+            tops_quota[t] = quota
+
+    down: list[list[int]] = [[] for _ in range(n_el)]
+    for lo, hi, _ in p.covers:  # in lower-index order, so each list is ascending
+        down[hi].append(lo)
+
+    ranks = p.ranks
+    unassigned = [True] * n_el
+    # one entry per placed element, chains concatenated top-down: the element
+    # and the iterator over the alternatives still untried in its position
+    placed: list[tuple[int, Iterator[int]]] = []
+    tops: list[int] = []  # positions in ``placed`` where the chains start
+    spent = 0
+    while True:
+        starting = not tops or (
+            ranks[placed[-1][0]] == ht - ranks[placed[tops[-1]][0]])
+        if starting:
+            # the highest unassigned element tops the next chain; every
+            # element above the previous top is assigned already
+            top = (placed[tops[-1]][0] if tops else n_el) - 1
+            while top >= 0 and not unassigned[top]:
+                top -= 1
+            if top < 0:
+                break
+            options = iter((top,) if tops_quota.get(ranks[top]) else ())
+        else:
+            options = iter(down[placed[-1][0]])
+        # take the first unassigned option; backtrack while there is none
+        while True:
+            for child in options:
+                if unassigned[child]:
+                    break
+            else:
+                if not placed:
+                    return SearchResult("not-found", None, spent)
+                undone, options = placed.pop()
+                unassigned[undone] = True
+                if tops[-1] == len(placed):
+                    tops.pop()
+                    tops_quota[ranks[undone]] += 1
+                starting = False
+                continue
+            break
+        spent += 1
+        if spent > budget:
+            return SearchResult("budget-exhausted", None, spent)
+        unassigned[child] = False
+        if starting:
+            tops.append(len(placed))
+            tops_quota[ranks[child]] -= 1
+        placed.append((child, options))
+    bounds = tops + [len(placed)]
+    chains = [tuple(p.elements[i] for i, _ in placed[lo:hi])
+              for lo, hi in zip(bounds, bounds[1:])]
+    return SearchResult("found", ChainDecomposition(p.shape, chains), spent)
+
+
 L13_CHAIN = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
 
 
@@ -142,6 +230,13 @@ class Vee:
 
     def __len__(self):
         return len(self.elements)
+
+
+# the shapes the small_diagrams benchmark workload hands to `scd brute`: four
+# or more part sizes, at most 60 cells and at most 1,001 elements
+BRUTE_SHAPES = [(m, n) for m in range(1, 61) for n in range(4, 61)
+                if m * n <= 60 and comb(m + n, m) <= 1001]
+BOXES = [(m, n) for m in range(7) for n in range(7)]
 
 
 @pytest.fixture
@@ -330,6 +425,37 @@ class TestBruteForce:
         # 1,001 elements: the recursion needs a deeper stack than the default
         result = brute_force_scd(build_lattice(Shape(10, 4), "composition"), 100_000)
         assert (result.status, result.assignments) == ("budget-exhausted", 100_001)
+
+    @pytest.mark.parametrize("shape", sorted(set(BRUTE_SHAPES) | set(BOXES)), ids=str)
+    def test_dead_descents_are_charged_as_walked(self, shape):
+        p = build_lattice(Shape(*shape), "composition")
+        result = brute_force_scd(p, 100_000)
+        assert result == reference_stack_brute_force_scd(p, 100_000)
+        budgets = [0, 1, 7, 100, 1_000] if shape in BOXES else []
+        if result.status == "found":
+            # it runs out one placement short of its count
+            budgets += [result.assignments - 1, result.assignments]
+        for budget in budgets:
+            assert brute_force_scd(p, budget) == reference_stack_brute_force_scd(
+                p, budget), budget
+
+    def test_dead_descents_are_walked_without_recursion(self):
+        # height 102, and the search meets dead descents: a walk that recursed
+        # once per rank would need more frames than the lowered limit allows
+        p = build_lattice(Shape(3, 34), "composition")
+        want = reference_stack_brute_force_scd(p, 100_000)
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(100)
+        try:
+            result = brute_force_scd(p, 100_000)
+        finally:
+            sys.setrecursionlimit(limit)
+        assert result == want
+
+    def test_one_chain_of_height_5000(self):
+        result = brute_force_scd(build_lattice(Shape(1, 5000)))
+        assert (result.status, result.assignments) == ("found", 5001)
+        assert len(result.decomposition) == 1
 
 
 # posets for the poset-resolved parse: the shapes of the decompositions the
