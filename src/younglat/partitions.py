@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import re
 from functools import lru_cache
-from itertools import chain
+from itertools import accumulate, chain
 from typing import Iterable, NamedTuple, Sequence
 
 Partition = tuple[int, ...]
@@ -168,11 +168,7 @@ def weighted_sum(c: Sequence[int]) -> int:
     sums.  For a composition key this is its rank, ``rank(from_multiplicity(c,
     shape))``.
     """
-    total = prefix = 0
-    for v in c[:-1]:
-        prefix += v
-        total += prefix
-    return total
+    return sum(accumulate(c[:-1]))
 
 
 def enumerate_compositions(k: int, p: int) -> list[WeakComposition]:

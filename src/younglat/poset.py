@@ -372,12 +372,15 @@ def check_splitting_identities(m: int, n: int) -> SplitCheck:
 
 
 def _blocks(template: str, rows):
-    """``template`` filled from ``rows`` of three values, ``_BLOCK_LINES`` rows
-    to a block: one ``%`` over the block's values.  ``rows`` is read as an
-    iterator, never sliced, so any iterable will do."""
+    """``template`` filled from ``rows``, equal-length tuples of its values,
+    ``_BLOCK_LINES`` rows to a block: one ``%`` over the block's values, one
+    line per ``len(row)`` of them.  ``rows`` is read as an iterator, never
+    sliced, so any iterable will do, and no row is held once its values are
+    taken, so ``zip`` can reuse its tuple for the next row."""
     rows = iter(rows)
-    while values := tuple(chain.from_iterable(islice(rows, _BLOCK_LINES))):
-        yield template * (len(values) // 3) % values
+    for first in rows:
+        values = (*first, *chain.from_iterable(islice(rows, _BLOCK_LINES - 1)))
+        yield template * (len(values) // len(first)) % values
 
 
 def _poset_blocks(p: GradedPoset):

@@ -3,21 +3,22 @@
 Both renderers emit one node per element and one edge per cover, lay levels
 out by rank, color edges by root index, and optionally overlay a chain
 decomposition (chain edges bold, the rest dimmed).  Output is a pure
-function of the inputs, byte for byte.  The DOT text is made in blocks of
-``poset._BLOCK_LINES`` lines, which ``render`` writes out as they come, so
-the command never holds the whole drawing; :func:`to_dot` joins them.
-:func:`to_svg` makes each coordinate string once and reuses it wherever
-it is written, with the bytes of formatting it at each place.
+function of the inputs, byte for byte.  Both take their edge attributes
+from one table, :func:`_edge_styles`, and write their lines of a fixed
+template in the poset writer's blocks (``poset._blocks``): ``render``
+writes the DOT blocks out as they come, so the command never holds the
+whole drawing, and :func:`to_dot` joins them.  :func:`to_svg` makes each
+coordinate string once and reuses it wherever it is written, with the
+bytes of formatting it at each place.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, islice, repeat
+from itertools import chain, repeat
 from operator import mul
 
-from . import poset
-from .poset import GradedPoset
+from .poset import GradedPoset, _blocks
 from .roots import root_color
 from .scd import ChainDecomposition
 
@@ -98,40 +99,42 @@ def _chain_steps(p: GradedPoset, spec: RenderSpec) -> set[int] | None:
     return steps
 
 
+def _edge_styles(p: GradedPoset, steps, plain: str, on: str, off: str):
+    """``(color, on a chain)`` -> the attribute text of that kind of edge of
+    ``p``: ``plain`` without an overlay (``steps`` None), else ``on`` or
+    ``off``, each a template of the color's name.  Only the colors that
+    covers of ``p`` carry get a style, so an empty poset gets none."""
+    kinds = {False: plain} if steps is None else {True: on, False: off}
+    colors = range(1, p.shape.n + 1) if p.covers else ()
+    return {(color, chained): template % root_color(color)
+            for color in colors for chained, template in kinds.items()}
+
+
 def _dot_blocks(p: GradedPoset, spec: RenderSpec):
     """The DOT text of ``p``: the header, then the rank, node and edge lines
-    and the closing brace in blocks of at most ``poset._BLOCK_LINES`` lines.
+    in the poset writer's blocks, and the closing brace.
 
     The overlay's keys are checked and the labels made before the first
     block, so a refused drawing yields nothing.
     """
     steps = _chain_steps(p, spec)
     labels = _node_labels(p, spec)
-    # the attribute text of each (color, on a chain) kind of edge
-    styles = {}
-    for color in range(1, p.shape.n + 1):
-        name = root_color(color)
-        if steps is None:
-            styles[color, False] = f'color="{name}"'
-        else:
-            styles[color, True] = f'color="{name}", penwidth=2.4'
-            styles[color, False] = f'color="{name}", style=dotted, penwidth=0.8'
+    styles = _edge_styles(p, steps, 'color="%s"', 'color="%s", penwidth=2.4',
+                          'color="%s", style=dotted, penwidth=0.8')
     keys = p.key_strings
     size = len(p)
     chained = steps or ()  # no overlay, or one with no steps: no edge is on a chain
     yield (f'digraph "{p.label()}" {{\n'
            "  rankdir=BT;\n"
            '  node [shape=box, fontname="monospace"];\n')
-    lines = chain(
-        ('  { rank=same; "%s"; }\n' % '"; "'.join(map(keys.__getitem__, level))
-         for level in p.levels() if level),
-        (f'  "{key}" [label="{label}"];\n' for key, label in zip(keys, labels)),
-        (f'  "{keys[lo]}" -> "{keys[hi]}" [{styles[color, lo * size + hi in chained]}];\n'
-         for lo, hi, color in p.covers),
-        ("}\n",),
-    )
-    while block := "".join(islice(lines, poset._BLOCK_LINES)):
-        yield block
+    yield from _blocks('  { rank=same; "%s"; }\n',
+                       (('"; "'.join(map(keys.__getitem__, level)),)
+                        for level in p.levels() if level))
+    yield from _blocks('  "%s" [label="%s"];\n', zip(keys, labels))
+    yield from _blocks('  "%s" -> "%s" [%s];\n',
+                       ((keys[lo], keys[hi], styles[color, lo * size + hi in chained])
+                        for lo, hi, color in p.covers))
+    yield "}\n"
 
 
 def to_dot(p: GradedPoset, spec: RenderSpec | None = None) -> str:
@@ -192,15 +195,8 @@ def to_svg(p: GradedPoset, spec: RenderSpec | None = None) -> str:
         xs += [width / 2 + (slot - (len(level) - 1) / 2) * _DX for slot in range(len(level))]
         y_text += repeat("%.1f" % (_MARGIN + (p.height - r) * _DY), len(level))
     x_text = ["%.1f" % x for x in xs]
-    # the attribute text of each (color, on a chain) kind of edge
-    styles = {}
-    for color in range(1, n + 1):
-        stroke = f'stroke="{root_color(color)}"'
-        if steps is None:
-            styles[color, False] = stroke
-        else:
-            styles[color, True] = stroke + ' stroke-width="2.6"'
-            styles[color, False] = stroke + ' stroke-width="1" stroke-opacity="0.35"'
+    styles = _edge_styles(p, steps, 'stroke="%s"', 'stroke="%s" stroke-width="2.6"',
+                          'stroke="%s" stroke-width="1" stroke-opacity="0.35"')
     chained = steps or ()  # no overlay, or one with no steps: no edge is on a chain
     out = [
         '<?xml version="1.0" encoding="UTF-8"?>\n'
@@ -209,10 +205,10 @@ def to_svg(p: GradedPoset, spec: RenderSpec | None = None) -> str:
         f"  <title>{p.label()}</title>\n"
         '  <g class="edges">\n'
     ]
-    out += ['    <line x1="%s" y1="%s" x2="%s" y2="%s" %s/>\n'
-            % (x_text[lo], y_text[lo], x_text[hi], y_text[hi],
-               styles[color, lo * size + hi in chained])
-            for lo, hi, color in p.covers]
+    out += _blocks('    <line x1="%s" y1="%s" x2="%s" y2="%s" %s/>\n',
+                   ((x_text[lo], y_text[lo], x_text[hi], y_text[hi],
+                     styles[color, lo * size + hi in chained])
+                    for lo, hi, color in p.covers))
     out.append('  </g>\n  <g class="nodes">\n')
     cells = _CellRows()
     for r, level in enumerate(levels):

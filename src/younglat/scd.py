@@ -242,19 +242,24 @@ def _odd_shell(m: int, s: int) -> list[Chain]:
 
 
 def _even_shell(m: int, s: int) -> list[Chain]:
-    """Chains covering the outer two layers of the simplex for even ``m`` >= 4,
+    """Chains covering the outer two layers of the simplex for even ``m``,
     written at offset ``s`` as in :func:`_odd_shell`.
 
-    One marked chain runs the full middle-root string along the edge shared
+    ``m = 0`` is the single node ``(s, 0, 0, s)``, and ``m = 2`` is the
+    conjugated two-column decomposition ``_TWO_COLUMN``.  From ``m = 4`` on,
+    one marked chain runs the full middle-root string along the edge shared
     by the two outer faces, from ``(0, m, 0, 0)`` down to ``(0, 0, m, 0)``;
     its endpoint ranks ``2m`` and ``m`` mirror.  Outer chains then zigzag the
     last-slot-zero face but stop one step short of that occupied edge, detour
     through a single inner-layer element, and sweep the first-slot-zero face.
     Inner chains repeat the pattern one layer in, where the detours of the
     outer chains have already consumed the even positions of the inner edge.
+    Odd or negative ``m`` raises ``ValueError``.
     """
-    if m < 4 or m % 2:
-        raise ValueError(f"generic even shell needs even m >= 4, got {m}")
+    if m < 0 or m % 2:
+        raise ValueError(f"even shell needs even m >= 0, got {m}")
+    if m == 2:
+        return [tuple((a + s, b, c, d + s) for a, b, c, d in chain) for chain in _TWO_COLUMN]
     chains: list[Chain] = [tuple((s, m - k, k, s) for k in range(m + 1))]
     for i in range(m // 2):
         face = [(a + s, b, c, s) for a, b, c in _zigzag(m - 2 * i, 2 * i)[:-2]]
@@ -276,46 +281,30 @@ _TWO_COLUMN = (
 )
 
 
-def _two_column_seed(s: int) -> list[Chain]:
-    """The decomposition of the (2, 3) lattice, written at offset ``s``."""
-    return [tuple((a + s, b, c, d + s) for a, b, c, d in chain) for chain in _TWO_COLUMN]
-
-
 def lindstrom(m: int) -> ChainDecomposition:
     """Recursive symmetric chain decomposition of the three-size lattice, ``m >= 1``.
 
-    Odd ``m``: the decomposition for ``m - 2`` re-embeds by adding one to the
-    first and last entry of every key (ranks shift by 3, the height by 6, so
-    symmetry is preserved), and the two outer faces are filled by
-    :func:`_odd_shell`.  The base ``m = 1`` is the single four-element chain.
+    One rule for both parities: the decomposition for ``m - step`` re-embeds
+    by adding ``step / 2`` to the first and last entry of every key (ranks
+    shift by ``3 * step / 2``, the height by ``3 * step``, so symmetry is
+    preserved), and the outer ``step / 2`` layers are filled by the shell of
+    ``m``: :func:`_odd_shell` with step 2 for odd ``m``, :func:`_even_shell`
+    with step 4 for even ``m``.  The recursion bottoms out at ``m % step``,
+    itself a shell: the four-element chain of ``m = 1``, the two-column
+    decomposition of ``m = 2``, or the single node of ``m = 0``.
 
-    Even ``m``: the decomposition for ``m - 4`` re-embeds by adding two to the
-    first and last entry of every key (rank shift 6), and the outer two
-    layers are filled by :func:`_even_shell`.  Base cases: ``m = 2`` is the
-    conjugated two-column decomposition, and the embedded core of ``m = 4``
-    is the single middle node ``(2, 0, 0, 2)``.
-
-    Unrolled, shell ``k`` sits at offset ``(m - k) / 2``, the ``m = 4`` core
-    at ``(m - 4) / 2`` and the two-column seed at ``(m - 2) / 2``, so each
-    chain is written once, in its final position.  Through the multiplicity
-    bijection the result also decomposes the partition form of the lattice,
-    and by conjugation its transpose.  Over ``ELEMENT_LIMIT`` elements raise
+    Unrolled, shell ``k`` sits at offset ``(m - k) / 2`` for ``k`` from
+    ``m % step`` up to ``m`` in steps of ``step``, so each chain is written
+    once, in its final position.  Through the multiplicity bijection the
+    result also decomposes the partition form of the lattice, and by
+    conjugation its transpose.  Over ``ELEMENT_LIMIT`` elements raise
     ``ValueError`` before any work.
     """
     if m < 1:
         raise ValueError(f"need m >= 1, got {m}")
     _require_within_limit(m, 3)
-    if m % 2:
-        chains = [ch for k in range(1, m + 1, 2) for ch in _odd_shell(k, (m - k) // 2)]
-    else:
-        if m % 4 == 0:
-            chains = [((m // 2, 0, 0, m // 2),)]
-            start = 4
-        else:
-            chains = _two_column_seed((m - 2) // 2)
-            start = 6
-        for k in range(start, m + 1, 4):
-            chains.extend(_even_shell(k, (m - k) // 2))
+    shell, step = (_odd_shell, 2) if m % 2 else (_even_shell, 4)
+    chains = [ch for k in range(m % step, m + 1, step) for ch in shell(k, (m - k) // 2)]
     return ChainDecomposition(Shape(m, 3), chains)
 
 

@@ -13,7 +13,6 @@ from younglat.scd import (
     ChainDecomposition,
     _even_shell,
     _odd_shell,
-    _two_column_seed,
     lindstrom,
     scd_n2,
     serialize_decomposition,
@@ -111,12 +110,12 @@ def reference_lindstrom(m):
             chains = [shift(ch, 1) for ch in chains]
             chains.extend(reference_odd_shell(k, 0))
     elif m == 2:
-        chains = _two_column_seed(0)
+        chains = _even_shell(2, 0)
     else:
         if m % 4 == 0:
             chains, start = [((2, 0, 0, 2),)], 4
         else:
-            chains, start = [shift(ch, 2) for ch in _two_column_seed(0)], 6
+            chains, start = [shift(ch, 2) for ch in _even_shell(2, 0)], 6
         chains.extend(reference_even_shell(start, 0))
         for k in range(start + 4, m + 1, 4):
             chains = [shift(ch, 2) for ch in chains]
@@ -237,7 +236,16 @@ class TestShellsMatchTheFrozenReference:
 
     @pytest.mark.parametrize("s", range(4))
     def test_two_column_seed(self, s):
-        assert _two_column_seed(s) == reference_two_column_seed(s)
+        assert _even_shell(2, s) == reference_two_column_seed(s)
+
+    @pytest.mark.parametrize("s", range(4))
+    def test_core(self, s):
+        assert _even_shell(0, s) == [((s, 0, 0, s),)]
+
+    @pytest.mark.parametrize("m", [-4, -2, -1, 1, 3, 5])
+    def test_odd_or_negative_m_is_refused(self, m):
+        with pytest.raises(ValueError):
+            _even_shell(m, 0)
 
 
 class TestDispatch:

@@ -557,6 +557,23 @@ class TestDotBlocks:
         assert main(argv) == 0
         assert capsys.readouterr() == (want, "")
 
+    @pytest.mark.parametrize("block_lines", [1, 4096])
+    @pytest.mark.parametrize("coords", ["partition", "composition"])
+    def test_every_shape_up_to_6_6(self, monkeypatch, coords, block_lines):
+        monkeypatch.setattr(poset, "_BLOCK_LINES", block_lines)
+        for m in range(7):
+            for n in range(7):
+                p = build_lattice(Shape(m, n), coords)
+                overlays = [None]
+                if m and n == 3:
+                    overlays.append(lindstrom(m))
+                if m and n == 2:
+                    overlays.append(scd_n2(m))
+                for overlay in overlays:
+                    for labels in ("partition", "composition", "young"):
+                        spec = RenderSpec(labels=labels, highlight=overlay)
+                        assert to_dot(p, spec) == reference_to_dot(p, spec), (m, n, labels)
+
     def test_render_holds_one_block_at_a_time(self, tmp_path, monkeypatch):
         # L'(30,3) with Lindström's chains: 5,456 elements, 14,880 covers and
         # 1.4 MB of DOT.  Holding every line and then the joined text took
@@ -572,3 +589,30 @@ class TestDotBlocks:
             argv = ["render", str(poset_file), "--scd", str(scd_file), "--format", "dot"]
             render_peak = traced_peak(main, argv)
         assert render_peak - traced_peak(parse_poset, text) < 3 * size
+
+
+class TestEmptyLatticeRender:
+    """The empty lattice ``L(0, n)`` has no covers, so it draws no edge
+    style: its drawing takes the same small memory for any ``n``, where one
+    style per root color took 40 MB at ``n = 200,000``."""
+
+    DOT = ('digraph "%s" {\n  rankdir=BT;\n'
+           '  node [shape=box, fontname="monospace"];\n}\n')
+    SVG = ('<?xml version="1.0" encoding="UTF-8"?>\n'
+           '<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
+           'width="80" height="80" viewBox="0 0 80 80">\n'
+           '  <title>%s</title>\n  <g class="edges">\n  </g>\n'
+           '  <g class="nodes">\n  </g>\n</svg>\n')
+
+    @pytest.mark.parametrize("fmt", ["dot", "svg"])
+    @pytest.mark.parametrize("label", ["L(0,200000)", "L'(0,200000)"])
+    def test_bounded_memory(self, tmp_path, monkeypatch, capsys, fmt, label):
+        poset_file = tmp_path / "empty.poset"
+        poset_file.write_text(f"poset {label} height=0 count=0\n", encoding="utf-8")
+        argv = ["render", str(poset_file), "--format", fmt]
+        assert main(argv) == 0
+        want = (self.DOT if fmt == "dot" else self.SVG) % label
+        assert capsys.readouterr() == (want, "")
+        with open(os.devnull, "w", encoding="utf-8") as sink:
+            monkeypatch.setattr(sys, "stdout", sink)
+            assert traced_peak(main, argv) < 2**20
