@@ -45,7 +45,6 @@ from .partitions import (
     parse_natural,
     weighted_sum,
 )
-from .roots import NotACoverError, edge_color
 
 # the header line: up to the first character at which str.splitlines ends a line
 _FIRST_LINE = re.compile(r"[^\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029]*")
@@ -162,11 +161,10 @@ def gaussian_binomial(m: int, n: int) -> RankPolynomial:
     ``m * i``.  Every ``(m, i)`` polynomial is palindromic, so each step
     computes its lower half and mirrors it (:func:`_next_polynomial`).  The
     coefficient of ``q^k`` counts the partitions of ``k`` with at most ``m``
-    parts, each at most ``n``.  A degree ``m * n`` over ``DEGREE_LIMIT``
-    raises ``ValueError`` before any work.
+    parts, each at most ``n``.  A dimension that is not an int, or a degree
+    ``m * n`` over ``DEGREE_LIMIT``, raises ``ValueError`` before any work.
     """
-    if m < 0 or n < 0:
-        raise ValueError("box dimensions must be nonnegative")
+    m, n = _checked_shape(m, n)
     if m * n > DEGREE_LIMIT:
         raise ValueError(f"the {m} x {n} box has degree {m * n:,}, over the "
                          f"limit of {DEGREE_LIMIT:,}")
@@ -185,11 +183,11 @@ class GradedPoset:
     ``elements`` holds weak-composition keys sorted by rank and then
     lexicographically, whatever ``coords`` is: ``coords`` only picks the
     label of :meth:`label`.  ``covers`` holds ``(lower_index, upper_index,
-    color)`` triples sorted by index pair.  Covers are root steps between
-    composition keys: :meth:`is_cover` and :meth:`color_of` decide from the
-    two keys alone.  :attr:`key_strings` and the key index behind ``in``
-    and the lookups are each made on first use, so a poset that is only
-    written or drawn holds no index; threads racing there make equal values.
+    color)`` triples sorted by index pair.  Covers are root steps, so
+    ``roots.edge_color`` decides from two keys ``in`` the poset alone.
+    :attr:`key_strings` and the key index behind ``in``, :meth:`index_of`
+    and ``_positions`` are made on first use, so a poset only written or
+    drawn holds no index; threads racing there make equal values.
     """
 
     def __init__(self, shape, coords, elements, ranks, covers):
@@ -226,23 +224,6 @@ class GradedPoset:
         except KeyError:
             raise KeyError(f"unknown element {key}") from None
 
-    def rank_of(self, key) -> int:
-        return self.ranks[self.index_of(key)]
-
-    def is_cover(self, lower_key, upper_key) -> bool:
-        if lower_key not in self._index or upper_key not in self._index:
-            return False
-        try:
-            edge_color(lower_key, upper_key)
-        except NotACoverError:
-            return False
-        return True
-
-    def color_of(self, lower_key, upper_key) -> int:
-        if not self.is_cover(lower_key, upper_key):
-            raise KeyError(f"{upper_key} does not cover {lower_key} in {self.label()}")
-        return edge_color(lower_key, upper_key)
-
     def levels(self) -> list[range]:
         """Element indices grouped by rank, rank 0 first: the ranges between
         the offsets of each rank in the sorted ``ranks``."""
@@ -252,6 +233,21 @@ class GradedPoset:
     def label(self) -> str:
         prime = "" if self.coords == "partition" else "'"
         return f"L{prime}({self.shape.m},{self.shape.n})"
+
+
+def _positions(p: GradedPoset, keys) -> list:
+    """The element index of each key in ``p``, None for a key that is not
+    one: one probe of the key index per key."""
+    return list(map(p._index.get, keys))
+
+
+def _checked_shape(m, n, least: int = 0) -> Shape:
+    """``Shape(m, n)``; ``ValueError`` unless both are ints (a ``bool`` is
+    not one) of at least ``least``."""
+    for d in (m, n):
+        if not isinstance(d, int) or isinstance(d, bool) or d < least:
+            raise ValueError(f"lattice dimensions must be ints >= {least}, got {d!r}")
+    return Shape(m, n)
 
 
 def _require_within_limit(m: int, n: int) -> None:
@@ -271,8 +267,9 @@ def build_lattice(shape: Shape, coordinates: str = "partition") -> GradedPoset:
     stably sorted by rank (lexicographic within a rank), in both coordinate
     systems; ``coordinates`` only sets the label.  Each key's rank is
     computed once, and a stable argsort by rank puts the keys in order.
-    ``m = 0`` or ``n = 0`` gives the empty poset; over ``ELEMENT_LIMIT``
-    elements or ``KEY_ENTRY_LIMIT`` key entries raise ``ValueError``.
+    ``m = 0`` or ``n = 0`` gives the empty poset; a dimension that is not
+    an int, or over ``ELEMENT_LIMIT`` elements or ``KEY_ENTRY_LIMIT`` key
+    entries, raises ``ValueError``.
 
     The color-``j + 1`` covers are the translations by the simple root
     ``e_j - e_(j+1)``: a unit moves from slot ``j + 1`` to slot ``j``.  That
@@ -284,10 +281,8 @@ def build_lattice(shape: Shape, coordinates: str = "partition") -> GradedPoset:
     sorted by lower index; one sort merges the ``n`` runs into index-pair
     order.  No key is looked up.
     """
-    shape = Shape(*shape)
+    shape = _checked_shape(*shape)
     m, n = shape
-    if m < 0 or n < 0:
-        raise ValueError("shape dimensions must be nonnegative")
     if coordinates not in ("partition", "composition"):
         raise ValueError(f"unknown coordinate system {coordinates!r}")
     if m == 0 or n == 0:
@@ -351,11 +346,10 @@ def check_splitting_identities(m: int, n: int) -> SplitCheck:
     Lexicographic order puts the ``c[0] = 0`` block first, and both maps keep
     the order within a block, so a map is a bijection exactly when its
     images, in order, equal the lexicographic listing of its target box.
-    Boxes over ``ELEMENT_LIMIT`` elements or ``KEY_ENTRY_LIMIT`` entries
-    raise ``ValueError``.
+    Dimensions that are not ints, or boxes over ``ELEMENT_LIMIT`` elements or
+    ``KEY_ENTRY_LIMIT`` entries, raise ``ValueError``.
     """
-    if m < 1 or n < 1:
-        raise ValueError("both box dimensions must be at least 1")
+    shape = _checked_shape(m, n, 1)
     _require_within_limit(m, n)
     whole = list(gaussian_binomial(m, n))
     fewer_parts = list(gaussian_binomial(m - 1, n))
@@ -367,7 +361,7 @@ def check_splitting_identities(m: int, n: int) -> SplitCheck:
     without_big = [c[1:] for c in keys if not c[0]]
     bijective = (with_big == enumerate_compositions(m - 1, n + 1)
                  and without_big == enumerate_compositions(m, n))
-    return SplitCheck(Shape(m, n), first, second, len(with_big),
+    return SplitCheck(shape, first, second, len(with_big),
                       len(without_big), bijective)
 
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from itertools import chain, repeat
 from operator import mul
 
-from .poset import GradedPoset, _blocks
+from .poset import GradedPoset, _blocks, _positions
 from .roots import root_color
 from .scd import ChainDecomposition
 
@@ -71,18 +71,12 @@ def _node_labels(p: GradedPoset, spec: RenderSpec) -> list[str]:
     raise ValueError(f"unknown label mode {spec.labels!r}")
 
 
-def _absent_message(p: GradedPoset, chain) -> str:
-    for upper, lower in zip(chain, chain[1:]):
-        if upper not in p or lower not in p:
-            return f"highlight element {upper} or {lower} not in poset"
-    return f"highlight element {chain[0]} not in poset"
-
-
 def _chain_steps(p: GradedPoset, spec: RenderSpec) -> set[int] | None:
     """The overlay's steps as codes ``lower * len(p) + upper`` of element
     indices, or None without one; a cover ``(lo, hi, color)`` is on a chain
     when ``lo * len(p) + hi`` is in the set.
 
+    Each key is looked up in the key index once (``poset._positions``).
     Every key of every chain must be an element of ``p``; otherwise
     ``ValueError`` names the first step (or lone key) that is not.
     """
@@ -91,10 +85,11 @@ def _chain_steps(p: GradedPoset, spec: RenderSpec) -> set[int] | None:
     size = len(p)
     steps = set()
     for chain in spec.highlight.chains:
-        try:
-            at = list(map(p.index_of, chain))
-        except KeyError:
-            raise ValueError(_absent_message(p, chain)) from None
+        at = _positions(p, chain)
+        if None in at:
+            k = max(at.index(None) - 1, 0)  # the first step, or lone key, with an absent key
+            shown = " or ".join(map(str, chain[k:k + 2]))
+            raise ValueError(f"highlight element {shown} not in poset")
         steps.update(lo * size + hi for lo, hi in zip(at[1:], at))
     return steps
 

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import islice
+from itertools import compress, islice
 from typing import Iterator
 
 from .partitions import (
@@ -37,7 +37,9 @@ from .partitions import (
     parse_natural,
     weighted_sum,
 )
-from .poset import GradedPoset, ParseError, _parse_label, _require_within_limit, rank_profile
+from .poset import (GradedPoset, ParseError, _checked_shape, _parse_label, _positions,
+                    _require_within_limit, rank_profile)
+from .roots import NotACoverError, edge_color
 
 Chain = tuple[WeakComposition, ...]
 
@@ -47,14 +49,14 @@ DEFAULT_BUDGET = 100_000_000  # assignments brute_force_scd may spend, unless to
 class ChainDecomposition:
     """A set of chains over one lattice, canonically ordered.
 
-    Chains are sorted by (bottom rank, bottom key, whole chain); the class
-    does not check validity, that is the verifier's job.
+    Chains are sorted by (bottom rank, bottom key, whole chain).  The class
+    checks only that ``shape`` holds two ints >= 0; validity is the verifier's job.
     """
 
     __slots__ = ("shape", "chains")
 
     def __init__(self, shape: Shape, chains):
-        self.shape = Shape(*shape)
+        self.shape = _checked_shape(*shape)
         normalized = []
         for chain in chains:
             chain = tuple(map(tuple, chain))
@@ -141,35 +143,43 @@ def verify_scd(d: ChainDecomposition, p: GradedPoset) -> ScdReport:
     chain with an absent key counts as one), and chains whose endpoint ranks
     do not add up to the height.  The report also counts how many chains
     start (bottom out) at each rank.  Differing shapes raise ``ValueError``.
+    Each key is looked up in the poset's key index once, and the checks then
+    work on element indices; only unknown keys are counted by key.
     """
     _require_same_shape(d, p)
-    seen: Counter = Counter()
+    uses = [0] * len(p)
     unknown: list = []
     unsaturated: list[int] = []
     asymmetric: list[int] = []
     profile: Counter = Counter()
     for ci, chain in enumerate(d.chains):
-        seen.update(chain)
-        absent = [key for key in chain if key not in p]
-        if absent:
-            unknown.extend(absent)
+        at = _positions(p, chain)
+        for key, i in zip(chain, at):
+            if i is None:
+                unknown.append(key)
+            else:
+                uses[i] += 1
+        if None in at:
             unsaturated.append(ci)
             continue
-        if not all(map(p.is_cover, chain[1:], chain)):
+        try:
+            for lower, upper in zip(chain[1:], chain):
+                edge_color(lower, upper)
+        except NotACoverError:
             unsaturated.append(ci)
-        bottom = p.rank_of(chain[-1])
-        if p.rank_of(chain[0]) + bottom != p.height:
+        bottom = p.ranks[at[-1]]
+        if p.ranks[at[0]] + bottom != p.height:
             asymmetric.append(ci)
         profile[bottom] += 1
-    missing = tuple(sorted(key for key in p.elements if key not in seen))
-    duplicated = tuple(sorted(k for k, v in seen.items() if v > 1))
+    duplicated = [key for key, v in Counter(unknown).items() if v > 1]
+    duplicated += compress(p.elements, [v > 1 for v in uses])
     return ScdReport(
         shape=d.shape,
         height=p.height,
         poset_size=len(p),
         chain_count=len(d.chains),
-        missing=missing,
-        duplicated=duplicated,
+        missing=tuple(sorted(compress(p.elements, [not v for v in uses]))),
+        duplicated=tuple(sorted(duplicated)),
         unknown=tuple(unknown),
         unsaturated=tuple(unsaturated),
         asymmetric=tuple(asymmetric),
@@ -211,11 +221,10 @@ def scd_n2(m: int) -> ChainDecomposition:
     the two root steps, largest-part step first, for ``2(m - 2i)`` covers.
     The middle slot stays at ``2i`` or ``2i + 1`` along chain ``i``, so the
     chains partition the triangle.  Even ``m`` leaves a singleton chain; odd
-    ``m`` bottoms out with a chain of length 2.  Over ``ELEMENT_LIMIT``
-    elements raise ``ValueError`` before any work.
+    ``m`` bottoms out with a chain of length 2.  A non-int ``m``, ``m < 1``
+    or over ``ELEMENT_LIMIT`` elements raise ``ValueError`` before any work.
     """
-    if m < 1:
-        raise ValueError(f"need m >= 1, got {m}")
+    _checked_shape(m, 2, 1)
     _require_within_limit(m, 2)
     chains = [_zigzag(m - 2 * i, 2 * i) for i in range(m // 2 + 1)]
     return ChainDecomposition(Shape(m, 2), chains)
@@ -297,11 +306,10 @@ def lindstrom(m: int) -> ChainDecomposition:
     ``m % step`` up to ``m`` in steps of ``step``, so each chain is written
     once, in its final position.  Through the multiplicity bijection the
     result also decomposes the partition form of the lattice, and by
-    conjugation its transpose.  Over ``ELEMENT_LIMIT`` elements raise
-    ``ValueError`` before any work.
+    conjugation its transpose.  A non-int ``m``, ``m < 1`` or over
+    ``ELEMENT_LIMIT`` elements raise ``ValueError`` before any work.
     """
-    if m < 1:
-        raise ValueError(f"need m >= 1, got {m}")
+    _checked_shape(m, 3, 1)
     _require_within_limit(m, 3)
     shell, step = (_odd_shell, 2) if m % 2 else (_even_shell, 4)
     chains = [ch for k in range(m % step, m + 1, step) for ch in shell(k, (m - k) // 2)]

@@ -1,6 +1,7 @@
 import sys
 import tracemalloc
 from collections import Counter
+from functools import partial
 from pathlib import Path
 
 from typing import Iterator
@@ -21,6 +22,8 @@ from younglat.partitions import (  # noqa: E402  (needs SRC on the path)
     require_composition,
 )
 from younglat.poset import RankPolynomial  # noqa: E402
+from younglat.roots import NotACoverError, edge_color  # noqa: E402
+from younglat.scd import ChainDecomposition, ScdReport, _require_same_shape  # noqa: E402
 
 
 def cover_pairs_by_scan(elements, le):
@@ -172,3 +175,116 @@ def traced_peak(fn, *args):
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+# The verifier as it was before it worked on element indices: a Counter over
+# the keys, ``key in p``, and the per-key rank and per-pair cover lookups that
+# GradedPoset had then, kept here as functions.  Its reports are the reference
+# for verify_scd's.
+
+
+def rank_of(p, key):
+    return p.ranks[p.index_of(key)]
+
+
+def is_cover(p, lower_key, upper_key):
+    if lower_key not in p or upper_key not in p:
+        return False
+    try:
+        edge_color(lower_key, upper_key)
+    except NotACoverError:
+        return False
+    return True
+
+
+def reference_verify_scd(d, p):
+    _require_same_shape(d, p)
+    seen: Counter = Counter()
+    unknown: list = []
+    unsaturated: list[int] = []
+    asymmetric: list[int] = []
+    profile: Counter = Counter()
+    for ci, chain in enumerate(d.chains):
+        seen.update(chain)
+        absent = [key for key in chain if key not in p]
+        if absent:
+            unknown.extend(absent)
+            unsaturated.append(ci)
+            continue
+        if not all(map(partial(is_cover, p), chain[1:], chain)):
+            unsaturated.append(ci)
+        bottom = rank_of(p, chain[-1])
+        if rank_of(p, chain[0]) + bottom != p.height:
+            asymmetric.append(ci)
+        profile[bottom] += 1
+    missing = tuple(sorted(key for key in p.elements if key not in seen))
+    duplicated = tuple(sorted(k for k, v in seen.items() if v > 1))
+    return ScdReport(
+        shape=d.shape,
+        height=p.height,
+        poset_size=len(p),
+        chain_count=len(d.chains),
+        missing=missing,
+        duplicated=duplicated,
+        unknown=tuple(unknown),
+        unsaturated=tuple(unsaturated),
+        asymmetric=tuple(asymmetric),
+        start_profile=dict(sorted(profile.items())),
+    )
+
+
+CORRUPTIONS = ("shared", "unknown_twice", "other_length", "unknown_singleton",
+               "absent_mid_chain", "dropped_mid_chain", "reversed_step")
+
+
+def corrupted(d, kinds, rng):
+    """``d`` with one defect of each of ``kinds`` (names from ``CORRUPTIONS``),
+    each at a place drawn from the ``random.Random`` ``rng``:
+
+    - ``shared``: a key of one chain put into another chain as well;
+    - ``unknown_twice``: a key of the right length that is no element,
+      inserted twice;
+    - ``other_length``: a key given one more entry;
+    - ``unknown_singleton``: a one-element chain of a key that is no element;
+    - ``absent_mid_chain``: a key inside a chain replaced by one that is no
+      element;
+    - ``dropped_mid_chain``: a key inside a chain removed;
+    - ``reversed_step``: two neighbours of a chain swapped.
+
+    The chains of ``d`` must have n + 1 entries per key, and one of them at
+    least three keys.
+    """
+    chains = [list(chain) for chain in d.chains]
+    stranger = (d.shape.m + 1,) + (0,) * d.shape.n  # the right length, the wrong sum
+
+    def any_chain(least=1):
+        return rng.choice([chain for chain in chains if len(chain) >= least])
+
+    for kind in kinds:
+        if kind == "shared":
+            target = any_chain()
+            target.insert(rng.randrange(len(target) + 1), rng.choice(any_chain()))
+        elif kind == "unknown_twice":
+            for _ in range(2):
+                target = any_chain()
+                target.insert(rng.randrange(len(target) + 1), stranger)
+        elif kind == "other_length":
+            chain = any_chain()
+            at = rng.randrange(len(chain))
+            chain[at] = (*chain[at], 0)
+        elif kind == "unknown_singleton":
+            chains.append([(0,) * d.shape.n + (d.shape.m + 2,)])
+        elif kind in ("absent_mid_chain", "dropped_mid_chain"):
+            chain = any_chain(3)
+            at = rng.randrange(1, len(chain) - 1)
+            if kind == "absent_mid_chain":
+                chain[at] = stranger
+            else:
+                del chain[at]
+        elif kind == "reversed_step":
+            chain = any_chain(2)
+            at = rng.randrange(len(chain) - 1)
+            chain[at], chain[at + 1] = chain[at + 1], chain[at]
+        else:
+            raise ValueError(f"unknown corruption {kind!r}")
+    return ChainDecomposition(d.shape, chains)

@@ -48,7 +48,8 @@ from younglat.poset import (
     serialize_poset,
 )
 from younglat.render import RenderSpec, to_dot, to_svg
-from younglat.scd import brute_force_scd
+from younglat.roots import NotACoverError, edge_color
+from younglat.scd import ChainDecomposition, brute_force_scd, lindstrom, scd_n2
 
 
 def lattice_fields(p):
@@ -285,12 +286,13 @@ class TestBuildLattice:
     def test_accessors(self):
         p = build_lattice(Shape(2, 2), "composition")
         assert (1, 0, 1) in p
-        assert p.rank_of((1, 0, 1)) == 2
-        assert p.is_cover((0, 1, 1), (1, 0, 1))
-        assert p.color_of((0, 1, 1), (1, 0, 1)) == 1
+        assert p.ranks[p.index_of((1, 0, 1))] == 2
+        assert (0, 1, 1) in p and edge_color((0, 1, 1), (1, 0, 1)) == 1
         with pytest.raises(KeyError):
             p.index_of((9, 9, 9))
-        assert not p.is_cover((9, 9, 9), (1, 0, 1))
+        assert (9, 9, 9) not in p
+        for name in ("rank_of", "is_cover", "color_of"):
+            assert not hasattr(p, name)
 
     def test_cover_relation_decided_from_keys(self):
         # every ordered pair of every shape up to 5 x 5, in both coordinate systems
@@ -304,24 +306,25 @@ class TestBuildLattice:
                     for a in p.elements:
                         for b in p.elements:
                             pairs += 1
-                            assert p.is_cover(a, b) == ((a, b) in stored)
-                            if (a, b) in stored:
-                                assert p.color_of(a, b) == stored[(a, b)]
+                            assert a in p and b in p
+                            try:
+                                color = edge_color(a, b)
+                            except NotACoverError:
+                                color = None
+                            assert color == stored.get((a, b))
         assert pairs == 222_044
 
-    def test_color_of_raises_key_error(self):
+    def test_non_covers_are_refused(self):
         p = build_lattice(Shape(2, 2), "composition")
-        with pytest.raises(KeyError):
-            p.color_of((1, 0, 1), (0, 1, 1))  # known keys, wrong direction
-        with pytest.raises(KeyError):
-            p.color_of((0, 0, 2), (2, 0, 0))  # known keys, two ranks apart
-        with pytest.raises(KeyError):
-            p.color_of((0, 1, 1), (9, 9, 9))
-        # root steps with one end outside the lattice
-        for lower, upper in (((-1, 1, 2), (0, 0, 2)), ((0, 0, 2), (1, -1, 2))):
-            assert not p.is_cover(lower, upper)
-            with pytest.raises(KeyError):
-                p.color_of(lower, upper)
+        with pytest.raises(NotACoverError):
+            edge_color((1, 0, 1), (0, 1, 1))  # known keys, wrong direction
+        with pytest.raises(NotACoverError):
+            edge_color((0, 0, 2), (2, 0, 0))  # known keys, two ranks apart
+        assert (0, 1, 1) in p and (9, 9, 9) not in p
+        # root steps with one end outside the lattice: edge_color gives them
+        # a color, and membership refuses them
+        assert edge_color((-1, 1, 2), (0, 0, 2)) == edge_color((0, 0, 2), (1, -1, 2)) == 1
+        assert (0, 0, 2) in p and (-1, 1, 2) not in p and (1, -1, 2) not in p
 
     def test_q_factorial_rejects_negative(self):
         with pytest.raises(ValueError):
@@ -1156,6 +1159,29 @@ class TestArithmeticCoverCheck:
             want = serialize_poset(p).splitlines()[line - 1]
             assert (err.value.line, str(err.value)) == (
                 line, f"line {line}: expected {want!r}, got {lines[line - 1]!r}")
+
+
+class TestDimensionsAreInts:
+    @pytest.mark.parametrize("entry", [
+        lambda d: build_lattice((d, 3)),
+        lambda d: build_lattice(Shape(2, d), "composition"),
+        lambda d: gaussian_binomial(d, 2),
+        lambda d: gaussian_binomial(2, d),
+        lambda d: check_splitting_identities(d, 2),
+        lambda d: check_splitting_identities(2, d),
+        lambda d: lindstrom(d),
+        lambda d: scd_n2(d),
+        lambda d: ChainDecomposition((d, 3), lindstrom(2).chains),
+        lambda d: ChainDecomposition((2, d), ()),
+    ], ids=["build_lattice-m", "build_lattice-n", "gaussian_binomial-m", "gaussian_binomial-n",
+            "identities-m", "identities-n", "lindstrom", "scd_n2", "ChainDecomposition-m",
+            "ChainDecomposition-n"])
+    @pytest.mark.parametrize("dim", [True, False, 2.0, 2.5, 0.0, "3", None])
+    def test_refuses_dimension_that_is_not_an_int(self, entry, dim):
+        # a bool or a float once reached the label (L'(True,3), L(2.0,0)) or math.comb
+        with pytest.raises(ValueError) as err:
+            entry(dim)
+        assert str(err.value).startswith("lattice dimensions must be ints >= ")
 
 
 class TestIndexStaysInPoset:

@@ -1,4 +1,5 @@
 import os
+import random
 import re
 import sys
 from itertools import chain, repeat
@@ -6,7 +7,7 @@ from math import comb
 
 import pytest
 
-from conftest import traced_peak
+from conftest import CORRUPTIONS, corrupted, traced_peak
 from younglat import partitions, poset, render
 from younglat.cli import main
 from younglat.partitions import Shape, format_composition, format_partition, from_multiplicity
@@ -14,6 +15,7 @@ from younglat.poset import build_lattice, parse_poset, serialize_poset
 from younglat.render import (
     DiagramSizeError,
     RenderSpec,
+    _chain_steps,
     _node_labels,
     to_dot,
     to_svg,
@@ -305,6 +307,25 @@ class TestOverlayMatchesKeyPairReference:
         with pytest.raises(ValueError) as err:
             draw(p, spec)
         assert str(err.value) == str(expected.value)
+
+    @pytest.mark.parametrize("kind", CORRUPTIONS)
+    def test_corrupted_overlays(self, kind):
+        # the step codes decode to the reference's key pairs, or both refuse
+        # the overlay with one message
+        for m in range(1, 9):
+            p = build_lattice(Shape(m, 3), "composition")
+            size = len(p)
+            for seed in range(5):
+                spec = RenderSpec(highlight=corrupted(lindstrom(m), [kind], random.Random(seed)))
+                try:
+                    want = reference_chain_steps(p, spec)
+                except ValueError as expected:
+                    with pytest.raises(ValueError) as err:
+                        _chain_steps(p, spec)
+                    assert str(err.value) == str(expected)
+                    continue
+                steps = _chain_steps(p, spec)
+                assert {(p.elements[c // size], p.elements[c % size]) for c in steps} == want
 
 
 def reference_to_svg(p, spec=None):

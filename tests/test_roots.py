@@ -164,7 +164,7 @@ class TestWeightString:
                 s = weight_string(gamma, root, shape)
                 assert gamma in s
                 for upper, lower in zip(s, s[1:]):
-                    assert p.is_cover(lower, upper)
+                    assert lower in p and upper in p
                     assert edge_color(lower, upper) == root
 
 

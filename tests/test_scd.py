@@ -1,3 +1,4 @@
+import random
 import sys
 from math import comb
 from typing import Iterator
@@ -6,7 +7,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from conftest import chain_lengths, mutated_text
+from conftest import CORRUPTIONS, chain_lengths, corrupted, mutated_text, reference_verify_scd
 from younglat.partitions import Shape
 from younglat.poset import (
     GradedPoset,
@@ -664,6 +665,56 @@ class TestVerifierCatchesCorruption:
             assert str(exc).startswith("shape mismatch: ")
             return
         assert not report.passed
+
+
+def same_report(d, p):
+    """``verify_scd(d, p)``, after checking that it and its lines equal those
+    of the key-based verifier kept in conftest."""
+    report = verify_scd(d, p)
+    want = reference_verify_scd(d, p)
+    assert report == want
+    assert report.lines() == want.lines()
+    return report
+
+
+class TestVerifierMatchesKeyBasedReference:
+    def test_constructions(self):
+        for m in range(1, 31):
+            assert same_report(lindstrom(m), build_lattice(Shape(m, 3), "composition")).passed
+            assert same_report(scd_n2(m), build_lattice(Shape(m, 2), "composition")).passed
+
+    @pytest.mark.parametrize("m, n", [(m, n) for m in range(5) for n in range(5)])
+    def test_brute_force_results(self, m, n):
+        p = build_lattice(Shape(m, n), "composition")
+        result = brute_force_scd(p)
+        assert result.status == "found"
+        assert same_report(result.decomposition, p).passed
+
+    @pytest.mark.parametrize("kind", CORRUPTIONS)
+    @pytest.mark.parametrize("n, construct", [(3, lindstrom), (2, scd_n2)])
+    def test_seeded_corruptions(self, kind, n, construct):
+        for m in range(1, 15):
+            p = build_lattice(Shape(m, n), "composition")
+            for seed in range(10):
+                d = corrupted(construct(m), [kind], random.Random(100 * m + seed))
+                assert not same_report(d, p).passed
+
+    def test_seeded_corruption_mixes(self):
+        rng = random.Random(2020)
+        for m in range(1, 15):
+            p = build_lattice(Shape(m, 3), "composition")
+            for _ in range(20):
+                kinds = rng.sample(CORRUPTIONS, rng.randint(2, 4))
+                assert not same_report(corrupted(lindstrom(m), kinds, rng), p).passed
+
+    def test_unknown_key_listed_twice_is_duplicated(self):
+        p = build_lattice(Shape(2, 3), "composition")
+        d = ChainDecomposition(Shape(2, 3), [((3, 0, 0, 0),), *lindstrom(2).chains,
+                                             ((3, 0, 0, 0), (1, 0, 0, 1))])
+        report = same_report(d, p)
+        # a known and an unknown key, each listed twice
+        assert report.unknown == ((3, 0, 0, 0), (3, 0, 0, 0))
+        assert report.duplicated == ((1, 0, 0, 1), (3, 0, 0, 0))
 
 
 class TestGeneratorArguments:
