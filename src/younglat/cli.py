@@ -110,8 +110,11 @@ def _cmd_lattice(args) -> int:
 
 
 def _cmd_ranks(args) -> int:
-    coefficients = gaussian_binomial(args.m, args.n)
-    sys.stdout.write("\n".join(map(str, coefficients)) + "\n")
+    # palindromic: format the lower half once and write it, then its mirror
+    c = gaussian_binomial(args.m, args.n).coefficients
+    lines = list(map(str, c[: (len(c) + 1) // 2]))
+    lines += lines[: len(c) // 2][::-1]
+    sys.stdout.write("\n".join(lines) + "\n")
     return 0
 
 

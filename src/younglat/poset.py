@@ -130,25 +130,27 @@ def _half_quotient(low: list[int], i: int) -> list[int]:
     return sums
 
 
-def _next_polynomial(poly: list[int], m: int, i: int) -> list[int]:
-    """The ``(m, i)`` polynomial ``poly * (1 - q^(m+i)) / (1 - q^i)`` from
-    ``poly``, the ``(m, i - 1)`` polynomial, for ``m, i >= 1``.
+def _next_half(lower: list[int], m: int, i: int) -> list[int]:
+    """The lower half (coefficients ``0..m * i // 2``) of the ``(m, i)``
+    polynomial from ``lower``, that of the ``(m, i - 1)`` polynomial ``P``,
+    for ``m, i >= 1``.
 
-    Both are palindromic, so only lower halves are computed: the step
-    polynomial ``T = poly * (1 - q^(m+i))`` is anti-palindromic of degree
-    ``(m + 1) * i``, a multiple of ``i``, and :func:`_half_quotient` divides
-    its coefficients below ``ceil((m + 1) * i / 2)`` by ``1 - q^i`` with the
-    exactness check.  The lower ``m * i // 2 + 1`` coefficients of the
-    quotient and their mirror are the result.  A ``poly`` not of degree
-    ``m * (i - 1)`` raises ``ArithmeticError``.
+    ``P`` is palindromic of degree ``d = m * (i - 1)``, so its coefficients
+    below ``half = ceil((m + 1) * i / 2)`` are ``lower``, its mirror up to
+    degree ``d``, and zeros (only for ``i = 1``).  That window is all the
+    anti-palindromic step polynomial ``T = P * (1 - q^(m+i))``, of degree
+    ``(m + 1) * i``, needs below ``half``, and :func:`_half_quotient`
+    divides those coefficients by ``1 - q^i`` with the exactness check.  A
+    ``lower`` not ``d // 2 + 1`` long raises ``ArithmeticError``.
     """
-    if len(poly) != m * (i - 1) + 1:
-        raise ArithmeticError(f"the ({m}, {i - 1}) polynomial has degree {m * (i - 1)}")
+    d = m * (i - 1)
+    if len(lower) != d // 2 + 1:
+        raise ArithmeticError(f"the ({m}, {i - 1}) polynomial has degree {d}")
     half = ((m + 1) * i + 1) // 2
-    low = poly[:half] + [0] * (half - len(poly))  # short only for i = 1
-    low[m + i:] = map(sub, low[m + i:], poly)
-    lower = _half_quotient(low, i)[: m * i // 2 + 1]
-    return lower + lower[(m * i + 1) // 2 - 1::-1]
+    top = min(d + 1, half)
+    low = lower + lower[d + 1 - top:(d + 1) // 2][::-1] + [0] * (half - top)
+    low[m + i:] = map(sub, low[m + i:], low)
+    return _half_quotient(low, i)[: m * i // 2 + 1]
 
 
 def gaussian_binomial(m: int, n: int) -> RankPolynomial:
@@ -158,21 +160,23 @@ def gaussian_binomial(m: int, n: int) -> RankPolynomial:
     one, it is the exact product of ``(1 - q^(m+i)) / (1 - q^i)``, one
     ``i = 1..n`` at a time, with each division checked to leave no
     remainder; after step ``i`` it is the ``(m, i)`` polynomial, of degree
-    ``m * i``.  Every ``(m, i)`` polynomial is palindromic, so each step
-    computes its lower half and mirrors it (:func:`_next_polynomial`).  The
-    coefficient of ``q^k`` counts the partitions of ``k`` with at most ``m``
-    parts, each at most ``n``.  A dimension that is not an int, or a degree
-    ``m * n`` over ``DEGREE_LIMIT``, raises ``ValueError`` before any work.
+    ``m * i``.  Every ``(m, i)`` polynomial is palindromic, so the steps
+    carry only its lower half (:func:`_next_half`), and the result mirrors
+    the last half once, at the end.  The coefficient of ``q^k`` counts the
+    partitions of ``k`` with at most ``m`` parts, each at most ``n``.  A
+    dimension that is not an int, or a degree ``m * n`` over
+    ``DEGREE_LIMIT``, raises ``ValueError`` before any work.
     """
     m, n = _checked_shape(m, n)
     if m * n > DEGREE_LIMIT:
         raise ValueError(f"the {m} x {n} box has degree {m * n:,}, over the "
                          f"limit of {DEGREE_LIMIT:,}")
     m, n = max(m, n), min(m, n)
-    poly = [1]
+    lower = [1]
     for i in range(1, n + 1):
-        poly = _next_polynomial(poly, m, i)
-    return RankPolynomial(tuple(poly))
+        lower = _next_half(lower, m, i)
+    # a forward slice, reversed: the mirror of degree 0 is empty
+    return RankPolynomial(tuple(lower + lower[: (m * n + 1) // 2][::-1]))
 
 
 class GradedPoset:

@@ -122,8 +122,12 @@ class ScdReport:
         ):
             out.append(f"{name}: {len(items)}")
             for item in items:
-                shown = format_composition(item) if isinstance(item, tuple) else item
-                out.append(f"  {shown}")
+                if isinstance(item, tuple):
+                    # bracketed when an entry is negative: in digits the
+                    # unknown key (-1, 3, 0) would read "-130", another key
+                    item = (f"[{','.join(map(str, item))}]" if item and min(item) < 0
+                            else format_composition(item))
+                out.append(f"  {item}")
         out.append("verdict: " + ("PASS" if self.passed else "FAIL"))
         return out
 

@@ -29,7 +29,10 @@ class TestRanks:
         assert code == 0
         assert out == "1\n1\n2\n3\n3\n3\n3\n2\n1\n1\n"
 
-    @pytest.mark.parametrize("m, n", [(0, 0), (0, 5), (1, 1), (3, 3), (12, 7), (7, 12)])
+    # every m, n <= 24 has both parities of the degree m * n and both zero
+    # sides, where the mirrored half is empty
+    @pytest.mark.parametrize("m, n", [(m, n) for m in range(25) for n in range(25)]
+                             + [(150, 150)])
     def test_one_line_per_reference_coefficient(self, capsys, m, n):
         want = "".join(f"{c}\n" for c in reference_gaussian_binomial(m, n))
         assert run(capsys, "ranks", str(m), str(n)) == (0, want, "")

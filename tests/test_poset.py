@@ -39,7 +39,7 @@ from younglat.poset import (
     RankPolynomial,
     SplitCheck,
     _half_quotient,
-    _next_polynomial,
+    _next_half,
     build_lattice,
     check_splitting_identities,
     gaussian_binomial,
@@ -154,19 +154,22 @@ class TestInterleavedGaussianBinomial:
     def test_matches_two_phase_reference_one_long_side(self, m, n):
         assert list(gaussian_binomial(m, n)) == reference_gaussian_binomial(m, n)
 
-    @pytest.mark.parametrize("poly, m, i", [
-        # palindromic of degree m * (i - 1), but not the (2, 2) polynomial
-        ([1, 0, 0, 0, 1], 2, 3),
-        ([1, 1, 3, 1, 1], 2, 3),
-        ([2, 1, 2, 1, 2], 2, 3),
-        ([1, -1], 2, 2),     # degree below m * (i - 1)
-        ([5], 1, 2),         # degree below m * (i - 1)
-        ([0, 0], 2, 2),      # degree below m * (i - 1), although nothing remains
-        ([1, 0, 0, 0, 0, 1], 2, 3),  # degree above m * (i - 1)
+    @pytest.mark.parametrize("lower, m, i", [
+        # lower halves of palindromes of degree m * (i - 1), but not of the
+        # (2, 2) polynomial [1, 1, 2, 1, 1]
+        ([1, 0, 0], 2, 3),
+        ([1, 1, 3], 2, 3),
+        ([2, 1, 2], 2, 3),
+        # not m * (i - 1) // 2 + 1 long; without the length check each of
+        # these would return a wrong half instead of raising
+        ([1], 2, 2),             # shorter
+        ([5, 5], 1, 2),          # longer
+        ([0, 0, 0], 2, 2),       # longer, although nothing remains
+        ([1, 0, 0, 0], 2, 3),    # longer
     ])
-    def test_inexact_division_raises(self, poly, m, i):
+    def test_inexact_division_raises(self, lower, m, i):
         with pytest.raises(ArithmeticError):
-            _next_polynomial(poly, m, i)
+            _next_half(lower, m, i)
 
 
 @st.composite

@@ -323,6 +323,15 @@ class TestVerifier:
             verify_scd(d, build_lattice(Shape(2, 3), "composition"))
         assert str(err.value) == "shape mismatch: poset L'(2,3) vs decomposition L'(3,3)"
 
+    def test_report_lines_bracket_a_key_with_a_negative_entry(self):
+        # in digits (-1, 3, 0) would read "-130", and (1, 3, 0) as "130"
+        p = build_lattice(Shape(2, 2), "composition")
+        chains = [((-1, 3, 0),), ((2, 0, 0), (1, 1, 0), (1, 0, 1), (0, 1, 1), (0, 0, 2))]
+        lines = verify_scd(ChainDecomposition(Shape(2, 2), chains), p).lines()
+        assert lines[lines.index("unknown elements: 1") + 1] == "  [-1,3,0]"
+        # a key with entries 0..9 keeps its digit form
+        assert lines[lines.index("missing elements: 1") + 1] == "  020"
+
     def test_report_lines_mention_verdict(self):
         p = build_lattice(Shape(1, 3), "composition")
         d = ChainDecomposition(Shape(1, 3), [L13_CHAIN])
