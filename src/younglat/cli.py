@@ -25,7 +25,7 @@ import sys
 from functools import cache, partial
 from pathlib import Path
 
-from .partitions import Shape
+from .partitions import Shape, parse_natural
 from .poset import (
     ParseError,
     _poset_blocks,
@@ -51,18 +51,28 @@ class CliError(Exception):
     """A refused input, reported as ``error: <message>`` with exit 2."""
 
 
-def _nonneg(text: str) -> int:
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be nonnegative, got {text}")
+def _natural(text: str, least: int, word: str) -> int:
+    """``text`` as the files spell a number (``partitions.parse_natural``:
+    ASCII digits, no leading zero), refused below ``least``.  A minus sign
+    before a nonzero number so spelt makes a negative number, refused as
+    out of range; any other spelling is refused as no number."""
+    negative = text.startswith("-") and text != "-0"
+    try:
+        value = parse_natural(text[negative:])
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"not a number in ASCII digits, no leading zero: {text!r}") from None
+    if negative or value < least:
+        raise argparse.ArgumentTypeError(f"must be {word}, got {text}")
     return value
+
+
+def _nonneg(text: str) -> int:
+    return _natural(text, 0, "nonnegative")
 
 
 def _positive(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be positive, got {text}")
-    return value
+    return _natural(text, 1, "positive")
 
 
 def _emit(blocks, out: str | None, summary: str) -> None:

@@ -18,8 +18,10 @@ program converts no key to a partition except to make a label; ``render``
 writes even those straight from the composition.
 
 ``poset.build_lattice`` and ``poset.check_splitting_identities`` enumerate
-elements with ``enumerate_compositions`` alone, and the rank of a
-composition is ``weighted_sum``.  The partition-side names
+elements with ``enumerate_compositions`` alone.  The rank of a composition
+is ``weighted_sum``, the sum of its proper prefix sums; ``build_lattice``
+takes those prefix sums for all keys at once from
+``itertools.combinations_with_replacement``.  The partition-side names
 (``from_multiplicity``, ``to_multiplicity``, ``leq``, ``covers``,
 ``conjugate``, ``complement`` and the partition strings) are the public
 partition API: the package re-exports them, and no other module imports

@@ -34,7 +34,8 @@ import re
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import accumulate, chain, compress, count, islice, repeat
+from itertools import (accumulate, chain, combinations_with_replacement, compress, count,
+                       islice, repeat)
 from math import comb
 from operator import itemgetter, sub
 
@@ -43,7 +44,6 @@ from .partitions import (
     enumerate_compositions,
     format_compositions,
     parse_natural,
-    weighted_sum,
 )
 
 # the header line: up to the first character at which str.splitlines ends a line
@@ -269,11 +269,19 @@ def build_lattice(shape: Shape, coordinates: str = "partition") -> GradedPoset:
 
     The elements are the weak compositions of ``m`` with ``n + 1`` entries,
     stably sorted by rank (lexicographic within a rank), in both coordinate
-    systems; ``coordinates`` only sets the label.  Each key's rank is
-    computed once, and a stable argsort by rank puts the keys in order.
-    ``m = 0`` or ``n = 0`` gives the empty poset; a dimension that is not
-    an int, or over ``ELEMENT_LIMIT`` elements or ``KEY_ENTRY_LIMIT`` key
-    entries, raises ``ValueError``.
+    systems; ``coordinates`` only sets the label.  ``m = 0`` or ``n = 0``
+    gives the empty poset; a dimension that is not an int, or over
+    ``ELEMENT_LIMIT`` elements or ``KEY_ENTRY_LIMIT`` key entries, raises
+    ``ValueError``.
+
+    The ``n`` proper prefix sums of a key, ``(c0, c0 + c1, ...)``, are the
+    parts of the conjugate partition: a nondecreasing ``n``-tuple in
+    ``[0, m]`` whose sum is the key's rank.
+    ``combinations_with_replacement(range(m + 1), n)`` lists exactly those
+    tuples, in the lexicographic order of ``enumerate_compositions`` (stars
+    and bars), so each key's rank is computed once, as the ``sum`` of its
+    tuple, without a call per key; a stable argsort by rank puts the keys
+    and their ranks in order.
 
     The color-``j + 1`` covers are the translations by the simple root
     ``e_j - e_(j+1)``: a unit moves from slot ``j + 1`` to slot ``j``.  That
@@ -282,8 +290,11 @@ def build_lattice(shape: Shape, coordinates: str = "partition") -> GradedPoset:
     lexicographic order of keys of one rank, so it keeps the element order.
     Taken in index order, the ``k``-th key of the first set therefore lies
     below the ``k``-th key of the second, and each color's covers come out
-    sorted by lower index; one sort merges the ``n`` runs into index-pair
-    order.  No key is looked up.
+    sorted by lower index.  Above one lower key, a smaller color moves its
+    unit to an earlier slot, so its upper key is lexicographically larger
+    and has the larger index.  One stable sort on the lower index alone
+    therefore merges the ``n`` runs, taken in descending color order, into
+    index-pair order, comparing no tuples.  No key is looked up.
     """
     shape = _checked_shape(*shape)
     m, n = shape
@@ -293,14 +304,16 @@ def build_lattice(shape: Shape, coordinates: str = "partition") -> GradedPoset:
         return GradedPoset(shape, coordinates, (), (), ())
     _require_within_limit(m, n)
     lex = enumerate_compositions(m, n + 1)
-    weights = list(map(weighted_sum, lex))
-    comps = tuple(map(lex.__getitem__, sorted(range(len(lex)), key=weights.__getitem__)))
-    ranks = tuple(sorted(weights))
+    weights = list(map(sum, combinations_with_replacement(range(m + 1), n)))
+    order = sorted(range(len(lex)), key=weights.__getitem__)
+    comps = tuple(map(lex.__getitem__, order))
+    ranks = tuple(map(weights.__getitem__, order))
+    del lex, weights, order  # freed before the covers are made
     everyone = list(range(len(comps)))  # shared int objects, not one per cover end
     runs = [zip(compress(everyone, map(itemgetter(j + 1), comps)),
                 compress(everyone, map(itemgetter(j), comps)), repeat(j + 1))
-            for j in range(n)]
-    edges = tuple(sorted(chain.from_iterable(runs)))
+            for j in reversed(range(n))]
+    edges = tuple(sorted(chain.from_iterable(runs), key=itemgetter(0)))
     return GradedPoset(shape, coordinates, comps, ranks, edges)
 
 

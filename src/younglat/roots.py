@@ -10,6 +10,8 @@ partition the lattice for each root.
 
 from __future__ import annotations
 
+from operator import sub
+
 from .partitions import Shape, WeakComposition, require_composition
 
 
@@ -25,14 +27,12 @@ def edge_color(lower: WeakComposition, upper: WeakComposition) -> int:
     """
     if len(lower) != len(upper):
         raise NotACoverError(f"slot counts differ: {upper} vs {lower}")
-    for j, (u, l) in enumerate(zip(upper, lower)):
-        if u != l:
-            # the first difference gains a unit, the next slot loses it, the rest agree
-            if (u - l == 1 and j + 1 < len(upper)
-                    and lower[j + 1] - upper[j + 1] == 1
-                    and upper[j + 2 :] == lower[j + 2 :]):
-                return j + 1
-            break
+    # upper - lower must be e_j - e_(j+1): a 1, a -1 right after it, zeros elsewhere
+    delta = tuple(map(sub, upper, lower))
+    if delta.count(0) == len(delta) - 2 and 1 in delta:
+        j = delta.index(1)
+        if delta[j + 1 : j + 2] == (-1,):
+            return j + 1
     raise NotACoverError(f"{upper} does not cover {lower}")
 
 

@@ -2,6 +2,8 @@ import sys
 import tracemalloc
 from collections import Counter
 from functools import partial
+from itertools import chain, compress, repeat
+from operator import itemgetter
 from pathlib import Path
 
 from typing import Iterator
@@ -18,10 +20,12 @@ from younglat.partitions import (  # noqa: E402  (needs SRC on the path)
     WeakComposition,
     _require_fits,
     as_partition,
+    enumerate_compositions,
     padded,
     require_composition,
+    weighted_sum,
 )
-from younglat.poset import RankPolynomial  # noqa: E402
+from younglat.poset import GradedPoset, RankPolynomial  # noqa: E402
 from younglat.roots import NotACoverError, edge_color  # noqa: E402
 from younglat.scd import ChainDecomposition, ScdReport, _require_same_shape  # noqa: E402
 
@@ -165,6 +169,26 @@ def reference_gaussian_binomial(m, n):
             assert poly[j] == -(quot[j - k] if j - k >= 0 else 0)
         poly = quot
     return poly
+
+
+def reference_build_lattice(shape, coordinates="partition"):
+    """The build that ranks each key by one ``weighted_sum`` call and sorts
+    the covers as ``(lower, upper, color)`` tuples; ``build_lattice`` now
+    takes the ranks from prefix sums and sorts the covers on the lower index
+    alone, and must give the same poset.  Takes a valid ``Shape``."""
+    m, n = shape
+    if m == 0 or n == 0:
+        return GradedPoset(shape, coordinates, (), (), ())
+    lex = enumerate_compositions(m, n + 1)
+    weights = list(map(weighted_sum, lex))
+    comps = tuple(map(lex.__getitem__, sorted(range(len(lex)), key=weights.__getitem__)))
+    ranks = tuple(sorted(weights))
+    everyone = list(range(len(comps)))
+    runs = [zip(compress(everyone, map(itemgetter(j + 1), comps)),
+                compress(everyone, map(itemgetter(j), comps)), repeat(j + 1))
+            for j in range(n)]
+    edges = tuple(sorted(chain.from_iterable(runs)))
+    return GradedPoset(shape, coordinates, comps, ranks, edges)
 
 
 def traced_peak(fn, *args):

@@ -256,6 +256,37 @@ class TestErrorPaths:
     def test_negative_argument(self, capsys):
         assert run(capsys, "ranks", "-1", "3")[0] == 2
 
+    @pytest.mark.parametrize("argv,message", [
+        (["lattice", "1_0", "3"], "argument m: not a number in ASCII digits, "
+                                  "no leading zero: '1_0'"),
+        (["lattice", "٣", "3"], "argument m: not a number in ASCII digits, "
+                                     "no leading zero: '٣'"),
+        (["lattice", "-0", "3"], "argument m: not a number in ASCII digits, "
+                                 "no leading zero: '-0'"),
+        (["lattice", "2", " 7"], "argument n: not a number in ASCII digits, "
+                                 "no leading zero: ' 7'"),
+        (["ranks", "+7", "3"], "argument m: not a number in ASCII digits, "
+                               "no leading zero: '+7'"),
+        (["ranks", "07", "3"], "argument m: not a number in ASCII digits, "
+                               "no leading zero: '07'"),
+        (["identities", "-01", "2"], "argument m: not a number in ASCII digits, "
+                                     "no leading zero: '-01'"),
+        (["scd", "lindstrom", "1_0"], "argument m: not a number in ASCII digits, "
+                                      "no leading zero: '1_0'"),
+        (["scd", "brute", "2", "2", "--budget", "1_000"],
+         "argument --budget: not a number in ASCII digits, no leading zero: '1_000'"),
+        (["ranks", "-1", "3"], "argument m: must be nonnegative, got -1"),
+        (["identities", "0", "2"], "argument m: must be positive, got 0"),
+        (["scd", "n2", "-3"], "argument m: must be positive, got -3"),
+        (["scd", "brute", "2", "2", "--budget", "-1"],
+         "argument --budget: must be nonnegative, got -1"),
+    ])
+    def test_numbers_the_files_refuse_are_usage_errors(self, capsys, argv, message):
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err.splitlines()[-1].endswith(f"error: {message}")
+
     def test_parse_error_reports_line(self, tmp_path, capsys):
         bad = tmp_path / "bad.poset"
         bad.write_text("poset L(2,2) height=4 count=6\n0 0 002\ngarbage\n")

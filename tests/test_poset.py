@@ -16,6 +16,7 @@ from conftest import (
     mutated_text,
     partitions_in_box,
     q_factorial,
+    reference_build_lattice,
     reference_gaussian_binomial,
     traced_peak,
 )
@@ -402,7 +403,7 @@ class TestRankRuns:
                     assert rank_profile(p) == reference_rank_profile(p), (m, n, coords)
 
 
-def reference_build_lattice(shape, coordinates):
+def reference_two_branch_build(shape, coordinates):
     """The two-branch build that build_lattice replaced: partitions_in_box
     with lower_covers, or compositions with composition_lower_covers, then
     one sort of the (rank, key) pairs and one of the covers.  Partition keys
@@ -440,7 +441,30 @@ class TestSingleBuildPath:
     def test_matches_two_branch_reference(self, coords):
         for shape in self.SHAPES:
             assert (lattice_fields(build_lattice(shape, coords))
-                    == reference_build_lattice(shape, coords))
+                    == reference_two_branch_build(shape, coords))
+
+
+class TestPrefixSumBuild:
+    # every shape of at most 3,003 elements with both dimensions up to 60:
+    # 435 shapes, 166,867 elements, the empty lattices included
+    SMALL = [Shape(m, n) for m in range(61) for n in range(61) if comb(m + n, m) <= 3003]
+
+    @staticmethod
+    def assert_same_build(shape):
+        got, want = build_lattice(shape), reference_build_lattice(shape)
+        assert got.elements == want.elements, shape
+        assert got.ranks == want.ranks, shape
+        assert got.covers == want.covers, shape
+
+    def test_small_shapes_match_the_reference(self):
+        assert len(self.SMALL) == 435
+        for shape in self.SMALL:
+            self.assert_same_build(shape)
+
+    @pytest.mark.parametrize("m,n", [(48, 3), (49, 3), (8, 8), (7, 9), (9, 7), (1, 300),
+                                     (300, 1), (0, 7), (7, 0)])
+    def test_large_shapes_match_the_reference(self, m, n):
+        self.assert_same_build(Shape(m, n))
 
 
 def reference_format_composition(c):
@@ -670,6 +694,15 @@ class TestCanonicalPosetIO:
         for batch in ([], [()], [(), ()], [(10, 0, 2, 0), (1, 2), (9, 9, 9)],
                       [(1, 2), (), (123, 4), (0,), ()]):
             assert format_compositions(batch) == list(map(reference_format_composition, batch))
+
+    @pytest.mark.parametrize("keys", [
+        [(), (1, 2), (), (10, 0, 2, 0), (9,)],
+        [(1, 2), (9, 9, 9), (10,), (0,), (123, 4, 5, 6)],
+        [(-1, 3, 0), (2, -10), (-1,), (9, -11, 10), ()],
+        [(0, 9), (9, 10), (-10, 9), (), ()],
+    ])
+    def test_batch_equals_one_key_at_a_time(self, keys):
+        assert format_compositions(keys) == [format_composition(k) for k in keys]
 
     @pytest.mark.parametrize("coords", ["partition", "composition"])
     def test_fast_path_returns_what_the_validator_returns(self, coords):
