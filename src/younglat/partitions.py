@@ -247,6 +247,11 @@ def format_compositions(keys: Sequence[WeakComposition]) -> list[str]:
     return ("\n".join(map(_key_template, keys)) % tuple(chain.from_iterable(keys))).split("\n")
 
 
+def _is_int_at_least(value, least: int) -> bool:
+    """Whether ``value`` is an int (a ``bool`` is not one) of at least ``least``."""
+    return isinstance(value, int) and not isinstance(value, bool) and value >= least
+
+
 def parse_natural(text: str) -> int:
     """A nonnegative integer as the writers spell it: ASCII digits, no leading zero.
 

@@ -41,6 +41,7 @@ from operator import itemgetter, sub
 
 from .partitions import (
     Shape,
+    _is_int_at_least,
     enumerate_compositions,
     format_compositions,
     parse_natural,
@@ -249,7 +250,7 @@ def _checked_shape(m, n, least: int = 0) -> Shape:
     """``Shape(m, n)``; ``ValueError`` unless both are ints (a ``bool`` is
     not one) of at least ``least``."""
     for d in (m, n):
-        if not isinstance(d, int) or isinstance(d, bool) or d < least:
+        if not _is_int_at_least(d, least):
             raise ValueError(f"lattice dimensions must be ints >= {least}, got {d!r}")
     return Shape(m, n)
 
@@ -318,7 +319,10 @@ def build_lattice(shape: Shape, coordinates: str = "partition") -> GradedPoset:
 
 
 def rank_profile(p: GradedPoset) -> RankPolynomial:
-    """Per-level element counts of ``p``; equals the Gaussian binomial for lattices."""
+    """Per-level element counts of ``p``; equals the Gaussian binomial for
+    lattices with ``m, n >= 1``.  ``m = 0`` or ``n = 0`` gives the empty
+    lattice here, whose profile is ``(0,)`` where the Gaussian binomial is
+    ``(1,)``."""
     return RankPolynomial(tuple(map(len, p.levels())))
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from operator import sub
 
-from .partitions import Shape, WeakComposition, require_composition
+from .partitions import Shape, WeakComposition, _is_int_at_least, require_composition
 
 
 class NotACoverError(ValueError):
@@ -41,11 +41,12 @@ def weight_string(gamma: WeakComposition, j: int, shape: Shape) -> tuple[WeakCom
     rank first.
 
     The run is always a saturated chain of the lattice and contains
-    ``gamma``; its edges all carry color ``j``.
+    ``gamma``; its edges all carry color ``j``.  A ``j`` that is not an int
+    in ``1..n`` (a ``bool`` is not one) raises ``ValueError``.
     """
     require_composition(gamma, shape)
-    if not 1 <= j <= shape.n:
-        raise ValueError(f"root index {j} out of range 1..{shape.n}")
+    if not _is_int_at_least(j, 1) or j > shape.n:
+        raise ValueError(f"root index must be an int in 1..{shape.n}, got {j!r}")
     room_up = gamma[j]        # units that can move left into slot j
     room_down = gamma[j - 1]  # units that can move right out of slot j
     out = []
@@ -65,5 +66,8 @@ _PALETTE = (
 
 def root_color(j: int) -> str:
     """Display color of root ``j >= 1``: green/red/blue first, a fixed
-    extended palette after, hex beyond; distinct for distinct roots."""
+    extended palette after, hex beyond; distinct for distinct roots.  A ``j``
+    that is not an int >= 1 (a ``bool`` is not one) raises ``ValueError``."""
+    if not _is_int_at_least(j, 1):
+        raise ValueError(f"root index must be an int >= 1, got {j!r}")
     return _PALETTE[j - 1] if j <= len(_PALETTE) else f"#{j:06x}"

@@ -7,9 +7,9 @@ This module provides the universal verifier, the alternating construction
 for two part sizes, the recursive construction for three part sizes, and a
 small backtracking search used as an oracle on small posets.  Every chain
 of the two constructions is a zigzag down one face of the simplex (the
-whole chain for two part sizes); for three part sizes it goes on through
-an optional one-element detour into the next layer and a sweep down the
-other face.
+whole chain for two part sizes); for three part sizes one rule, ``_chain``,
+cuts it short by at most two keys and goes on through an optional
+one-element detour into the next layer and a sweep down the other face.
 
 Decomposition file format, one file per decomposition::
 
@@ -31,6 +31,7 @@ from typing import Iterator
 from .partitions import (
     Shape,
     WeakComposition,
+    _is_int_at_least,
     format_composition,
     format_compositions,
     parse_composition,
@@ -208,16 +209,6 @@ def _zigzag(a: int, b: int) -> list[tuple[int, int, int]]:
     return chain
 
 
-def _sweep(k: int, i: int, top: int, bend: int, s: int) -> Iterator[WeakComposition]:
-    """One key per rank from ``top`` down to ``2i`` on the first-slot-zero
-    face of layer ``s`` (ranks counted from the layer's own bottom, ``3s``),
-    all keys summing to ``k + 2s``: the second slot is ``i`` up to rank
-    ``bend`` and climbs one every two ranks above it."""
-    for r in range(top, 2 * i - 1, -1):
-        b = i + max(0, (r - bend) // 2)
-        yield (s, b, r - 2 * b, k - r + b + s)
-
-
 def scd_n2(m: int) -> ChainDecomposition:
     """Alternating decomposition of the lattice with two part sizes.
 
@@ -234,59 +225,52 @@ def scd_n2(m: int) -> ChainDecomposition:
     return ChainDecomposition(Shape(m, 2), chains)
 
 
-def _odd_shell(m: int, s: int) -> list[Chain]:
-    """Chains covering the two outer faces of the simplex for odd ``m``,
-    written at offset ``s``: ``s`` is added to the first and last entry of
-    every key, which moves the chains ``s`` layers into a larger simplex.
+def _chain(k: int, i: int, s: int, cut: int, detour: Chain = ()) -> Chain:
+    """Chain ``i`` of the shell of ``k`` at offset ``s``, by the one rule of
+    every Lindström chain: the :func:`_zigzag` from ``(k - 2i, 2i, 0)`` on the
+    last-slot-zero face of layer ``s`` less its last ``cut`` keys, ``detour``,
+    and a sweep of one key per rank down to rank ``2i`` (from the layer's
+    bottom ``3s``) on the first-slot-zero face.  With ``e = cut - len(detour)``
+    it starts at rank ``k - 1 + 2i + e``, one below the head, and its second
+    slot climbs from ``i`` one every two ranks above rank ``k - 1 - e``."""
+    face = _zigzag(k - 2 * i, 2 * i)
+    chain = [(a + s, b, c, s) for a, b, c in face[:len(face) - cut]] + [*detour]
+    e = cut - len(detour)
+    for r in range(k - 1 + 2 * i + e, 2 * i - 1, -1):
+        b = i + max(0, (r - k + 1 + e) // 2)
+        chain.append((s, b, r - 2 * b, k - r + b + s))
+    return tuple(chain)
 
-    Chain ``i`` (0-based, up to (m - 1) / 2) starts at ``(m - 2i, 2i, 0, 0)``,
-    zigzags down the last-slot-zero face with its second slot held at ``2i``
-    or ``2i + 1``, crosses onto the first-slot-zero face, and then sweeps one
-    element per rank down to rank ``2i``.  Endpoint ranks are ``3m - 2i`` and
-    ``2i``, so every chain is symmetric; together the chains cover exactly
-    the compositions whose first or last entry is zero.  The offset raises
-    both endpoint ranks by ``3s``, mirroring them in the height ``3m + 6s``.
-    """
-    chains = []
-    for i in range((m + 1) // 2):
-        face = [(a + s, b, c, s) for a, b, c in _zigzag(m - 2 * i, 2 * i)]
-        chains.append((*face, *_sweep(m, i, m - 1 + 2 * i, m - 1, s)))
-    return chains
+
+def _odd_shell(m: int, s: int) -> list[Chain]:
+    """Chains covering the two outer faces of the simplex for odd ``m``, at
+    offset ``s`` (``s`` added to the first and last entry of every key, which
+    moves the chains ``s`` layers into a larger simplex, their endpoint ranks
+    up by ``3s`` and the height to ``3m + 6s``).  Chain ``i`` is the whole
+    zigzag from ``(m - 2i, 2i, 0, 0)`` and its sweep, from rank ``3m - 2i``
+    down to ``2i``; together they cover the keys with a first or last 0."""
+    return [_chain(m, i, s, 0) for i in range((m + 1) // 2)]
 
 
 def _even_shell(m: int, s: int) -> list[Chain]:
     """Chains covering the outer two layers of the simplex for even ``m``,
-    written at offset ``s`` as in :func:`_odd_shell`.
-
-    ``m = 0`` is the single node ``(s, 0, 0, s)``, and ``m = 2`` is the
-    conjugated two-column decomposition ``_TWO_COLUMN``.  From ``m = 4`` on,
-    one marked chain runs the full middle-root string along the edge shared
-    by the two outer faces, from ``(0, m, 0, 0)`` down to ``(0, 0, m, 0)``;
-    its endpoint ranks ``2m`` and ``m`` mirror.  Outer chains then zigzag the
-    last-slot-zero face but stop one step short of that occupied edge, detour
-    through a single inner-layer element, and sweep the first-slot-zero face.
-    Inner chains repeat the pattern one layer in, where the detours of the
-    outer chains have already consumed the even positions of the inner edge.
-    Odd or negative ``m`` raises ``ValueError``.
-    """
+    at offset ``s`` as in :func:`_odd_shell`: ``(s, 0, 0, s)`` for ``m = 0``,
+    ``_TWO_COLUMN`` for ``m = 2``.  From ``m = 4`` on, one chain runs the
+    edge shared by the outer faces; outer chains stop their zigzag two keys
+    short of it and detour through one inner-layer element, and inner chains
+    stop one short of the inner edge, whose even positions the detours took.
+    Odd or negative ``m`` raises ``ValueError``."""
     if m < 0 or m % 2:
         raise ValueError(f"even shell needs even m >= 0, got {m}")
     if m == 2:
         return [tuple((a + s, b, c, d + s) for a, b, c, d in chain) for chain in _TWO_COLUMN]
-    chains: list[Chain] = [tuple((s, m - k, k, s) for k in range(m + 1))]
-    for i in range(m // 2):
-        face = [(a + s, b, c, s) for a, b, c in _zigzag(m - 2 * i, 2 * i)[:-2]]
-        detour = (1 + s, 2 * i, m - 2 - 2 * i, 1 + s)  # inner layer, past the edge chain
-        chains.append((*face, detour, *_sweep(m, i, m + 2 * i, m - 2, s)))
-    inner = m - 2
-    for j in range(m // 2 - 1):
-        face = [(a + 1 + s, b, c, 1 + s) for a, b, c in _zigzag(inner - 2 * j, 2 * j)[:-1]]
-        chains.append((*face, *_sweep(inner, j, inner + 2 * j, inner - 2, 1 + s)))
-    return chains
+    return [tuple((s, m - k, k, s) for k in range(m + 1)),
+            *(_chain(m, i, s, 2, ((1 + s, 2 * i, m - 2 - 2 * i, 1 + s),))
+              for i in range(m // 2)),
+            *(_chain(m - 2, j, s + 1, 1) for j in range(m // 2 - 1))]
 
 
-# the two chains of the (2, 3) lattice: the conjugates of the alternating
-# chains of the (3, 2) box
+# the two chains of the (2, 3) lattice: the conjugated alternating chains of the (3, 2) box
 _TWO_COLUMN = (
     ((2, 0, 0, 0), (1, 1, 0, 0), (0, 2, 0, 0), (0, 1, 1, 0), (0, 0, 2, 0),
      (0, 0, 1, 1), (0, 0, 0, 2)),
@@ -386,8 +370,11 @@ def brute_force_scd(p: GradedPoset, budget: int = DEFAULT_BUDGET) -> SearchResul
     which no path of free elements reaches the chain's mirror rank: the
     search counts those without making them.  Running out is reported
     distinctly from proven absence.  The search keeps its own stacks, so no
-    shape reaches the recursion limit.
+    shape reaches the recursion limit.  A ``budget`` that is not an int >= 0
+    (a ``bool`` is not one) raises ``ValueError`` before any work.
     """
+    if not _is_int_at_least(budget, 0):
+        raise ValueError(f"budget must be an int >= 0, got {budget!r}")
     n_el = len(p)
     if n_el == 0:
         return SearchResult("found", ChainDecomposition(p.shape, ()), 0)

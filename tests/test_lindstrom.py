@@ -224,14 +224,14 @@ def reference_two_column_seed(s: int) -> list[Chain]:
 
 
 class TestShellsMatchTheFrozenReference:
-    @pytest.mark.parametrize("s", range(3))
+    @pytest.mark.parametrize("s", range(4))
     def test_odd_shell(self, s):
-        for m in range(1, 60, 2):
+        for m in range(1, 121, 2):
             assert _odd_shell(m, s) == reference_odd_shell(m, s), (m, s)
 
-    @pytest.mark.parametrize("s", range(3))
+    @pytest.mark.parametrize("s", range(4))
     def test_even_shell(self, s):
-        for m in range(4, 60, 2):
+        for m in range(4, 121, 2):
             assert _even_shell(m, s) == reference_even_shell(m, s), (m, s)
 
     @pytest.mark.parametrize("s", range(4))

@@ -144,6 +144,11 @@ class TestWeightString:
         with pytest.raises(ValueError):
             weight_string((1, 3, 0, 0), 0, Shape(4, 3))
 
+    @pytest.mark.parametrize("j", [0, -1, -12, 4, 1.0, 2.0, True, False, None, "1"])
+    def test_root_index_that_is_no_int_in_range_is_refused(self, j):
+        with pytest.raises(ValueError, match=r"^root index must be an int in 1\.\.3, got "):
+            weight_string((1, 3, 0, 0), j, Shape(4, 3))
+
     def test_strings_partition_the_lattice(self):
         for m in range(1, 6):
             for n in range(1, 6):
@@ -191,3 +196,9 @@ class TestColorMap:
         names = [root_color(j) for j in range(1, 21)]
         assert len(set(names)) == 20
         assert names[12:14] == ["#00000d", "#00000e"]
+
+    @pytest.mark.parametrize("j", [0, -1, -11, -12, -13, 1.0, 12.0, True, False, None, "1"])
+    def test_root_index_that_is_no_int_at_least_one_is_refused(self, j):
+        # 0 and -1 would read the palette from its end, as roots 12 and 11
+        with pytest.raises(ValueError, match=r"^root index must be an int >= 1, got "):
+            root_color(j)

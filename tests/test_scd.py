@@ -398,6 +398,18 @@ class TestBruteForce:
         assert result.status == "budget-exhausted"
         assert result.decomposition is None
 
+    @pytest.mark.parametrize("budget", [-1, -5, 2.5, 1.0, float("inf"), True, False, None, "10"])
+    def test_budget_that_is_no_int_at_least_zero_is_refused_before_any_work(self, budget):
+        class Untouchable:
+            def __len__(self):
+                raise AssertionError("the search looked at the poset")
+
+            def __getattr__(self, name):
+                raise AssertionError(f"the search read {name}")
+
+        with pytest.raises(ValueError, match=r"^budget must be an int >= 0, got "):
+            brute_force_scd(Untouchable(), budget)
+
     def test_deterministic(self):
         p = build_lattice(Shape(3, 3), "composition")
         a = brute_force_scd(p)
@@ -443,8 +455,9 @@ class TestBruteForce:
         assert result == reference_stack_brute_force_scd(p, 100_000)
         budgets = [0, 1, 7, 100, 1_000] if shape in BOXES else []
         if result.status == "found":
-            # it runs out one placement short of its count
-            budgets += [result.assignments - 1, result.assignments]
+            # it runs out one placement short of its count; a budget below 0
+            # is refused, so the empty lattice's count of 0 is tried twice
+            budgets += [max(result.assignments - 1, 0), result.assignments]
         for budget in budgets:
             assert brute_force_scd(p, budget) == reference_stack_brute_force_scd(
                 p, budget), budget
