@@ -28,6 +28,7 @@ from pathlib import Path
 from .partitions import Shape, parse_natural
 from .poset import (
     ParseError,
+    _lattice_label,
     _poset_blocks,
     build_lattice,
     check_splitting_identities,
@@ -146,7 +147,7 @@ def _cmd_scd_construct(args) -> int:
     _emit(
         [serialize_decomposition(d)],
         args.out,
-        f"wrote {len(d)} chains for L'({args.m},{d.shape.n}) to {args.out}",
+        f"wrote {len(d)} chains for {_lattice_label(d.shape, 'composition')} to {args.out}",
     )
     return 0
 

@@ -1,11 +1,13 @@
 """Exact arithmetic on integer partitions and weak compositions.
 
 A partition is stored as a tuple of positive parts in non-increasing order
-with no trailing zeros; the empty tuple stands for the partition of 0.  A
-partition belongs to the bounded lattice of shape ``(m, n)`` when it has at
-most ``m`` parts, each of size at most ``n``; shape-dependent operations
-zero-pad internally, so ``(3, 2, 1)`` and the four-part ``(3, 2, 1, 0)`` are
-one element.
+with no trailing zeros; the empty tuple stands for the partition of 0.
+``as_partition`` is the one rule for what a partition is: every
+partition-side function reads its partitions through it, and those that take
+a shape ``(m, n)`` through ``_require_fits``, which also checks that the
+partition has at most ``m`` parts, each at most ``n``, and zero-pads it to
+``m`` entries, so ``(3, 2, 1)`` and ``(3, 2, 1, 0)`` are one element.  A
+partition is spelled as a key is ("3211", "[12,3]"), or "∅" when empty.
 
 The same element can be written as a weak composition: a tuple of ``n + 1``
 nonnegative entries summing to ``m`` whose entry ``j`` (1-based, left to
@@ -19,13 +21,9 @@ writes even those straight from the composition.
 
 ``poset.build_lattice`` and ``poset.check_splitting_identities`` enumerate
 elements with ``enumerate_compositions`` alone.  The rank of a composition
-is ``weighted_sum``, the sum of its proper prefix sums; ``build_lattice``
-takes those prefix sums for all keys at once from
-``itertools.combinations_with_replacement``.  The partition-side names
-(``from_multiplicity``, ``to_multiplicity``, ``leq``, ``covers``,
-``conjugate``, ``complement`` and the partition strings) are the public
-partition API: the package re-exports them, and no other module imports
-them.
+is ``weighted_sum``, the sum of its proper prefix sums.  The partition-side
+names are the public partition API: the package re-exports them, and no
+other module imports them.
 
 Everything here is a pure function over immutable tuples; concurrent callers
 need no coordination.
@@ -35,7 +33,8 @@ from __future__ import annotations
 
 import re
 from functools import lru_cache
-from itertools import accumulate, chain
+from itertools import accumulate, chain, repeat
+from operator import le, lt
 from typing import Iterable, NamedTuple, Sequence
 
 Partition = tuple[int, ...]
@@ -57,40 +56,52 @@ class InvalidCompositionError(ValueError):
     """Raised when a weak composition has the wrong length, sum, or sign."""
 
 
+def _checked_shape(m, n, least: int = 0) -> Shape:
+    """``Shape(m, n)``; ``ValueError`` unless both are ints (a ``bool`` is
+    not one) of at least ``least``."""
+    for d in (m, n):
+        if not _is_int_at_least(d, least):
+            raise ValueError(f"lattice dimensions must be ints >= {least}, got {d!r}")
+    return Shape(m, n)
+
+
 def as_partition(parts: Iterable[int]) -> Partition:
-    """Canonicalize ``parts``: drop trailing zeros, reject bad sequences."""
-    out = tuple(int(v) for v in parts)
-    while out and out[-1] == 0:
-        out = out[:-1]
-    for i, v in enumerate(out):
-        if v < 1:
-            raise ValueError(f"parts must be positive, got {v} in {out}")
-        if i and out[i - 1] < v:
-            raise ValueError(f"parts must be non-increasing, got {out}")
-    return out
+    """Canonicalize ``parts``: drop trailing zeros; ``ValueError`` unless the
+    parts are ints (a ``bool`` is not one), the kept ones at least 1 and
+    non-increasing.  The one rule for what a partition is."""
+    out = tuple(parts)
+    if not all(_is_int_at_least(v, 0) for v in out):
+        raise ValueError(f"parts must be ints >= 0, got {out!r}")
+    size = len(out)
+    while size and not out[size - 1]:
+        size -= 1
+    if any(map(lt, out[:size], out[1:size])):
+        raise ValueError(f"parts must be positive and non-increasing, got {out}")
+    return out[:size]
 
 
-def _require_fits(a: Partition, shape: Shape) -> None:
-    """``InvalidElementError`` unless ``a`` has at most ``shape.m`` parts, each
-    at most ``shape.n``."""
-    if len(a) > shape.m or (a and a[0] > shape.n):
-        raise InvalidElementError(
-            f"partition {a} does not fit in a {shape.m} x {shape.n} box"
-        )
+def _require_fits(a: Iterable[int], shape: Shape) -> tuple[int, ...]:
+    """``a`` as :func:`as_partition` reads it, zero-padded to ``shape.m``
+    entries; ``ValueError`` unless ``shape`` is two ints >= 0, and
+    ``InvalidElementError`` unless ``a`` has at most ``m`` parts, each at most
+    ``n``."""
+    m, n = _checked_shape(*shape)
+    a = as_partition(a)
+    if len(a) > m or (a and a[0] > n):
+        raise InvalidElementError(f"partition {a} does not fit in a {m} x {n} box")
+    return padded(a, m)
 
 
 def require_composition(c: WeakComposition, shape: Shape) -> None:
-    """Validate that ``c`` is a weak composition of ``shape.m`` with ``shape.n + 1`` entries."""
-    if len(c) != shape.n + 1:
-        raise InvalidCompositionError(
-            f"expected {shape.n + 1} entries, got {len(c)} in {c}"
-        )
-    if any(v < 0 for v in c):
-        raise InvalidCompositionError(f"negative entry in {c}")
-    if sum(c) != shape.m:
-        raise InvalidCompositionError(
-            f"entries of {c} sum to {sum(c)}, expected {shape.m}"
-        )
+    """Validate that ``c`` is a weak composition of ``shape.m`` with ``shape.n + 1``
+    entries, each an int >= 0, for a ``shape`` of two ints >= 0."""
+    m, n = _checked_shape(*shape)
+    if len(c) != n + 1:
+        raise InvalidCompositionError(f"expected {n + 1} entries, got {len(c)} in {c}")
+    if not all(_is_int_at_least(v, 0) for v in c):
+        raise InvalidCompositionError(f"entries must be ints >= 0, got {c!r}")
+    if sum(c) != m:
+        raise InvalidCompositionError(f"entries of {c} sum to {sum(c)}, expected {m}")
 
 
 def padded(a: Partition, m: int) -> tuple[int, ...]:
@@ -100,7 +111,7 @@ def padded(a: Partition, m: int) -> tuple[int, ...]:
 
 def rank(a: Partition) -> int:
     """Sum of parts: the number of boxes in the Young diagram."""
-    return sum(a)
+    return sum(as_partition(a))
 
 
 def leq(a: Partition, b: Partition, shape: Shape) -> bool:
@@ -109,25 +120,18 @@ def leq(a: Partition, b: Partition, shape: Shape) -> bool:
     Equivalently, the Young diagram of ``a`` fits inside the diagram of
     ``b``.
     """
-    _require_fits(a, shape)
-    _require_fits(b, shape)
-    return all(x <= y for x, y in zip(padded(a, shape.m), padded(b, shape.m)))
+    return all(map(le, _require_fits(a, shape), _require_fits(b, shape)))
 
 
 def covers(b: Partition, a: Partition, shape: Shape) -> bool:
-    """True when ``b`` covers ``a``: exactly one part grows by one box."""
-    _require_fits(a, shape)
-    _require_fits(b, shape)
-    pa, pb = padded(a, shape.m), padded(b, shape.m)
-    bumped = [i for i in range(shape.m) if pa[i] != pb[i]]
-    return len(bumped) == 1 and pb[bumped[0]] == pa[bumped[0]] + 1
+    """True when ``b`` covers ``a``: ``a <= b`` and ``b`` has one box more."""
+    return leq(a, b, shape) and sum(b) == sum(a) + 1
 
 
 def conjugate(a: Partition) -> Partition:
     """Transpose the Young diagram: column lengths become the parts."""
-    if not a:
-        return ()
-    return tuple(sum(1 for v in a if v > j) for j in range(a[0]))
+    a = as_partition(a)
+    return tuple(sum(1 for v in a if v > j) for j in range(a[0])) if a else ()
 
 
 def complement(a: Partition, shape: Shape) -> Partition:
@@ -135,17 +139,12 @@ def complement(a: Partition, shape: Shape) -> Partition:
 
     An order-reversing involution; ranks satisfy ``|a| + |a*| = m * n``.
     """
-    _require_fits(a, shape)
-    return as_partition(sorted((shape.n - v for v in padded(a, shape.m)), reverse=True))
+    return as_partition(shape.n - v for v in reversed(_require_fits(a, shape)))
 
 
 def to_multiplicity(a: Partition, shape: Shape) -> WeakComposition:
     """Multiplicity coordinates of ``a``: entry ``j`` counts parts of size ``n + 1 - j``."""
-    _require_fits(a, shape)
-    counts = [0] * (shape.n + 1)
-    for v in padded(a, shape.m):
-        counts[shape.n - v] += 1
-    return tuple(counts)
+    return tuple(map(_require_fits(a, shape).count, range(shape.n, -1, -1)))
 
 
 def from_multiplicity(c: WeakComposition, shape: Shape) -> Partition:
@@ -156,10 +155,7 @@ def from_multiplicity(c: WeakComposition, shape: Shape) -> Partition:
     ``j < n``, without passing through :func:`as_partition` again.
     """
     require_composition(c, shape)
-    parts: list[int] = []
-    for j, count in enumerate(c[: shape.n]):
-        parts.extend([shape.n - j] * count)
-    return tuple(parts)
+    return tuple(chain.from_iterable(map(repeat, range(shape.n, 0, -1), c)))
 
 
 def weighted_sum(c: Sequence[int]) -> int:
@@ -180,10 +176,10 @@ def enumerate_compositions(k: int, p: int) -> list[WeakComposition]:
     entry after the first, moves one of its units one slot left and the rest
     of it to the last slot.
     """
-    if k < 0:
-        raise ValueError(f"total must be nonnegative, got {k}")
-    if p < 1:
-        raise ValueError(f"need at least one part, got {p}")
+    if not _is_int_at_least(k, 0):
+        raise ValueError(f"total must be an int >= 0, got {k!r}")
+    if not _is_int_at_least(p, 1):
+        raise ValueError(f"need an int >= 1 of parts, got {p!r}")
     c = [0] * (p - 1) + [k]
     out = [tuple(c)]
     while c[0] < k:
@@ -197,26 +193,16 @@ def enumerate_compositions(k: int, p: int) -> list[WeakComposition]:
 
 
 def format_partition(a: Partition) -> str:
-    """Digit-string display ("3211", "∅"), bracketed when a part exceeds 9."""
-    if not a:
-        return "∅"
-    if a[0] <= 9:
-        return "".join(map(str, a))
-    return "[" + ",".join(map(str, a)) + "]"
+    """The parts in the key spelling of :func:`format_composition` ("3211",
+    "[12,3]"), or "∅" for the empty partition."""
+    return format_composition(as_partition(a)) or "∅"
 
 
 def parse_partition(text: str) -> Partition:
-    """Accept digit strings ("3211"), bracketed lists ("[12,3]"), "∅", or "0"."""
-    s = text.strip()
-    if s in ("∅", "0", ""):
-        return ()
-    if s.startswith("["):
-        if not s.endswith("]"):
-            raise ValueError(f"unterminated bracketed partition: {text!r}")
-        return as_partition(int(v) for v in s[1:-1].split(","))
-    if not s.isdigit():
-        raise ValueError(f"not a partition string: {text!r}")
-    return as_partition(int(ch) for ch in s)
+    """Inverse of :func:`format_partition`: "∅", or a key string as
+    :func:`parse_composition` reads it, whose entries :func:`as_partition`
+    then checks ("320" and "0" still read, as (3, 2) and ())."""
+    return () if text == "∅" else as_partition(parse_composition(text))
 
 
 # the bracketed key spelling: ASCII numbers without leading zeros, comma-separated

@@ -41,7 +41,7 @@ from operator import itemgetter, sub
 
 from .partitions import (
     Shape,
-    _is_int_at_least,
+    _checked_shape,
     enumerate_compositions,
     format_compositions,
     parse_natural,
@@ -236,23 +236,19 @@ class GradedPoset:
         return list(map(range, starts, starts[1:]))
 
     def label(self) -> str:
-        prime = "" if self.coords == "partition" else "'"
-        return f"L{prime}({self.shape.m},{self.shape.n})"
+        return _lattice_label(self.shape, self.coords)
+
+
+def _lattice_label(shape: Shape, coords: str) -> str:
+    """``L(m,n)`` in partition coordinates, ``L'(m,n)`` in composition ones."""
+    prime = "" if coords == "partition" else "'"
+    return f"L{prime}({shape.m},{shape.n})"
 
 
 def _positions(p: GradedPoset, keys) -> list:
     """The element index of each key in ``p``, None for a key that is not
     one: one probe of the key index per key."""
     return list(map(p._index.get, keys))
-
-
-def _checked_shape(m, n, least: int = 0) -> Shape:
-    """``Shape(m, n)``; ``ValueError`` unless both are ints (a ``bool`` is
-    not one) of at least ``least``."""
-    for d in (m, n):
-        if not _is_int_at_least(d, least):
-            raise ValueError(f"lattice dimensions must be ints >= {least}, got {d!r}")
-    return Shape(m, n)
 
 
 def _require_within_limit(m: int, n: int) -> None:

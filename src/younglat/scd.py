@@ -31,6 +31,7 @@ from typing import Iterator
 from .partitions import (
     Shape,
     WeakComposition,
+    _checked_shape,
     _is_int_at_least,
     format_composition,
     format_compositions,
@@ -38,7 +39,7 @@ from .partitions import (
     parse_natural,
     weighted_sum,
 )
-from .poset import (GradedPoset, ParseError, _checked_shape, _parse_label, _positions,
+from .poset import (GradedPoset, ParseError, _lattice_label, _parse_label, _positions,
                     _require_within_limit, rank_profile)
 from .roots import NotACoverError, edge_color
 
@@ -137,7 +138,7 @@ def _require_same_shape(d: ChainDecomposition, p: GradedPoset) -> None:
     """Raise ``ValueError`` unless ``d`` decomposes a lattice of ``p``'s shape."""
     if d.shape != p.shape:
         raise ValueError(f"shape mismatch: poset {p.label()} vs decomposition "
-                         f"L'({d.shape.m},{d.shape.n})")
+                         + _lattice_label(d.shape, "composition"))
 
 
 def verify_scd(d: ChainDecomposition, p: GradedPoset) -> ScdReport:
@@ -464,7 +465,7 @@ def serialize_decomposition(d: ChainDecomposition) -> str:
     """Render ``d`` in the decomposition file format; every key of every
     chain is formatted by one :func:`format_compositions` call."""
     keys = iter(format_compositions([key for c in d.chains for key in c]))
-    lines = [f"scd L'({d.shape.m},{d.shape.n}) chains={len(d.chains)}"]
+    lines = [f"scd {_lattice_label(d.shape, 'composition')} chains={len(d.chains)}"]
     lines += [" ".join(islice(keys, len(c))) for c in d.chains]
     return "\n".join(lines) + "\n"
 

@@ -130,6 +130,44 @@ def partitions_in_box(m: int, n: int) -> Iterator[Partition]:
         prefix[-1] -= 1
 
 
+# The partition strings and the cover test as they were when partition
+# strings had a grammar of their own and ``covers`` scanned the padded parts
+# for the one that grew.  The library's answers must equal theirs on valid
+# input.
+
+
+def reference_format_partition(a: Partition) -> str:
+    """Digit-string display ("3211", "∅"), bracketed when a part exceeds 9."""
+    if not a:
+        return "∅"
+    if a[0] <= 9:
+        return "".join(map(str, a))
+    return "[" + ",".join(map(str, a)) + "]"
+
+
+def reference_parse_partition(text: str) -> Partition:
+    """Accept digit strings ("3211"), bracketed lists ("[12,3]"), "∅", or "0"."""
+    s = text.strip()
+    if s in ("∅", "0", ""):
+        return ()
+    if s.startswith("["):
+        if not s.endswith("]"):
+            raise ValueError(f"unterminated bracketed partition: {text!r}")
+        return as_partition(int(v) for v in s[1:-1].split(","))
+    if not s.isdigit():
+        raise ValueError(f"not a partition string: {text!r}")
+    return as_partition(int(ch) for ch in s)
+
+
+def reference_covers(b: Partition, a: Partition, shape: Shape) -> bool:
+    """True when ``b`` covers ``a``: exactly one part grows by one box."""
+    _require_fits(a, shape)
+    _require_fits(b, shape)
+    pa, pb = padded(a, shape.m), padded(b, shape.m)
+    bumped = [i for i in range(shape.m) if pa[i] != pb[i]]
+    return len(bumped) == 1 and pb[bumped[0]] == pa[bumped[0]] + 1
+
+
 def _poly_mul(a: list[int], b: list[int]) -> list[int]:
     out = [0] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):

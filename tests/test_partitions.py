@@ -1,12 +1,19 @@
 import random
-from itertools import combinations
+from itertools import combinations, product
 from math import comb
 
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from conftest import composition_lower_covers, lower_covers, partitions_in_box
+from conftest import (
+    composition_lower_covers,
+    lower_covers,
+    partitions_in_box,
+    reference_covers,
+    reference_format_partition,
+    reference_parse_partition,
+)
 from younglat.partitions import (
     InvalidCompositionError,
     InvalidElementError,
@@ -24,6 +31,7 @@ from younglat.partitions import (
     parse_natural,
     parse_partition,
     rank,
+    require_composition,
     to_multiplicity,
     weighted_sum,
 )
@@ -362,6 +370,91 @@ class TestArgumentValidation:
     def test_negative_part_rejected(self):
         with pytest.raises(ValueError):
             as_partition([3, -1])
+
+    @pytest.mark.parametrize("k, p", [(2.0, 3), (True, 2), (2, 3.0), (2, True),
+                                      (None, 2), ("2", 3), (2, None)])
+    def test_enumerate_compositions_takes_ints_only(self, k, p):
+        with pytest.raises(ValueError):
+            enumerate_compositions(k, p)
+
+
+S = Shape(2, 3)
+
+# calls on a sequence that is no partition or composition, or on a dimension
+# that is no int
+WRONG_CALLS = [
+    (to_multiplicity, (0, 5), S),
+    (covers, (1, 2), (1, 1), S),
+    (format_partition, (1, 3)),
+    (as_partition, [2.5, 1.9]),
+    (as_partition, [True]),
+    (as_partition, [3, 0.0]),
+    (enumerate_compositions, 2.0, 3),
+    (enumerate_compositions, True, 2),
+    (to_multiplicity, (1, 3), S),
+    (leq, (1, 3), (3, 3), S),
+    (conjugate, (1, 3)),
+    (complement, (0, 5), S),
+    (to_multiplicity, (3, 1), Shape(2.0, 3)),
+    (from_multiplicity, (1, 0, True, 0), S),
+    (require_composition, (1.5, 0.5, 0, 0), S),
+    (rank, (1, 3)),
+]
+
+
+@pytest.mark.parametrize("call", WRONG_CALLS, ids=lambda call: call[0].__name__)
+def test_wrong_call_raises_value_error(call):
+    fn, *args = call
+    with pytest.raises(ValueError):
+        fn(*args)
+
+
+SMALL_VALUES = st.one_of(st.integers(-3, 12), st.booleans(), st.floats(), st.none(),
+                         st.text(max_size=2))
+PARTS = st.one_of(st.lists(SMALL_VALUES, max_size=6), partitions_st(6, 6),
+                  st.lists(st.integers(0, 6), max_size=6))
+DIMS = st.one_of(st.integers(-2, 6), st.floats(-2, 6), st.booleans())
+
+
+@given(PARTS, PARTS, DIMS, DIMS, st.one_of(st.text(), st.text("0123456789[],∅ +_", max_size=8)))
+def test_partition_side_ends_in_a_result_or_a_value_error(a, b, m, n, text):
+    shape = Shape(m, n)
+    calls = [(as_partition, a), (rank, a), (conjugate, a), (format_partition, a),
+             (parse_partition, text), (leq, a, b, shape), (covers, b, a, shape),
+             (complement, a, shape), (to_multiplicity, a, shape),
+             (from_multiplicity, a, shape), (require_composition, a, shape)]
+    for fn, *args in calls:
+        try:
+            fn(*args)
+        except ValueError:
+            pass
+
+
+class TestFrozenPartitionView:
+    def test_strings_match_the_old_grammar(self):
+        # L(6, 12) holds every partition of every box with m <= 6 and n <= 12
+        for a in partitions_in_box(6, 12):
+            text = format_partition(a)
+            assert text == reference_format_partition(a)
+            assert parse_partition(text) == reference_parse_partition(text) == a
+
+    def test_covers_match_the_index_scan(self):
+        for m, n in product(range(5), repeat=2):
+            shape = Shape(m, n)
+            elements = list(partitions_in_box(m, n))
+            for a, b in product(elements, repeat=2):
+                assert covers(b, a, shape) == reference_covers(b, a, shape)
+
+    @pytest.mark.parametrize("text", ["", " 32 ", "[3,2]", "[ 12,3]", "[+12,3]",
+                                      "[1_2,3]", "[010,1]", "23", "[3,12]", "3 2"])
+    def test_partition_strings_no_writer_makes_are_refused(self, text):
+        with pytest.raises(ValueError):
+            parse_partition(text)
+
+    @pytest.mark.parametrize("text, a", [("0", ()), ("00", ()), ("320", (3, 2)),
+                                         ("∅", ()), ("[12,3,0]", (12, 3))])
+    def test_trailing_zeros_still_read(self, text, a):
+        assert parse_partition(text) == a
 
 
 PARTITION_SIDE = {"from_multiplicity", "to_multiplicity", "conjugate", "complement",
