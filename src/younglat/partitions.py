@@ -23,7 +23,8 @@ writes even those straight from the composition.
 elements with ``enumerate_compositions`` alone.  The rank of a composition
 is ``weighted_sum``, the sum of its proper prefix sums.  The partition-side
 names are the public partition API: the package re-exports them, and no
-other module imports them.
+other module imports them.  A result, or a partition padded to ``m`` parts,
+of over ``KEY_ENTRY_LIMIT`` entries raises ``ValueError`` before it is made.
 
 Everything here is a pure function over immutable tuples; concurrent callers
 need no coordination.
@@ -32,6 +33,7 @@ need no coordination.
 from __future__ import annotations
 
 import re
+from collections import Counter
 from functools import lru_cache
 from itertools import accumulate, chain, repeat
 from operator import le, lt
@@ -39,6 +41,7 @@ from typing import Iterable, NamedTuple, Sequence
 
 Partition = tuple[int, ...]
 WeakComposition = tuple[int, ...]
+KEY_ENTRY_LIMIT = 40_000_000  # entries in all keys of a lattice, or in one result here
 
 
 class Shape(NamedTuple):
@@ -56,13 +59,21 @@ class InvalidCompositionError(ValueError):
     """Raised when a weak composition has the wrong length, sum, or sign."""
 
 
-def _checked_shape(m, n, least: int = 0) -> Shape:
-    """``Shape(m, n)``; ``ValueError`` unless both are ints (a ``bool`` is
-    not one) of at least ``least``."""
-    for d in (m, n):
+def _require_entries(count: int) -> None:
+    """``ValueError`` for a result of ``count`` entries, over ``KEY_ENTRY_LIMIT``."""
+    if count > KEY_ENTRY_LIMIT:
+        raise ValueError(f"a result of {count:,} entries, over the limit of {KEY_ENTRY_LIMIT:,}")
+
+
+def _checked_shape(shape, least: int = 0) -> Shape:
+    """``Shape(*shape)``; ``ValueError`` unless ``shape`` is a tuple or list of
+    exactly two ints (a ``bool`` is not one) of at least ``least``."""
+    if not isinstance(shape, (tuple, list)) or len(shape) != 2:
+        raise ValueError(f"a shape is two lattice dimensions (m, n), got {shape!r}")
+    for d in shape:
         if not _is_int_at_least(d, least):
             raise ValueError(f"lattice dimensions must be ints >= {least}, got {d!r}")
-    return Shape(m, n)
+    return Shape(*shape)
 
 
 def as_partition(parts: Iterable[int]) -> Partition:
@@ -85,7 +96,8 @@ def _require_fits(a: Iterable[int], shape: Shape) -> tuple[int, ...]:
     entries; ``ValueError`` unless ``shape`` is two ints >= 0, and
     ``InvalidElementError`` unless ``a`` has at most ``m`` parts, each at most
     ``n``."""
-    m, n = _checked_shape(*shape)
+    m, n = _checked_shape(shape)
+    _require_entries(m)
     a = as_partition(a)
     if len(a) > m or (a and a[0] > n):
         raise InvalidElementError(f"partition {a} does not fit in a {m} x {n} box")
@@ -95,7 +107,7 @@ def _require_fits(a: Iterable[int], shape: Shape) -> tuple[int, ...]:
 def require_composition(c: WeakComposition, shape: Shape) -> None:
     """Validate that ``c`` is a weak composition of ``shape.m`` with ``shape.n + 1``
     entries, each an int >= 0, for a ``shape`` of two ints >= 0."""
-    m, n = _checked_shape(*shape)
+    m, n = _checked_shape(shape)
     if len(c) != n + 1:
         raise InvalidCompositionError(f"expected {n + 1} entries, got {len(c)} in {c}")
     if not all(_is_int_at_least(v, 0) for v in c):
@@ -129,9 +141,10 @@ def covers(b: Partition, a: Partition, shape: Shape) -> bool:
 
 
 def conjugate(a: Partition) -> Partition:
-    """Transpose the Young diagram: column lengths become the parts."""
-    a = as_partition(a)
-    return tuple(sum(1 for v in a if v > j) for j in range(a[0])) if a else ()
+    """Transpose the Young diagram: part ``j`` counts the parts of at least ``j``."""
+    a = as_partition(a) or (0,)  # the empty partition's largest part is 0
+    _require_entries(a[0])
+    return tuple(accumulate(map(Counter(a).__getitem__, range(a[0], 0, -1))))[::-1]
 
 
 def complement(a: Partition, shape: Shape) -> Partition:
@@ -139,12 +152,15 @@ def complement(a: Partition, shape: Shape) -> Partition:
 
     An order-reversing involution; ranks satisfy ``|a| + |a*| = m * n``.
     """
-    return as_partition(shape.n - v for v in reversed(_require_fits(a, shape)))
+    n = _checked_shape(shape).n
+    return as_partition(n - v for v in reversed(_require_fits(a, shape)))
 
 
 def to_multiplicity(a: Partition, shape: Shape) -> WeakComposition:
     """Multiplicity coordinates of ``a``: entry ``j`` counts parts of size ``n + 1 - j``."""
-    return tuple(map(_require_fits(a, shape).count, range(shape.n, -1, -1)))
+    n = _checked_shape(shape).n
+    _require_entries(n + 1)
+    return tuple(map(Counter(_require_fits(a, shape)).__getitem__, range(n, -1, -1)))
 
 
 def from_multiplicity(c: WeakComposition, shape: Shape) -> Partition:
@@ -155,7 +171,8 @@ def from_multiplicity(c: WeakComposition, shape: Shape) -> Partition:
     ``j < n``, without passing through :func:`as_partition` again.
     """
     require_composition(c, shape)
-    return tuple(chain.from_iterable(map(repeat, range(shape.n, 0, -1), c)))
+    _require_entries(sum(c) - c[-1])
+    return tuple(chain.from_iterable(map(repeat, range(len(c) - 1, 0, -1), c)))
 
 
 def weighted_sum(c: Sequence[int]) -> int:

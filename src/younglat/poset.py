@@ -40,8 +40,10 @@ from math import comb
 from operator import itemgetter, sub
 
 from .partitions import (
+    KEY_ENTRY_LIMIT,
     Shape,
     _checked_shape,
+    _key_templates,
     enumerate_compositions,
     format_compositions,
     parse_natural,
@@ -51,7 +53,6 @@ from .partitions import (
 _FIRST_LINE = re.compile(r"[^\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029]*")
 
 ELEMENT_LIMIT = 4_000_000  # above L(12,12); build_lattice refuses larger lattices
-KEY_ENTRY_LIMIT = 40_000_000  # C(m+n, m) * (n + 1) entries in all keys; above L(12,12)
 DEGREE_LIMIT = 90_000  # m * n of L(300,300); gaussian_binomial refuses larger boxes
 _BLOCK_LINES = 4096  # lines per block of the poset writer
 
@@ -168,7 +169,7 @@ def gaussian_binomial(m: int, n: int) -> RankPolynomial:
     dimension that is not an int, or a degree ``m * n`` over
     ``DEGREE_LIMIT``, raises ``ValueError`` before any work.
     """
-    m, n = _checked_shape(m, n)
+    m, n = _checked_shape((m, n))
     if m * n > DEGREE_LIMIT:
         raise ValueError(f"the {m} x {n} box has degree {m * n:,}, over the "
                          f"limit of {DEGREE_LIMIT:,}")
@@ -216,8 +217,15 @@ class GradedPoset:
 
     @cached_property
     def key_strings(self) -> tuple[str, ...]:
-        """``format_composition`` of each element, in element order."""
-        return tuple(format_compositions(self.elements))
+        """``format_composition`` of each element, in element order.  A key's
+        ``n + 1`` entries sum to ``m``: all keys are digits for ``m <= 9`` and
+        bracketed for ``m > 9 * (n + 1)``, spelt by one repeated template.
+        Other shapes, and the empty poset, go through ``format_compositions``."""
+        m, n = self.shape
+        if 9 < m <= 9 * (n + 1) or not self.elements:
+            return tuple(format_compositions(self.elements))
+        template = (_key_templates(n + 1)[m > 9] + "\n") * len(self)
+        return tuple((template % tuple(chain.from_iterable(self.elements))).splitlines())
 
     @cached_property
     def _index(self) -> dict:
@@ -293,7 +301,7 @@ def build_lattice(shape: Shape, coordinates: str = "partition") -> GradedPoset:
     therefore merges the ``n`` runs, taken in descending color order, into
     index-pair order, comparing no tuples.  No key is looked up.
     """
-    shape = _checked_shape(*shape)
+    shape = _checked_shape(shape)
     m, n = shape
     if coordinates not in ("partition", "composition"):
         raise ValueError(f"unknown coordinate system {coordinates!r}")
@@ -366,7 +374,7 @@ def check_splitting_identities(m: int, n: int) -> SplitCheck:
     Dimensions that are not ints, or boxes over ``ELEMENT_LIMIT`` elements or
     ``KEY_ENTRY_LIMIT`` entries, raise ``ValueError``.
     """
-    shape = _checked_shape(m, n, 1)
+    shape = _checked_shape((m, n), 1)
     _require_within_limit(m, n)
     whole = list(gaussian_binomial(m, n))
     fewer_parts = list(gaussian_binomial(m - 1, n))

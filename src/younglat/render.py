@@ -15,8 +15,8 @@ bytes of formatting it at each place.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, repeat
-from operator import mul
+from itertools import chain, islice, repeat
+from operator import itemgetter, mul
 
 from .poset import GradedPoset, _blocks, _positions
 from .roots import root_color
@@ -60,6 +60,9 @@ def _node_labels(p: GradedPoset, spec: RenderSpec) -> list[str]:
         rows = ["■" * (n - j) + "\\n" for j in range(n)]
         return [_repeat_join(c, rows, "\\n") or "∅" for c in comps]
     if spec.labels == "partition":
+        if 0 < n <= 9:  # one C-level pass, a column per slot; element 0 has no parts
+            columns = (map(mul, repeat(str(n - j)), map(itemgetter(j), comps)) for j in range(n))
+            return ["∅", *islice(map("".join, zip(*columns)), 1, None)]
         digits = [str(n - j) for j in range(n)]
         items = [d + "," for d in digits]
         wide = max(n - 9, 0)  # leading slots whose part size exceeds 9
@@ -95,14 +98,13 @@ def _chain_steps(p: GradedPoset, spec: RenderSpec) -> set[int] | None:
 
 
 def _edge_styles(p: GradedPoset, steps, plain: str, on: str, off: str):
-    """``(color, on a chain)`` -> the attribute text of that kind of edge of
-    ``p``: ``plain`` without an overlay (``steps`` None), else ``on`` or
-    ``off``, each a template of the color's name.  Only the colors that
-    covers of ``p`` carry get a style, so an empty poset gets none."""
-    kinds = {False: plain} if steps is None else {True: on, False: off}
+    """``styles[color][on a chain]``, the attribute text of that kind of
+    edge of ``p``: ``plain`` without an overlay (``steps`` None), else
+    ``on`` or ``off``, each a template of the color's name.  Only the colors
+    that covers of ``p`` carry get a style, so an empty poset gets none."""
+    kinds = (plain,) if steps is None else (off, on)
     colors = range(1, p.shape.n + 1) if p.covers else ()
-    return {(color, chained): template % root_color(color)
-            for color in colors for chained, template in kinds.items()}
+    return [(), *([template % root_color(color) for template in kinds] for color in colors)]
 
 
 def _dot_blocks(p: GradedPoset, spec: RenderSpec):
@@ -127,7 +129,7 @@ def _dot_blocks(p: GradedPoset, spec: RenderSpec):
                         for level in p.levels() if level))
     yield from _blocks('  "%s" [label="%s"];\n', zip(keys, labels))
     yield from _blocks('  "%s" -> "%s" [%s];\n',
-                       ((keys[lo], keys[hi], styles[color, lo * size + hi in chained])
+                       ((keys[lo], keys[hi], styles[color][lo * size + hi in chained])
                         for lo, hi, color in p.covers))
     yield "}\n"
 
@@ -202,7 +204,7 @@ def to_svg(p: GradedPoset, spec: RenderSpec | None = None) -> str:
     ]
     out += _blocks('    <line x1="%s" y1="%s" x2="%s" y2="%s" %s/>\n',
                    ((x_text[lo], y_text[lo], x_text[hi], y_text[hi],
-                     styles[color, lo * size + hi in chained])
+                     styles[color][lo * size + hi in chained])
                     for lo, hi, color in p.covers))
     out.append('  </g>\n  <g class="nodes">\n')
     cells = _CellRows()

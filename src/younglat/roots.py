@@ -12,7 +12,8 @@ from __future__ import annotations
 
 from operator import sub
 
-from .partitions import Shape, WeakComposition, _is_int_at_least, require_composition
+from .partitions import (Shape, WeakComposition, _is_int_at_least, _require_entries,
+                         require_composition)
 
 
 class NotACoverError(ValueError):
@@ -42,13 +43,15 @@ def weight_string(gamma: WeakComposition, j: int, shape: Shape) -> tuple[WeakCom
 
     The run is always a saturated chain of the lattice and contains
     ``gamma``; its edges all carry color ``j``.  A ``j`` that is not an int
-    in ``1..n`` (a ``bool`` is not one) raises ``ValueError``.
+    in ``1..n`` (a ``bool`` is not one), or a run of over ``KEY_ENTRY_LIMIT``
+    entries, raises ``ValueError``.
     """
     require_composition(gamma, shape)
-    if not _is_int_at_least(j, 1) or j > shape.n:
-        raise ValueError(f"root index must be an int in 1..{shape.n}, got {j!r}")
+    if not _is_int_at_least(j, 1) or j >= len(gamma):
+        raise ValueError(f"root index must be an int in 1..{len(gamma) - 1}, got {j!r}")
     room_up = gamma[j]        # units that can move left into slot j
     room_down = gamma[j - 1]  # units that can move right out of slot j
+    _require_entries((room_up + room_down + 1) * len(gamma))
     out = []
     for k in range(room_up, -room_down - 1, -1):
         entry = list(gamma)

@@ -25,7 +25,8 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import compress, islice
+from itertools import chain, compress, islice
+from operator import sub
 from typing import Iterator
 
 from .partitions import (
@@ -41,7 +42,6 @@ from .partitions import (
 )
 from .poset import (GradedPoset, ParseError, _lattice_label, _parse_label, _positions,
                     _require_within_limit, rank_profile)
-from .roots import NotACoverError, edge_color
 
 Chain = tuple[WeakComposition, ...]
 
@@ -58,13 +58,10 @@ class ChainDecomposition:
     __slots__ = ("shape", "chains")
 
     def __init__(self, shape: Shape, chains):
-        self.shape = _checked_shape(*shape)
-        normalized = []
-        for chain in chains:
-            chain = tuple(map(tuple, chain))
-            if not chain:
-                raise ValueError("chains must contain at least one element")
-            normalized.append(chain)
+        self.shape = _checked_shape(shape)
+        normalized = [tuple(map(tuple, chain)) for chain in chains]
+        if () in normalized:
+            raise ValueError("chains must contain at least one element")
         normalized.sort(key=lambda ch: (weighted_sum(ch[-1]), ch[-1], ch))
         self.chains = tuple(normalized)
 
@@ -97,24 +94,14 @@ class ScdReport:
 
     @property
     def passed(self) -> bool:
-        return not (
-            self.missing
-            or self.duplicated
-            or self.unknown
-            or self.unsaturated
-            or self.asymmetric
-        )
+        return not any((self.missing, self.duplicated, self.unknown, self.unsaturated,
+                        self.asymmetric))
 
     def lines(self) -> list[str]:
-        out = [
-            f"decomposition: {self.chain_count} chains",
-            f"poset: {self.poset_size} elements, height {self.height}",
-            "chain starts: "
-            + (
-                " ".join(f"{s}:{c}" for s, c in sorted(self.start_profile.items()))
-                or "(none)"
-            ),
-        ]
+        starts = " ".join(f"{s}:{c}" for s, c in sorted(self.start_profile.items()))
+        out = [f"decomposition: {self.chain_count} chains",
+               f"poset: {self.poset_size} elements, height {self.height}",
+               f"chain starts: {starts or '(none)'}"]
         for name, items in (
             ("missing elements", self.missing),
             ("duplicated elements", self.duplicated),
@@ -150,7 +137,11 @@ def verify_scd(d: ChainDecomposition, p: GradedPoset) -> ScdReport:
     do not add up to the height.  The report also counts how many chains
     start (bottom out) at each rank.  Differing shapes raise ``ValueError``.
     Each key is looked up in the poset's key index once, and the checks then
-    work on element indices; only unknown keys are counted by key.
+    work on element indices; only unknown keys are counted by key.  A chain
+    of known keys is saturated, every step a simple root ``e_j - e_(j+1)``
+    (``roots.edge_color``), when its ranks fall by 1 per step and its steps
+    sum to ``2 * steps`` in L1 distance: a step one rank down is nonzero
+    with zero sum, so at least 2, and 2 only as ``e_a - e_(a+1)``.
     """
     _require_same_shape(d, p)
     uses = [0] * len(p)
@@ -158,9 +149,9 @@ def verify_scd(d: ChainDecomposition, p: GradedPoset) -> ScdReport:
     unsaturated: list[int] = []
     asymmetric: list[int] = []
     profile: Counter = Counter()
-    for ci, chain in enumerate(d.chains):
-        at = _positions(p, chain)
-        for key, i in zip(chain, at):
+    for ci, keys in enumerate(d.chains):
+        at = _positions(p, keys)
+        for key, i in zip(keys, at):
             if i is None:
                 unknown.append(key)
             else:
@@ -168,15 +159,14 @@ def verify_scd(d: ChainDecomposition, p: GradedPoset) -> ScdReport:
         if None in at:
             unsaturated.append(ci)
             continue
-        try:
-            for lower, upper in zip(chain[1:], chain):
-                edge_color(lower, upper)
-        except NotACoverError:
+        ranks = [*map(p.ranks.__getitem__, at)]
+        flat = [*chain.from_iterable(keys)]  # a step pairs entry i with entry i + n + 1
+        if (ranks != [*range(ranks[0], ranks[-1] - 1, -1)]
+                or sum(map(abs, map(sub, flat, flat[p.shape.n + 1:]))) != 2 * len(keys) - 2):
             unsaturated.append(ci)
-        bottom = p.ranks[at[-1]]
-        if p.ranks[at[0]] + bottom != p.height:
+        if ranks[0] + ranks[-1] != p.height:
             asymmetric.append(ci)
-        profile[bottom] += 1
+        profile[ranks[-1]] += 1
     duplicated = [key for key, v in Counter(unknown).items() if v > 1]
     duplicated += compress(p.elements, [v > 1 for v in uses])
     return ScdReport(
@@ -220,7 +210,7 @@ def scd_n2(m: int) -> ChainDecomposition:
     ``m`` bottoms out with a chain of length 2.  A non-int ``m``, ``m < 1``
     or over ``ELEMENT_LIMIT`` elements raise ``ValueError`` before any work.
     """
-    _checked_shape(m, 2, 1)
+    _checked_shape((m, 2), 1)
     _require_within_limit(m, 2)
     chains = [_zigzag(m - 2 * i, 2 * i) for i in range(m // 2 + 1)]
     return ChainDecomposition(Shape(m, 2), chains)
@@ -298,7 +288,7 @@ def lindstrom(m: int) -> ChainDecomposition:
     conjugation its transpose.  A non-int ``m``, ``m < 1`` or over
     ``ELEMENT_LIMIT`` elements raise ``ValueError`` before any work.
     """
-    _checked_shape(m, 3, 1)
+    _checked_shape((m, 3), 1)
     _require_within_limit(m, 3)
     shell, step = (_odd_shell, 2) if m % 2 else (_even_shell, 4)
     chains = [ch for k in range(m % step, m + 1, step) for ch in shell(k, (m - k) // 2)]

@@ -132,8 +132,9 @@ def partitions_in_box(m: int, n: int) -> Iterator[Partition]:
 
 # The partition strings and the cover test as they were when partition
 # strings had a grammar of their own and ``covers`` scanned the padded parts
-# for the one that grew.  The library's answers must equal theirs on valid
-# input.
+# for the one that grew, and ``conjugate`` and ``to_multiplicity`` as they
+# were before they counted the part sizes once.  The library's answers must
+# equal theirs on valid input.
 
 
 def reference_format_partition(a: Partition) -> str:
@@ -157,6 +158,17 @@ def reference_parse_partition(text: str) -> Partition:
     if not s.isdigit():
         raise ValueError(f"not a partition string: {text!r}")
     return as_partition(int(ch) for ch in s)
+
+
+def reference_conjugate(a: Partition) -> Partition:
+    """Column lengths by a scan of the parts for every column."""
+    a = as_partition(a)
+    return tuple(sum(1 for v in a if v > j) for j in range(a[0])) if a else ()
+
+
+def reference_to_multiplicity(a: Partition, shape: Shape) -> WeakComposition:
+    """One count over the padded parts per part size."""
+    return tuple(map(_require_fits(a, shape).count, range(shape.n, -1, -1)))
 
 
 def reference_covers(b: Partition, a: Partition, shape: Shape) -> bool:
@@ -296,7 +308,17 @@ def reference_verify_scd(d, p):
 
 
 CORRUPTIONS = ("shared", "unknown_twice", "other_length", "unknown_singleton",
-               "absent_mid_chain", "dropped_mid_chain", "reversed_step")
+               "absent_mid_chain", "dropped_mid_chain", "reversed_step", "same_rank_swap")
+
+
+def _steps_are_covers(keys):
+    """Whether every step down ``keys`` is a cover, by ``edge_color``."""
+    try:
+        for lower, upper in zip(keys[1:], keys):
+            edge_color(lower, upper)
+    except NotACoverError:
+        return False
+    return True
 
 
 def corrupted(d, kinds, rng):
@@ -311,7 +333,11 @@ def corrupted(d, kinds, rng):
     - ``absent_mid_chain``: a key inside a chain replaced by one that is no
       element;
     - ``dropped_mid_chain``: a key inside a chain removed;
-    - ``reversed_step``: two neighbours of a chain swapped.
+    - ``reversed_step``: two neighbours of a chain swapped;
+    - ``same_rank_swap``: a key inside a chain replaced by another element of
+      its rank, so that every step stays one rank down.  A replacement that
+      leaves some step no cover is drawn when there is one; L(1, n) has no
+      two elements of one rank, so there this kind changes nothing.
 
     The chains of ``d`` must have n + 1 entries per key, and one of them at
     least three keys.
@@ -347,6 +373,17 @@ def corrupted(d, kinds, rng):
             chain = any_chain(2)
             at = rng.randrange(len(chain) - 1)
             chain[at], chain[at + 1] = chain[at + 1], chain[at]
+        elif kind == "same_rank_swap":
+            by_rank: dict = {}
+            for key in enumerate_compositions(d.shape.m, d.shape.n + 1):
+                by_rank.setdefault(weighted_sum(key), []).append(key)
+            swaps = [(chain, at, other) for chain in chains for at in range(1, len(chain) - 1)
+                     for other in by_rank.get(weighted_sum(chain[at]), ()) if other != chain[at]]
+            broken = [(chain, at, other) for chain, at, other in swaps
+                      if not _steps_are_covers((chain[at - 1], other, chain[at + 1]))]
+            if swaps:
+                chain, at, other = rng.choice(broken or swaps)
+                chain[at] = other
         else:
             raise ValueError(f"unknown corruption {kind!r}")
     return ChainDecomposition(d.shape, chains)

@@ -3,6 +3,8 @@ import subprocess
 import sys
 import time
 from collections import Counter
+from functools import cached_property
+from math import comb
 from pathlib import Path
 
 import pytest
@@ -209,15 +211,25 @@ class TestRender:
 class TestKeysReadOnce:
     """A command that parsed the poset reads the decomposition's keys through
     the poset's key strings: no key is parsed, and each is formatted once,
-    singly or in a batch."""
+    by the key strings (made once per poset, in any of their three
+    spellings: digits, mixed, bracketed) or singly or in a batch elsewhere."""
 
+    @pytest.mark.parametrize("m", [6, 10, 40])
     @pytest.mark.parametrize("command", [["scd", "verify"], ["render"]])
     def test_each_key_is_formatted_once_and_never_parsed(self, tmp_path, monkeypatch,
-                                                         capsys, command):
+                                                         capsys, command, m):
         poset_file, scd_file = str(tmp_path / "p.poset"), str(tmp_path / "d.scd")
-        run(capsys, "lattice", "6", "3", "--coords", "composition", "--out", poset_file)
-        run(capsys, "scd", "lindstrom", "6", "--out", scd_file)
+        run(capsys, "lattice", str(m), "3", "--coords", "composition", "--out", poset_file)
+        run(capsys, "scd", "lindstrom", str(m), "--out", scd_file)
         formatted, parsed = Counter(), []
+
+        def key_strings(self, original=poset.GradedPoset.key_strings.func):
+            formatted.update(self.elements)
+            return original(self)
+
+        spy = cached_property(key_strings)
+        spy.__set_name__(poset.GradedPoset, "key_strings")
+        monkeypatch.setattr(poset.GradedPoset, "key_strings", spy)
 
         def format_one(key, original=partitions.format_composition):
             formatted[key] += 1
@@ -234,14 +246,15 @@ class TestKeysReadOnce:
         counting = {"format_composition": format_one, "format_compositions": format_batch,
                     "parse_composition": parse_one}
         for name, fake in counting.items():
-            for module in (partitions, poset, scd, render, cli):
+            # poset formats keys only in key_strings, counted above
+            for module in (partitions, scd, render, cli):
                 if hasattr(module, name):
                     monkeypatch.setattr(module, name, fake)
         argv = [*command, poset_file] + (
             ["--scd", scd_file] if command == ["render"] else [scd_file])
         assert run(capsys, *argv)[0] == 0
-        elements = build_lattice(Shape(6, 3)).elements
-        assert len(elements) == 84
+        elements = build_lattice(Shape(m, 3)).elements
+        assert len(elements) == comb(m + 3, 3)
         assert formatted == Counter(elements)
         assert parsed == []
 

@@ -10,11 +10,16 @@ from conftest import (
     composition_lower_covers,
     lower_covers,
     partitions_in_box,
+    reference_conjugate,
     reference_covers,
     reference_format_partition,
     reference_parse_partition,
+    reference_to_multiplicity,
+    traced_peak,
 )
+from younglat import poset
 from younglat.partitions import (
+    KEY_ENTRY_LIMIT,
     InvalidCompositionError,
     InvalidElementError,
     Shape,
@@ -35,6 +40,8 @@ from younglat.partitions import (
     to_multiplicity,
     weighted_sum,
 )
+from younglat.poset import build_lattice
+from younglat.scd import ChainDecomposition
 
 
 def partitions_st(max_part=12, max_len=8):
@@ -455,6 +462,70 @@ class TestFrozenPartitionView:
                                          ("∅", ()), ("[12,3,0]", (12, 3))])
     def test_trailing_zeros_still_read(self, text, a):
         assert parse_partition(text) == a
+
+
+class TestShapesAndEntryLimit:
+    def test_counting_matches_the_frozen_scans(self):
+        for m, n in product(range(7), repeat=2):
+            shape = Shape(m, n)
+            for a in partitions_in_box(m, n):
+                assert conjugate(a) == reference_conjugate(a)
+                assert to_multiplicity(a, shape) == reference_to_multiplicity(a, shape)
+
+    def test_plain_shapes_read_as_shapes(self):
+        # a tuple or a list of two ints is a shape; reading shape.n once made
+        # these an AttributeError
+        for m, n in product(range(5), repeat=2):
+            shape = Shape(m, n)
+            for a in partitions_in_box(m, n):
+                c = to_multiplicity(a, shape)
+                for plain in ((m, n), [m, n]):
+                    assert to_multiplicity(a, plain) == c
+                    assert complement(a, plain) == complement(a, shape)
+                    assert from_multiplicity(c, plain) == a
+        assert to_multiplicity((1,), (2, 3)) == (0, 0, 1, 1)
+
+    @pytest.mark.parametrize("shape", [(2, 2, 0), (2, 2, 5), (2,), (), 5, None, "22",
+                                       {2: 0, 3: 0}, iter([2, 2])])
+    @pytest.mark.parametrize("call", [
+        lambda shape: build_lattice(shape),
+        lambda shape: ChainDecomposition(shape, ()),
+        lambda shape: leq((1,), (1,), shape),
+        lambda shape: require_composition((1, 1, 0), shape),
+        lambda shape: to_multiplicity((1,), shape),
+        lambda shape: complement((1,), shape),
+        lambda shape: from_multiplicity((1, 1, 0), shape),
+    ], ids=["build_lattice", "ChainDecomposition", "leq", "require_composition",
+            "to_multiplicity", "complement", "from_multiplicity"])
+    def test_shape_not_of_two_dimensions_is_refused(self, call, shape):
+        # a third entry once went on as the least dimension: (2, 2, 0) built
+        # L(2,2), and (2, 2, 5) said "ints >= 5"
+        with pytest.raises(ValueError):
+            call(shape)
+
+    @pytest.mark.parametrize("call", [
+        lambda: conjugate((10**9,)),
+        lambda: conjugate((KEY_ENTRY_LIMIT + 1, 1)),
+        lambda: to_multiplicity((1,), Shape(1, 10**9)),
+        lambda: to_multiplicity((), Shape(0, KEY_ENTRY_LIMIT)),
+        lambda: from_multiplicity((10**9, 0), Shape(10**9, 1)),
+        lambda: leq((), (), Shape(10**9, 1)),
+        lambda: covers((1,), (), Shape(10**9, 1)),
+        lambda: complement((), Shape(KEY_ENTRY_LIMIT + 1, 1)),
+    ])
+    def test_result_over_the_entry_limit_is_refused_before_it_is_made(self, call):
+        def refused():
+            with pytest.raises(ValueError, match="over the limit of 40,000,000"):
+                call()
+        assert traced_peak(refused) < 10**6
+
+    def test_results_at_small_sizes_are_made(self):
+        assert conjugate((5,)) == (1, 1, 1, 1, 1)
+        assert to_multiplicity((), Shape(0, 9)) == (0,) * 9 + (0,)
+        assert from_multiplicity((3, 0), Shape(3, 1)) == (1, 1, 1)
+
+    def test_one_entry_limit(self):
+        assert poset.KEY_ENTRY_LIMIT is KEY_ENTRY_LIMIT == 40_000_000
 
 
 PARTITION_SIDE = {"from_multiplicity", "to_multiplicity", "conjugate", "complement",

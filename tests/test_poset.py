@@ -467,6 +467,23 @@ class TestPrefixSumBuild:
         self.assert_same_build(Shape(m, n))
 
 
+class TestKeyStringsBySpelling:
+    # digits for m <= 9, bracketed for m > 9 * (n + 1), mixed between
+    SHAPES = [(m, n) for m in range(41) for n in range(5)] + [(7, 9), (8, 8), (9, 7)]
+
+    @pytest.mark.parametrize("coords", ["partition", "composition"])
+    def test_key_strings_format_each_element(self, coords):
+        spellings = set()
+        for m, n in self.SHAPES:
+            p = build_lattice(Shape(m, n), coords)
+            assert p.key_strings == tuple(map(format_composition, p.elements)), (m, n)
+            spellings.add("digits" if m <= 9 else "bracketed" if m > 9 * (n + 1) else "mixed")
+        assert spellings == {"digits", "bracketed", "mixed"}
+
+    def test_empty_poset_of_a_huge_n_makes_no_template(self):
+        assert traced_peak(lambda: build_lattice(Shape(0, 10**9)).key_strings) < 10**6
+
+
 def reference_format_composition(c):
     """The join-based key rule that format_composition's templates replaced."""
     if max(c, default=0) <= 9:

@@ -69,6 +69,39 @@ class TestEdgeColor:
                     assert edge_color(p.elements[lo], p.elements[hi]) == color
 
 
+class TestRankAndDistanceRule:
+    def test_one_rank_up_at_distance_two_is_a_cover(self):
+        # the saturation test of verify_scd, pair by pair: ranks one apart and
+        # L1 distance 2 exactly when edge_color finds a root
+        for m in range(5):
+            for n in range(5):
+                p = build_lattice(Shape(m, n), "composition")
+                for lower, r in zip(p.elements, p.ranks):
+                    for upper, s in zip(p.elements, p.ranks):
+                        by_rule = (s == r + 1
+                                   and sum(abs(u - v) for u, v in zip(upper, lower)) == 2)
+                        try:
+                            edge_color(lower, upper)
+                            by_color = True
+                        except NotACoverError:
+                            by_color = False
+                        assert by_rule == by_color, (lower, upper)
+
+    def test_weight_string_takes_a_plain_shape(self):
+        assert (weight_string((1, 0, 1, 0), 2, (2, 3))
+                == weight_string((1, 0, 1, 0), 2, [2, 3])
+                == weight_string((1, 0, 1, 0), 2, Shape(2, 3)))
+
+    @pytest.mark.parametrize("shape", [(2, 3, 0), (2,), 5, None, "23"])
+    def test_weight_string_refuses_a_shape_not_of_two_dimensions(self, shape):
+        with pytest.raises(ValueError):
+            weight_string((1, 0, 1, 0), 2, shape)
+
+    def test_weight_string_over_the_entry_limit_is_refused_before_it_is_made(self):
+        with pytest.raises(ValueError):
+            weight_string((10**9, 0), 1, Shape(10**9, 1))
+
+
 def _edge_color_by_delta(lower, upper):
     """The vector-difference form of edge_color, kept as its reference."""
     if len(lower) != len(upper):

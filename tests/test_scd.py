@@ -715,11 +715,32 @@ class TestVerifierMatchesKeyBasedReference:
     @pytest.mark.parametrize("kind", CORRUPTIONS)
     @pytest.mark.parametrize("n, construct", [(3, lindstrom), (2, scd_n2)])
     def test_seeded_corruptions(self, kind, n, construct):
-        for m in range(1, 15):
+        # L(1, n) has no two elements of one rank to swap
+        for m in range(2 if kind == "same_rank_swap" else 1, 15):
             p = build_lattice(Shape(m, n), "composition")
             for seed in range(10):
                 d = corrupted(construct(m), [kind], random.Random(100 * m + seed))
                 assert not same_report(d, p).passed
+
+    def test_steps_one_rank_down_that_are_no_covers(self):
+        # every rank falls by 1 and every key is used once, but two steps of
+        # the first chain move a unit across more than one slot
+        p = build_lattice(Shape(2, 3), "composition")
+        d = ChainDecomposition(Shape(2, 3), [
+            ((2, 0, 0, 0), (1, 1, 0, 0), (0, 2, 0, 0), (1, 0, 0, 1), (0, 0, 2, 0),
+             (0, 0, 1, 1), (0, 0, 0, 2)),
+            ((1, 0, 1, 0), (0, 1, 1, 0), (0, 1, 0, 1))])
+        report = same_report(d, p)
+        assert report.unsaturated == (0,)
+        assert not (report.missing or report.duplicated or report.unknown
+                    or report.asymmetric)
+
+    def test_same_rank_swaps_leave_a_step_that_is_no_cover(self):
+        for m in range(2, 15):
+            p = build_lattice(Shape(m, 3), "composition")
+            for seed in range(5):
+                d = corrupted(lindstrom(m), ["same_rank_swap"], random.Random(seed))
+                assert same_report(d, p).unsaturated
 
     def test_seeded_corruption_mixes(self):
         rng = random.Random(2020)
