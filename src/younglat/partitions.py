@@ -7,7 +7,8 @@ partition-side function reads its partitions through it, and those that take
 a shape ``(m, n)`` through ``_require_fits``, which also checks that the
 partition has at most ``m`` parts, each at most ``n``, and zero-pads it to
 ``m`` entries, so ``(3, 2, 1)`` and ``(3, 2, 1, 0)`` are one element.  A
-partition is spelled as a key is ("3211", "[12,3]"), or "∅" when empty.
+partition is spelled as a key is, or "∅" when empty; the one key speller,
+``format_compositions``, writes digits ("1120") when each entry is 0..9.
 
 The same element can be written as a weak composition: a tuple of ``n + 1``
 nonnegative entries summing to ``m`` whose entry ``j`` (1-based, left to
@@ -36,6 +37,7 @@ import re
 from collections import Counter
 from functools import lru_cache
 from itertools import accumulate, chain, repeat
+from math import comb
 from operator import le, lt
 from typing import Iterable, NamedTuple, Sequence
 
@@ -189,14 +191,16 @@ def weighted_sum(c: Sequence[int]) -> int:
 def enumerate_compositions(k: int, p: int) -> list[WeakComposition]:
     """All weak compositions of ``k`` with ``p`` parts, in lexicographic order.
 
-    The count is C(k + p - 1, p - 1).  Each step finds the rightmost nonzero
-    entry after the first, moves one of its units one slot left and the rest
-    of it to the last slot.
+    The count is C(k + p - 1, p - 1), refused as ``KEY_ENTRY_LIMIT`` says.
+    Each step finds the rightmost nonzero entry after the first, moves one
+    of its units one slot left and the rest of it to the last slot.
     """
     if not _is_int_at_least(k, 0):
         raise ValueError(f"total must be an int >= 0, got {k!r}")
     if not _is_int_at_least(p, 1):
         raise ValueError(f"need an int >= 1 of parts, got {p!r}")
+    if min(k, p - 1) > 32 or comb(k + p - 1, k) * p > KEY_ENTRY_LIMIT:  # C(66, 33) > 7e18
+        raise ValueError(f"{k} into {p} parts: over the limit of {KEY_ENTRY_LIMIT:,} entries")
     c = [0] * (p - 1) + [k]
     out = [tuple(c)]
     while c[0] < k:
@@ -227,27 +231,34 @@ _BRACKETED_KEY = re.compile(r"\[(?:0|[1-9][0-9]*)(?:,(?:0|[1-9][0-9]*))*\]")
 
 
 @lru_cache(maxsize=64)  # bounded: key lengths come from input files too
-def _key_templates(length: int) -> tuple[str, str]:
-    """The ``%`` templates of a key of ``length`` entries: digits, bracketed."""
-    return "%d" * length, "[" + ",".join(["%d"] * length) + "]"
+def _key_templates(length: int) -> str:
+    """The bracketed ``%`` template of a key of ``length`` entries; ``""`` if none."""
+    return "[" + ",".join(["%d"] * length) + "]" if length else ""
 
 
-def _key_template(c: WeakComposition) -> str:
-    return _key_templates(len(c))[bool(c) and max(c) > 9]
+def _shape_template(m: int, n: int) -> str | None:
+    """The ``%`` template of every key of ``n + 1`` entries summing to ``m``:
+    digits for ``m <= 9``, bracketed for ``m > 9 * (n + 1)``, else None."""
+    if m <= 9:
+        return "%d" * (n + 1)
+    return _key_templates(n + 1) if m > 9 * (n + 1) else None
 
 
 def format_composition(c: WeakComposition) -> str:
-    """Digit-string key ("1120"), bracketed ("[10,0,2,0]") when an entry exceeds 9."""
-    return _key_template(c) % tuple(c)
+    """The key string of ``c``, as :func:`format_compositions` spells it."""
+    return format_compositions((c,))[0]
 
 
 def format_compositions(keys: Sequence[WeakComposition]) -> list[str]:
-    """``list(map(format_composition, keys))``, made by one ``%`` of the keys'
-    templates joined by newlines over all their entries, then split; no key
-    string holds a newline."""
-    if not keys:
-        return []
-    return ("\n".join(map(_key_template, keys)) % tuple(chain.from_iterable(keys))).split("\n")
+    """Each key bracketed ("[10,0,2,0]", "[-1,3,0]"), by one ``%`` of the keys'
+    templates joined by newlines over all their entries, then cut to its
+    digits ("1120") when its text is ``2 * len(key) + 1`` long: when every
+    entry is one character, 0..9.  A non-number entry raises ``ValueError``."""
+    try:
+        text = "\n".join(map(_key_templates, map(len, keys))) % tuple(chain.from_iterable(keys))
+    except TypeError as exc:
+        raise ValueError(f"keys must be tuples of ints: {exc}") from None
+    return [s if len(s) != 2 * len(c) + 1 else s[1:-1:2] for s, c in zip(text.split("\n"), keys)]
 
 
 def _is_int_at_least(value, least: int) -> bool:

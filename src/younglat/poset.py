@@ -6,9 +6,9 @@ one-step splittings of that polynomial, and reads and writes a line-oriented
 text format.  Element keys are always weak compositions; the coordinate
 system of a poset (partition or composition) chooses only its label,
 ``L(m,n)`` or ``L'(m,n)``, and partitions are a view through the
-multiplicity bijection of :mod:`younglat.partitions`.  Posets are immutable
-after construction and safe to share between threads; the key index is made
-on first lookup.
+multiplicity bijection of :mod:`younglat.partitions`, which spells the keys
+too.  Posets are immutable after construction and safe to share between
+threads; the key strings and the key index are made on first use.
 
 The interchange format, one file per poset::
 
@@ -43,7 +43,7 @@ from .partitions import (
     KEY_ENTRY_LIMIT,
     Shape,
     _checked_shape,
-    _key_templates,
+    _shape_template,
     enumerate_compositions,
     format_compositions,
     parse_natural,
@@ -217,14 +217,13 @@ class GradedPoset:
 
     @cached_property
     def key_strings(self) -> tuple[str, ...]:
-        """``format_composition`` of each element, in element order.  A key's
-        ``n + 1`` entries sum to ``m``: all keys are digits for ``m <= 9`` and
-        bracketed for ``m > 9 * (n + 1)``, spelt by one repeated template.
-        Other shapes, and the empty poset, go through ``format_compositions``."""
-        m, n = self.shape
-        if 9 < m <= 9 * (n + 1) or not self.elements:
+        """``format_composition`` of each element, in element order: one
+        repeated template where the shape has one (``_shape_template``), else
+        ``format_compositions``, which the empty poset also takes."""
+        template = _shape_template(*self.shape) if self.elements else None
+        if template is None:
             return tuple(format_compositions(self.elements))
-        template = (_key_templates(n + 1)[m > 9] + "\n") * len(self)
+        template = (template + "\n") * len(self)
         return tuple((template % tuple(chain.from_iterable(self.elements))).splitlines())
 
     @cached_property

@@ -9,7 +9,9 @@ template in the poset writer's blocks (``poset._blocks``): ``render``
 writes the DOT blocks out as they come, so the command never holds the
 whole drawing, and :func:`to_dot` joins them.  :func:`to_svg` makes each
 coordinate string once and reuses it wherever it is written, with the
-bytes of formatting it at each place.
+bytes of formatting it at each place.  Labels and Young cells take a node's
+parts from :func:`_parts`, and ``format_compositions`` spells partition
+labels, except for ``n <= 9``, where each part is one digit.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ from dataclasses import dataclass
 from itertools import chain, islice, repeat
 from operator import itemgetter, mul
 
+from .partitions import format_compositions
 from .poset import GradedPoset, _blocks, _positions
 from .roots import root_color
 from .scd import ChainDecomposition
@@ -38,39 +41,30 @@ class RenderSpec:
     highlight: ChainDecomposition | None = None
 
 
-def _repeat_join(c, tokens: list[str], sep: str) -> str:
-    # token j repeated c[j] times; every token ends in sep, the last one is cut
-    text = "".join(map(mul, tokens, c))
-    return text[: len(text) - len(sep)]
+def _parts(c) -> tuple[int, ...]:
+    """The parts of the partition of key ``c``: part size ``n - j`` repeated
+    ``c[j]`` times for ``j < n``, as ``from_multiplicity`` makes them."""
+    return tuple(chain.from_iterable(map(repeat, range(len(c) - 1, 0, -1), c)))
 
 
 def _node_labels(p: GradedPoset, spec: RenderSpec) -> list[str]:
     """One label per element, in element order.
 
-    Partition and Young labels are built straight from the composition, part
-    size ``n - j`` repeated ``c[j]`` times for ``j < n``: the partition
-    ``from_multiplicity(c)``, as ``format_partition`` writes it or as rows
-    of Young cells.
+    Partition and Young labels are made straight from the composition, by
+    :func:`_parts`: the partition as ``format_partition`` writes it, or as
+    rows of Young cells.
     """
     comps = p.elements
     if spec.labels == "composition":
         return list(p.key_strings)
-    n = p.shape.n if comps else 0
     if spec.labels == "young":
-        rows = ["■" * (n - j) + "\\n" for j in range(n)]
-        return [_repeat_join(c, rows, "\\n") or "∅" for c in comps]
+        return ["\\n".join(map("■".__mul__, _parts(c))) or "∅" for c in comps]
     if spec.labels == "partition":
+        n = p.shape.n if comps else 0
         if 0 < n <= 9:  # one C-level pass, a column per slot; element 0 has no parts
             columns = (map(mul, repeat(str(n - j)), map(itemgetter(j), comps)) for j in range(n))
             return ["∅", *islice(map("".join, zip(*columns)), 1, None)]
-        digits = [str(n - j) for j in range(n)]
-        items = [d + "," for d in digits]
-        wide = max(n - 9, 0)  # leading slots whose part size exceeds 9
-        return [
-            "[" + _repeat_join(c, items, ",") + "]" if any(c[:wide])
-            else _repeat_join(c, digits, "") or "∅"
-            for c in comps
-        ]
+        return [text or "∅" for text in format_compositions(list(map(_parts, comps)))]
     raise ValueError(f"unknown label mode {spec.labels!r}")
 
 
@@ -180,7 +174,6 @@ def to_svg(p: GradedPoset, spec: RenderSpec | None = None) -> str:
     labels = None if young else _node_labels(p, spec)
     comps = p.elements
     keys = p.key_strings
-    n = p.shape.n
     size = len(p)
     levels = p.levels()
     widest = max((len(level) for level in levels), default=1) or 1
@@ -224,11 +217,11 @@ def to_svg(p: GradedPoset, spec: RenderSpec | None = None) -> str:
                     'font-size="10">∅</text>\n    </g>\n'
                     for i in level]
         else:
-            # c[j] rows of n - j cells, the rule of _node_labels; tops[k] holds
-            # the y strings of the rows of a node with k rows on this level
+            # a row of cells per part (_parts); tops[k] holds the y strings
+            # of the rows of a node with k rows on this level
             tops = {}
             for i in level:
-                rows = list(chain.from_iterable(map(repeat, range(n, 0, -1), comps[i])))
+                rows = _parts(comps[i])
                 ys = tops.get(len(rows))
                 if ys is None:
                     top = y - len(rows) * _CELL / 2

@@ -34,7 +34,6 @@ from .partitions import (
     WeakComposition,
     _checked_shape,
     _is_int_at_least,
-    format_composition,
     format_compositions,
     parse_composition,
     parse_natural,
@@ -59,7 +58,10 @@ class ChainDecomposition:
 
     def __init__(self, shape: Shape, chains):
         self.shape = _checked_shape(shape)
-        normalized = [tuple(map(tuple, chain)) for chain in chains]
+        try:
+            normalized = [tuple(map(tuple, chain)) for chain in chains]
+        except TypeError as exc:
+            raise ValueError(f"chains must be iterables of keys: {exc}") from None
         if () in normalized:
             raise ValueError("chains must contain at least one element")
         normalized.sort(key=lambda ch: (weighted_sum(ch[-1]), ch[-1], ch))
@@ -103,20 +105,14 @@ class ScdReport:
                f"poset: {self.poset_size} elements, height {self.height}",
                f"chain starts: {starts or '(none)'}"]
         for name, items in (
-            ("missing elements", self.missing),
-            ("duplicated elements", self.duplicated),
-            ("unknown elements", self.unknown),
+            ("missing elements", format_compositions(self.missing)),
+            ("duplicated elements", format_compositions(self.duplicated)),
+            ("unknown elements", format_compositions(self.unknown)),
             ("unsaturated chains", self.unsaturated),
             ("non-symmetric chains", self.asymmetric),
         ):
             out.append(f"{name}: {len(items)}")
-            for item in items:
-                if isinstance(item, tuple):
-                    # bracketed when an entry is negative: in digits the
-                    # unknown key (-1, 3, 0) would read "-130", another key
-                    item = (f"[{','.join(map(str, item))}]" if item and min(item) < 0
-                            else format_composition(item))
-                out.append(f"  {item}")
+            out += [f"  {item}" for item in items]
         out.append("verdict: " + ("PASS" if self.passed else "FAIL"))
         return out
 

@@ -130,11 +130,30 @@ def partitions_in_box(m: int, n: int) -> Iterator[Partition]:
         prefix[-1] -= 1
 
 
-# The partition strings and the cover test as they were when partition
-# strings had a grammar of their own and ``covers`` scanned the padded parts
-# for the one that grew, and ``conjugate`` and ``to_multiplicity`` as they
-# were before they counted the part sizes once.  The library's answers must
-# equal theirs on valid input.
+# The key strings as they were before one rule spelt them all, the partition
+# strings and the cover test as they were when partition strings had a
+# grammar of their own and ``covers`` scanned the padded parts for the one
+# that grew, and ``conjugate`` and ``to_multiplicity`` as they were before
+# they counted the part sizes once.  The library's answers must equal theirs
+# on valid input.
+
+
+def reference_format_composition(c: WeakComposition) -> str:
+    """The key spelling as it was when each key chose its own template: digits
+    ("1120"), bracketed ("[10,0,2,0]") when an entry exceeds 9.  A negative
+    entry kept the digit form ((-1, 3, 0) read "-130"); the library's
+    spelling must equal this one on keys with no negative entry."""
+    bracketed = bool(c) and max(c) > 9
+    template = "[" + ",".join(["%d"] * len(c)) + "]" if bracketed else "%d" * len(c)
+    return template % tuple(c)
+
+
+def reference_serialize_decomposition(d) -> str:
+    """The decomposition file with each key spelt on its own, as
+    :func:`reference_format_composition` spells it."""
+    lines = [f"scd L'({d.shape.m},{d.shape.n}) chains={len(d.chains)}"]
+    lines += [" ".join(map(reference_format_composition, chain)) for chain in d.chains]
+    return "\n".join(lines) + "\n"
 
 
 def reference_format_partition(a: Partition) -> str:

@@ -1,5 +1,6 @@
 import pytest
 
+from conftest import reference_serialize_decomposition
 from younglat.partitions import (
     Shape,
     conjugate,
@@ -269,6 +270,8 @@ class TestValidityRange:
         report = verify_scd(d, p)
         assert report.passed
         assert report.start_profile == expected_start_profile(m)
+        # digits up to m = 9, both spellings up to m = 36, then bracketed
+        assert serialize_decomposition(d) == reference_serialize_decomposition(d)
 
     def test_m30_scale(self):
         d = lindstrom(30)

@@ -12,12 +12,13 @@ from conftest import (
     partitions_in_box,
     reference_conjugate,
     reference_covers,
+    reference_format_composition,
     reference_format_partition,
     reference_parse_partition,
     reference_to_multiplicity,
     traced_peak,
 )
-from younglat import poset
+from younglat import partitions, poset
 from younglat.partitions import (
     KEY_ENTRY_LIMIT,
     InvalidCompositionError,
@@ -29,6 +30,7 @@ from younglat.partitions import (
     covers,
     enumerate_compositions,
     format_composition,
+    format_compositions,
     format_partition,
     from_multiplicity,
     leq,
@@ -270,6 +272,33 @@ class TestEnumerateCompositions:
         assert got == sorted(got)
         assert all(sum(c) == k and len(c) == p for c in got)
 
+    @pytest.mark.parametrize("k, p", [(0, 10**9), (10**9, 10**9), (10**9, 2),
+                                      (0, KEY_ENTRY_LIMIT + 1), (3, 4 * 10**5)])
+    def test_over_the_entry_limit_is_refused_before_the_loop(self, k, p):
+        def refused():
+            with pytest.raises(ValueError, match="over the limit of 40,000,000"):
+                enumerate_compositions(k, p)
+        assert traced_peak(refused) < 10**6
+
+    def test_every_lattice_build_accepts_is_enumerated(self, monkeypatch):
+        # with a low limit, the two bounds must agree on every shape
+        for module in (partitions, poset):
+            monkeypatch.setattr(module, "KEY_ENTRY_LIMIT", 5000)
+        built = 0
+        for m, n in product(range(1, 40), range(1, 40)):
+            try:
+                poset._require_within_limit(m, n)
+            except ValueError:
+                with pytest.raises(ValueError):
+                    enumerate_compositions(m, n + 1)
+                continue
+            assert len(build_lattice(Shape(m, n))) == comb(m + n, m)
+            built += 1
+        assert built > 100
+
+    def test_large_results_under_the_limit_are_made(self):
+        assert len(enumerate_compositions(40, 5)) == comb(44, 4)
+
     def test_many_parts_do_not_recurse(self):
         got = enumerate_compositions(1, 2000)
         assert len(got) == 2000
@@ -301,6 +330,12 @@ class TestBoxEnumeration:
         got = list(partitions_in_box(2000, 1))
         assert len(got) == 2001
         assert got[-1] == (1,) * 2000
+
+
+# keys of mixed lengths, the empty key among them, with entries of one digit,
+# of more than one, and negative
+KEYS = st.lists(st.one_of(st.sampled_from([0, 1, 9, 10, 12, 100]), st.integers(-120, 120)),
+                max_size=6).map(tuple)
 
 
 class TestStrings:
@@ -342,6 +377,22 @@ class TestStrings:
         except ValueError:
             return
         assert format_composition(key) == text
+
+    @given(st.lists(KEYS, max_size=8))
+    @example([])
+    @example([(), (-1, 3, 0), (), (10, 0, 2, 0), (9,), (-1,), (0, 12)])
+    def test_one_rule_spells_every_key(self, keys):
+        texts = format_compositions(keys)
+        assert texts == list(map(format_composition, keys))
+        for key, text in zip(keys, texts):
+            if min(key, default=0) >= 0:
+                assert text == reference_format_composition(key)
+            else:  # in digits (-1, 3, 0) would read "-130"
+                assert text == "[" + ",".join(map(str, key)) + "]"
+
+    @given(KEYS.filter(lambda key: key and min(key) >= 0))
+    def test_keys_read_back(self, key):
+        assert parse_composition(format_composition(key)) == key
 
     @pytest.mark.parametrize("text, value", [("0", 0), ("7", 7), ("10", 10), ("9000", 9000)])
     def test_parse_natural_reads_canonical_numbers(self, text, value):
@@ -398,6 +449,8 @@ WRONG_CALLS = [
     (as_partition, [3, 0.0]),
     (enumerate_compositions, 2.0, 3),
     (enumerate_compositions, True, 2),
+    (format_compositions, [("a",)]),
+    (format_compositions, [(None, 1)]),
     (to_multiplicity, (1, 3), S),
     (leq, (1, 3), (3, 3), S),
     (conjugate, (1, 3)),
@@ -532,25 +585,35 @@ PARTITION_SIDE = {"from_multiplicity", "to_multiplicity", "conjugate", "compleme
                   "leq", "covers", "as_partition", "format_partition", "parse_partition"}
 
 
+def imports_from_other_modules():
+    """``(file name, line, module, name)`` of each ``from ... import`` of the
+    package's modules but ``partitions``."""
+    import ast
+    from pathlib import Path
+
+    import younglat
+
+    for path in sorted(Path(younglat.__file__).parent.glob("*.py")):
+        if path.name != "partitions.py":
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, ast.ImportFrom):
+                    yield from ((path.name, node.lineno, node.module, alias.name)
+                                for alias in node.names)
+
+
 class TestPartitionsAreALabel:
     def test_no_module_imports_the_partition_side(self):
         # the program keeps composition keys; only the package re-exports
-        # the partition API
-        import ast
-        from pathlib import Path
-
-        import younglat
-
-        offenders = []
-        for path in sorted(Path(younglat.__file__).parent.glob("*.py")):
-            if path.name == "partitions.py":
-                continue
-            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-                if not isinstance(node, ast.ImportFrom):
-                    continue
-                if path.name == "__init__.py" and node.module == "partitions":
-                    continue  # the package's public names
-                # a whole-module import would reach the same names
-                offenders += [f"{path.name}:{node.lineno} {alias.name}" for alias in node.names
-                              if alias.name in PARTITION_SIDE | {"partitions"}]
+        # the partition API; a whole-module import would reach the same names
+        offenders = [f"{name}:{line} {alias}"
+                     for name, line, module, alias in imports_from_other_modules()
+                     if alias in PARTITION_SIDE | {"partitions"}
+                     and not (name == "__init__.py" and module == "partitions")]
         assert offenders == []
+
+    def test_the_spelling_rule_stays_in_partitions(self):
+        # no other module makes a key template; poset repeats the one
+        # template of a lattice's keys, and only poset takes it
+        taken = [(name, alias) for name, _, _, alias in imports_from_other_modules()
+                 if alias in ("_key_templates", "_shape_template", "partitions")]
+        assert taken == [("poset.py", "_shape_template")]

@@ -7,7 +7,8 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from conftest import CORRUPTIONS, chain_lengths, corrupted, mutated_text, reference_verify_scd
+from conftest import (CORRUPTIONS, chain_lengths, corrupted, mutated_text,
+                      reference_serialize_decomposition, reference_verify_scd)
 from younglat.partitions import Shape
 from younglat.poset import (
     GradedPoset,
@@ -352,6 +353,11 @@ class TestAlternatingConstruction:
         d = scd_n2(3)
         assert min(len(ch) - 1 for ch in d.chains) == 2
 
+    @pytest.mark.parametrize("m", range(1, 31))
+    def test_written_like_one_key_at_a_time(self, m):
+        d = scd_n2(m)
+        assert serialize_decomposition(d) == reference_serialize_decomposition(d)
+
     @pytest.mark.parametrize("m", range(1, 13))
     def test_valid_and_profiled(self, m):
         d = scd_n2(m)
@@ -590,6 +596,15 @@ class TestDecompositionFiles:
     def test_empty_chain_rejected(self):
         with pytest.raises(ValueError):
             ChainDecomposition(Shape(1, 3), [()])
+
+    @pytest.mark.parametrize("chains", [[((1,), 1, 0)], [(None,)], [(5,)], 5])
+    def test_chains_of_entries_that_are_not_keys_are_rejected(self, chains):
+        with pytest.raises(ValueError):
+            ChainDecomposition(Shape(1, 3), chains)
+
+    def test_keys_of_strings_are_not_written(self):
+        with pytest.raises(ValueError):
+            serialize_decomposition(ChainDecomposition((2, 2), ["ab"]))
 
     def test_keys_are_normalized_to_tuples(self):
         d = lindstrom(4)
