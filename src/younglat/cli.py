@@ -11,9 +11,9 @@ Subcommands:
   render POSET_FILE [--scd SCD_FILE] [--format dot|svg] [--labels ...]
 
 Exit codes: 0 success or pass, 1 verification failure or not-found, 2 usage
-or file errors.  A ``ValueError`` from the library on a command-line input
-is exit 2 with ``error: <message>`` on stderr, except for the shape mismatch
-of ``scd verify``, which is a verification failure (exit 1, on stdout).
+or file errors.  Every refusal, the library's or a file's, is a ``ValueError``
+reported as ``error: <message>`` on stderr with exit 2, but the shape mismatch
+of ``scd verify`` is a verification failure (exit 1, on stdout).
 Reports go to stdout, diagnostics to stderr.  There is no
 environment-variable configuration; flags are the whole interface.
 """
@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from contextlib import contextmanager
 from functools import cache, partial
 from pathlib import Path
 
@@ -48,10 +49,6 @@ from .scd import (
 )
 
 
-class CliError(Exception):
-    """A refused input, reported as ``error: <message>`` with exit 2."""
-
-
 def _natural(text: str, least: int, word: str) -> int:
     """``text`` as the files spell a number (``partitions.parse_natural``:
     ASCII digits, no leading zero), refused below ``least``.  A minus sign
@@ -76,38 +73,33 @@ def _positive(text: str) -> int:
     return _natural(text, 1, "positive")
 
 
+@contextmanager
+def _file_errors(path: str):
+    """A failed read, parse or write of ``path`` as ``main``'s ``ValueError``."""
+    try:
+        yield
+    except OSError as exc:
+        raise ValueError(str(exc)) from None
+    except (UnicodeDecodeError, ParseError) as exc:
+        raise ValueError(f"{path}: {exc}") from None
+    except ValueError as exc:  # a NUL or a lone surrogate in the name
+        raise ValueError(f"{path!r}: {exc}") from None
+
+
 def _emit(blocks, out: str | None, summary: str) -> None:
     """Write the strings ``blocks`` one after another to the file ``out``,
     opened as ``Path.write_text`` opens it, or to stdout without ``out``."""
     if not out:
         sys.stdout.writelines(blocks)
         return
-    try:
-        with Path(out).open("w", encoding="utf-8") as fh:
-            fh.writelines(blocks)
-    except OSError as exc:
-        raise CliError(str(exc)) from None
-    except ValueError as exc:  # a NUL or an unencodable character in the name
-        raise CliError(f"{out!r}: {exc}") from None
+    with _file_errors(out), Path(out).open("w", encoding="utf-8") as fh:
+        fh.writelines(blocks)
     print(summary, file=sys.stderr)
 
 
-def _read(path: str) -> str:
-    try:
-        return Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise CliError(str(exc)) from None
-    except UnicodeDecodeError as exc:
-        raise CliError(f"{path}: {exc}") from None
-    except ValueError as exc:  # a NUL or an unencodable character in the name
-        raise CliError(f"{path!r}: {exc}") from None
-
-
 def _load(parse, path: str):
-    try:
-        return parse(_read(path))
-    except ParseError as exc:
-        raise CliError(f"{path}: {exc}") from None
+    with _file_errors(path):
+        return parse(Path(path).read_text(encoding="utf-8"))
 
 
 def _cmd_lattice(args) -> int:
@@ -261,7 +253,7 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         return args.func(args)
-    except (CliError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -18,7 +18,7 @@ of size ``n`` and the last counts padding zeros.  ``to_multiplicity`` and
 cover edges to cover edges in both directions.  Every ``poset.GradedPoset``
 keys its elements by weak composition, in either coordinate system, and the
 program converts no key to a partition except to make a label; ``render``
-writes even those straight from the composition.
+makes those with ``_parts``, the multiplicity map without its checks.
 
 ``poset.build_lattice`` and ``poset.check_splitting_identities`` enumerate
 elements with ``enumerate_compositions`` alone.  The rank of a composition
@@ -165,16 +165,22 @@ def to_multiplicity(a: Partition, shape: Shape) -> WeakComposition:
     return tuple(map(Counter(_require_fits(a, shape)).__getitem__, range(n, -1, -1)))
 
 
+def _parts(c: WeakComposition) -> Partition:
+    """The parts of key ``c``, unchecked: part size ``n - j`` repeated ``c[j]``
+    times for ``j < n``.  :func:`from_multiplicity` returns it after its checks."""
+    return tuple(chain.from_iterable(map(repeat, range(len(c) - 1, 0, -1), c)))
+
+
 def from_multiplicity(c: WeakComposition, shape: Shape) -> Partition:
     """Inverse of :func:`to_multiplicity`.
 
     ``c`` is validated with :func:`require_composition`; the canonical tuple
-    is then built directly, part size ``n - j`` repeated ``c[j]`` times for
-    ``j < n``, without passing through :func:`as_partition` again.
+    is then :func:`_parts` of ``c``, without passing through
+    :func:`as_partition` again.
     """
     require_composition(c, shape)
     _require_entries(sum(c) - c[-1])
-    return tuple(chain.from_iterable(map(repeat, range(len(c) - 1, 0, -1), c)))
+    return _parts(c)
 
 
 def weighted_sum(c: Sequence[int]) -> int:

@@ -9,18 +9,18 @@ template in the poset writer's blocks (``poset._blocks``): ``render``
 writes the DOT blocks out as they come, so the command never holds the
 whole drawing, and :func:`to_dot` joins them.  :func:`to_svg` makes each
 coordinate string once and reuses it wherever it is written, with the
-bytes of formatting it at each place.  Labels and Young cells take a node's
-parts from :func:`_parts`, and ``format_compositions`` spells partition
-labels, except for ``n <= 9``, where each part is one digit.
+bytes of formatting it at each place.  Labels and Young cells take a
+node's parts from ``partitions._parts``, and ``format_compositions`` spells
+partition labels, except for ``n <= 9``, where each part is one digit.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, islice, repeat
+from itertools import islice, repeat
 from operator import itemgetter, mul
 
-from .partitions import format_compositions
+from .partitions import _parts, format_compositions
 from .poset import GradedPoset, _blocks, _positions
 from .roots import root_color
 from .scd import ChainDecomposition
@@ -39,12 +39,6 @@ class RenderSpec:
 
     labels: str = "partition"  # partition | composition | young
     highlight: ChainDecomposition | None = None
-
-
-def _parts(c) -> tuple[int, ...]:
-    """The parts of the partition of key ``c``: part size ``n - j`` repeated
-    ``c[j]`` times for ``j < n``, as ``from_multiplicity`` makes them."""
-    return tuple(chain.from_iterable(map(repeat, range(len(c) - 1, 0, -1), c)))
 
 
 def _node_labels(p: GradedPoset, spec: RenderSpec) -> list[str]:

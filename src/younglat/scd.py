@@ -449,8 +449,14 @@ def brute_force_scd(p: GradedPoset, budget: int = DEFAULT_BUDGET) -> SearchResul
 
 def serialize_decomposition(d: ChainDecomposition) -> str:
     """Render ``d`` in the decomposition file format; every key of every
-    chain is formatted by one :func:`format_compositions` call."""
-    keys = iter(format_compositions([key for c in d.chains for key in c]))
+    chain is formatted by one :func:`format_compositions` call.  A key the
+    reader could not give back, empty or with an entry not an ``int`` >= 0
+    (a bool or a float is not one), raises ``ValueError`` before any text."""
+    flat = [key for c in d.chains for key in c]
+    entries = tuple(chain.from_iterable(flat))
+    if not (all(flat) and {*map(type, entries)} <= {int} and min(entries, default=0) >= 0):
+        raise ValueError("keys must be nonempty tuples of ints >= 0 to be written")
+    keys = iter(format_compositions(flat))
     lines = [f"scd {_lattice_label(d.shape, 'composition')} chains={len(d.chains)}"]
     lines += [" ".join(islice(keys, len(c))) for c in d.chains]
     return "\n".join(lines) + "\n"

@@ -430,6 +430,34 @@ class TestErrorPaths:
         assert (code, out) == (2, "")
         assert err.startswith("error: '") and err.endswith("\n")
 
+    # one case per branch of the file-error mapping: argv, the file name it
+    # uses, the same operation done directly, and the message built from what
+    # that operation raises
+    @pytest.mark.parametrize("argv, path, operation, message", [
+        (["render", "gone.poset"], "gone.poset", "read", "{exc}"),
+        (["render", "."], ".", "read", "{exc}"),
+        (["render", "bad.utf8"], "bad.utf8", "read", "{path}: {exc}"),
+        (["render", "bad.poset"], "bad.poset", "parse", "{path}: {exc}"),
+        (["lattice", "1", "1", "--out", "no/x"], "no/x", "write", "{exc}"),
+        (["render", "a\x00b"], "a\x00b", "read", "{path!r}: {exc}"),
+        (["lattice", "1", "1", "--out", "a\x00b"], "a\x00b", "write", "{path!r}: {exc}"),
+        (["scd", "verify", "\ud800", "b"], "\ud800", "read", "{path!r}: {exc}"),
+        (["scd", "n2", "1", "--out", "\ud800"], "\ud800", "write", "{path!r}: {exc}"),
+    ], ids=["missing", "directory", "undecodable", "malformed", "missing-out-directory",
+            "nul-in", "nul-out", "surrogate-in", "surrogate-out"])
+    def test_each_file_refusal_is_one_exact_line(self, tmp_path, monkeypatch, capsys,
+                                                 argv, path, operation, message):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "bad.utf8").write_bytes(b"\xff\xfe")
+        (tmp_path / "bad.poset").write_text("poset L(2,2) height=4 count=6\n0 0 002\ngarbage\n")
+        direct = {"read": lambda: Path(path).read_text(encoding="utf-8"),
+                  "parse": lambda: poset.parse_poset(Path(path).read_text(encoding="utf-8")),
+                  "write": lambda: Path(path).open("w", encoding="utf-8")}[operation]
+        with pytest.raises((OSError, ValueError)) as raised:
+            direct()
+        expected = message.format(path=path, exc=raised.value)
+        assert run(capsys, *argv) == (2, "", f"error: {expected}\n")
+
     def test_highlight_key_not_in_poset_is_a_usage_error(self, tmp_path, capsys):
         poset_file, scd_file = tmp_path / "p.poset", tmp_path / "d.scd"
         poset_file.write_text(serialize_poset(build_lattice(Shape(2, 2))))

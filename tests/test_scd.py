@@ -606,6 +606,27 @@ class TestDecompositionFiles:
         with pytest.raises(ValueError):
             serialize_decomposition(ChainDecomposition((2, 2), ["ab"]))
 
+    # each of these was written as a text that reads back as another
+    # decomposition ("100", " 101") or as none ("[-1,3,0]", an empty line)
+    @pytest.mark.parametrize("chains", [[((1.5, 0.5, 0),)], [((-1, 3, 0),)], [((True, 1, 0),)],
+                                        [((), (1, 0, 1))], [((),)]],
+                             ids=["float", "negative", "bool", "empty-key", "empty-only-key"])
+    def test_keys_the_reader_cannot_give_back_are_not_written(self, chains):
+        with pytest.raises(ValueError) as err:
+            serialize_decomposition(ChainDecomposition((2, 2), chains))
+        assert str(err.value) == "keys must be nonempty tuples of ints >= 0 to be written"
+
+    # entries over 9 as often as digits, so keys of both spellings, of any
+    # length: most keys are not elements of the shape or of the poset
+    @given(st.tuples(st.integers(0, 12), st.integers(0, 12)),
+           st.lists(st.lists(st.lists(st.one_of(st.integers(0, 9), st.integers(0, 100)),
+                                      min_size=1, max_size=6).map(tuple),
+                             min_size=1, max_size=4).map(tuple), max_size=5),
+           st.sampled_from(PARSE_POSETS))
+    def test_every_written_decomposition_reads_back(self, shape, chains, p):
+        d = ChainDecomposition(shape, chains)
+        assert parse_with_and_without(serialize_decomposition(d), p) == d
+
     def test_keys_are_normalized_to_tuples(self):
         d = lindstrom(4)
         as_lists = [[list(key) for key in chain] for chain in reversed(d.chains)]

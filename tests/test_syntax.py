@@ -1,8 +1,11 @@
 """The sources parse as Python 3.10, the oldest version ``pyproject.toml``
-declares.  This checks syntax only; standard-library use is not checked."""
+declares, and compile on the running interpreter with every warning an
+error, so a ``SyntaxWarning`` (an invalid escape such as ``"\\d"``) fails
+here instead of only being printed.  Standard-library use is not checked."""
 
 import ast
 import re
+import warnings
 from pathlib import Path
 
 import pytest
@@ -10,6 +13,7 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 SOURCES = sorted(path for folder in ("src", "tests", "bench")
                  for path in (ROOT / folder).rglob("*.py"))
+SOURCE_IDS = [str(path.relative_to(ROOT)) for path in SOURCES]
 
 
 def test_requires_python_is_three_ten():
@@ -17,6 +21,13 @@ def test_requires_python_is_three_ten():
     assert re.search(r'^requires-python = ">=3\.10"$', text, re.M)
 
 
-@pytest.mark.parametrize("path", SOURCES, ids=lambda p: str(p.relative_to(ROOT)))
+@pytest.mark.parametrize("path", SOURCES, ids=SOURCE_IDS)
 def test_parses_as_python_3_10(path):
     ast.parse(path.read_text(encoding="utf-8"), str(path), feature_version=(3, 10))
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=SOURCE_IDS)
+def test_compiles_with_warnings_as_errors(path):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        compile(path.read_text(encoding="utf-8"), str(path), "exec", dont_inherit=True)
