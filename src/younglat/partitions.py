@@ -2,13 +2,15 @@
 
 A partition is stored as a tuple of positive parts in non-increasing order
 with no trailing zeros; the empty tuple stands for the partition of 0.
-``as_partition`` is the one rule for what a partition is: every
-partition-side function reads its partitions through it, and those that take
-a shape ``(m, n)`` through ``_require_fits``, which also checks that the
-partition has at most ``m`` parts, each at most ``n``, and zero-pads it to
-``m`` entries, so ``(3, 2, 1)`` and ``(3, 2, 1, 0)`` are one element.  A
-partition is spelled as a key is, or "∅" when empty; the one key speller,
-``format_compositions``, writes digits ("1120") when each entry is 0..9.
+``_ints_at_least`` is the package's one rule for what an int is (type
+exactly ``int``) and ``as_partition`` the one rule for what a partition is:
+every partition-side function reads its partitions through it, and those
+that take a shape ``(m, n)`` through ``_require_fits``, which also checks
+that the partition has at most ``m`` parts, each at most ``n``, and
+zero-pads it to ``m`` entries, so ``(3, 2, 1)`` and ``(3, 2, 1, 0)`` are one
+element.  A partition is spelled as a key is, or "∅" when empty; the one
+key speller, ``format_compositions``, writes digits ("1120") when each entry
+is 0..9.
 
 The same element can be written as a weak composition: a tuple of ``n + 1``
 nonnegative entries summing to ``m`` whose entry ``j`` (1-based, left to
@@ -67,23 +69,28 @@ def _require_entries(count: int) -> None:
         raise ValueError(f"a result of {count:,} entries, over the limit of {KEY_ENTRY_LIMIT:,}")
 
 
+def _ints_at_least(values: Sequence, least: int) -> bool:
+    """Whether all ``values`` are ints >= ``least``, the one int rule: of type
+    exactly ``int``, so a ``bool`` or any other subclass is not one."""
+    return {*map(type, values)} <= {int} and min(values, default=least) >= least
+
+
 def _checked_shape(shape, least: int = 0) -> Shape:
     """``Shape(*shape)``; ``ValueError`` unless ``shape`` is a tuple or list of
-    exactly two ints (a ``bool`` is not one) of at least ``least``."""
+    exactly two ints of at least ``least``."""
     if not isinstance(shape, (tuple, list)) or len(shape) != 2:
         raise ValueError(f"a shape is two lattice dimensions (m, n), got {shape!r}")
-    for d in shape:
-        if not _is_int_at_least(d, least):
-            raise ValueError(f"lattice dimensions must be ints >= {least}, got {d!r}")
+    if not _ints_at_least(shape, least):
+        raise ValueError(f"lattice dimensions must be ints >= {least}, got {shape!r}")
     return Shape(*shape)
 
 
 def as_partition(parts: Iterable[int]) -> Partition:
     """Canonicalize ``parts``: drop trailing zeros; ``ValueError`` unless the
-    parts are ints (a ``bool`` is not one), the kept ones at least 1 and
-    non-increasing.  The one rule for what a partition is."""
+    parts are ints, the kept ones at least 1 and non-increasing.  The one
+    rule for what a partition is."""
     out = tuple(parts)
-    if not all(_is_int_at_least(v, 0) for v in out):
+    if not _ints_at_least(out, 0):
         raise ValueError(f"parts must be ints >= 0, got {out!r}")
     size = len(out)
     while size and not out[size - 1]:
@@ -112,7 +119,7 @@ def require_composition(c: WeakComposition, shape: Shape) -> None:
     m, n = _checked_shape(shape)
     if len(c) != n + 1:
         raise InvalidCompositionError(f"expected {n + 1} entries, got {len(c)} in {c}")
-    if not all(_is_int_at_least(v, 0) for v in c):
+    if not _ints_at_least(c, 0):
         raise InvalidCompositionError(f"entries must be ints >= 0, got {c!r}")
     if sum(c) != m:
         raise InvalidCompositionError(f"entries of {c} sum to {sum(c)}, expected {m}")
@@ -201,10 +208,8 @@ def enumerate_compositions(k: int, p: int) -> list[WeakComposition]:
     Each step finds the rightmost nonzero entry after the first, moves one
     of its units one slot left and the rest of it to the last slot.
     """
-    if not _is_int_at_least(k, 0):
-        raise ValueError(f"total must be an int >= 0, got {k!r}")
-    if not _is_int_at_least(p, 1):
-        raise ValueError(f"need an int >= 1 of parts, got {p!r}")
+    if not (_ints_at_least((k,), 0) and _ints_at_least((p,), 1)):
+        raise ValueError(f"need an int total >= 0 and int parts >= 1, got {k!r} and {p!r}")
     if min(k, p - 1) > 32 or comb(k + p - 1, k) * p > KEY_ENTRY_LIMIT:  # C(66, 33) > 7e18
         raise ValueError(f"{k} into {p} parts: over the limit of {KEY_ENTRY_LIMIT:,} entries")
     c = [0] * (p - 1) + [k]
@@ -265,11 +270,6 @@ def format_compositions(keys: Sequence[WeakComposition]) -> list[str]:
     except TypeError as exc:
         raise ValueError(f"keys must be tuples of ints: {exc}") from None
     return [s if len(s) != 2 * len(c) + 1 else s[1:-1:2] for s, c in zip(text.split("\n"), keys)]
-
-
-def _is_int_at_least(value, least: int) -> bool:
-    """Whether ``value`` is an int (a ``bool`` is not one) of at least ``least``."""
-    return isinstance(value, int) and not isinstance(value, bool) and value >= least
 
 
 def parse_natural(text: str) -> int:

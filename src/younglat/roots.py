@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from operator import sub
 
-from .partitions import (Shape, WeakComposition, _is_int_at_least, _require_entries,
+from .partitions import (Shape, WeakComposition, _ints_at_least, _require_entries,
                          require_composition)
 
 
@@ -21,11 +21,12 @@ class NotACoverError(ValueError):
 
 
 def edge_color(lower: WeakComposition, upper: WeakComposition) -> int:
-    """Root index of the cover step from ``upper`` down to ``lower``.
-
-    For three part sizes this reads: 1 shrinks a largest part, 2 shrinks a
-    middle part, 3 removes a smallest part.
+    """Root index of the cover step from ``upper`` down to ``lower``, keys of
+    ints >= 0 (else ``ValueError``): for three part sizes 1 shrinks a largest
+    part, 2 shrinks a middle part, 3 removes a smallest part.
     """
+    if not _ints_at_least((*lower, *upper), 0):
+        raise ValueError("keys must be tuples of ints >= 0")
     if len(lower) != len(upper):
         raise NotACoverError(f"slot counts differ: {upper} vs {lower}")
     # upper - lower must be e_j - e_(j+1): a 1, a -1 right after it, zeros elsewhere
@@ -43,11 +44,11 @@ def weight_string(gamma: WeakComposition, j: int, shape: Shape) -> tuple[WeakCom
 
     The run is always a saturated chain of the lattice and contains
     ``gamma``; its edges all carry color ``j``.  A ``j`` that is not an int
-    in ``1..n`` (a ``bool`` is not one), or a run of over ``KEY_ENTRY_LIMIT``
-    entries, raises ``ValueError``.
+    in ``1..n``, or a run of over ``KEY_ENTRY_LIMIT`` entries, raises
+    ``ValueError``.
     """
     require_composition(gamma, shape)
-    if not _is_int_at_least(j, 1) or j >= len(gamma):
+    if not _ints_at_least((j,), 1) or j >= len(gamma):
         raise ValueError(f"root index must be an int in 1..{len(gamma) - 1}, got {j!r}")
     room_up = gamma[j]        # units that can move left into slot j
     room_down = gamma[j - 1]  # units that can move right out of slot j
@@ -70,7 +71,7 @@ _PALETTE = (
 def root_color(j: int) -> str:
     """Display color of root ``j >= 1``: green/red/blue first, a fixed
     extended palette after, hex beyond; distinct for distinct roots.  A ``j``
-    that is not an int >= 1 (a ``bool`` is not one) raises ``ValueError``."""
-    if not _is_int_at_least(j, 1):
+    that is not an int >= 1 raises ``ValueError``."""
+    if not _ints_at_least((j,), 1):
         raise ValueError(f"root index must be an int >= 1, got {j!r}")
     return _PALETTE[j - 1] if j <= len(_PALETTE) else f"#{j:06x}"

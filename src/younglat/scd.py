@@ -33,7 +33,7 @@ from .partitions import (
     Shape,
     WeakComposition,
     _checked_shape,
-    _is_int_at_least,
+    _ints_at_least,
     format_compositions,
     parse_composition,
     parse_natural,
@@ -50,8 +50,10 @@ DEFAULT_BUDGET = 100_000_000  # assignments brute_force_scd may spend, unless to
 class ChainDecomposition:
     """A set of chains over one lattice, canonically ordered.
 
-    Chains are sorted by (bottom rank, bottom key, whole chain).  The class
-    checks only that ``shape`` holds two ints >= 0; validity is the verifier's job.
+    Chains are sorted by (bottom rank, bottom key, whole chain).  The one
+    door for keys: ``ValueError`` unless ``shape`` is two ints >= 0 and each
+    chain and key is nonempty, of ints >= 0.  A key of the wrong length or
+    sum is accepted, for the verifier to report.
     """
 
     __slots__ = ("shape", "chains")
@@ -59,11 +61,12 @@ class ChainDecomposition:
     def __init__(self, shape: Shape, chains):
         self.shape = _checked_shape(shape)
         try:
-            normalized = [tuple(map(tuple, chain)) for chain in chains]
+            normalized = [tuple(map(tuple, ch)) for ch in chains]
         except TypeError as exc:
             raise ValueError(f"chains must be iterables of keys: {exc}") from None
-        if () in normalized:
-            raise ValueError("chains must contain at least one element")
+        keys = [*chain.from_iterable(normalized)]
+        if not (all(normalized) and all(keys) and _ints_at_least([*chain.from_iterable(keys)], 0)):
+            raise ValueError("chains must be nonempty, of nonempty keys of ints >= 0")
         normalized.sort(key=lambda ch: (weighted_sum(ch[-1]), ch[-1], ch))
         self.chains = tuple(normalized)
 
@@ -358,9 +361,9 @@ def brute_force_scd(p: GradedPoset, budget: int = DEFAULT_BUDGET) -> SearchResul
     search counts those without making them.  Running out is reported
     distinctly from proven absence.  The search keeps its own stacks, so no
     shape reaches the recursion limit.  A ``budget`` that is not an int >= 0
-    (a ``bool`` is not one) raises ``ValueError`` before any work.
+    raises ``ValueError`` before any work.
     """
-    if not _is_int_at_least(budget, 0):
+    if not _ints_at_least((budget,), 0):
         raise ValueError(f"budget must be an int >= 0, got {budget!r}")
     n_el = len(p)
     if n_el == 0:
@@ -448,15 +451,10 @@ def brute_force_scd(p: GradedPoset, budget: int = DEFAULT_BUDGET) -> SearchResul
 
 
 def serialize_decomposition(d: ChainDecomposition) -> str:
-    """Render ``d`` in the decomposition file format; every key of every
-    chain is formatted by one :func:`format_compositions` call.  A key the
-    reader could not give back, empty or with an entry not an ``int`` >= 0
-    (a bool or a float is not one), raises ``ValueError`` before any text."""
-    flat = [key for c in d.chains for key in c]
-    entries = tuple(chain.from_iterable(flat))
-    if not (all(flat) and {*map(type, entries)} <= {int} and min(entries, default=0) >= 0):
-        raise ValueError("keys must be nonempty tuples of ints >= 0 to be written")
-    keys = iter(format_compositions(flat))
+    """Render ``d`` in the decomposition file format, every key by one
+    :func:`format_compositions` call; the constructor admits only keys the
+    reader gives back, so only an entry too long for ``%d`` is refused."""
+    keys = iter(format_compositions([*chain.from_iterable(d.chains)]))
     lines = [f"scd {_lattice_label(d.shape, 'composition')} chains={len(d.chains)}"]
     lines += [" ".join(islice(keys, len(c))) for c in d.chains]
     return "\n".join(lines) + "\n"

@@ -43,7 +43,8 @@ from younglat.partitions import (
     weighted_sum,
 )
 from younglat.poset import build_lattice
-from younglat.scd import ChainDecomposition
+from younglat.roots import edge_color, root_color, weight_string
+from younglat.scd import ChainDecomposition, brute_force_scd
 
 
 def partitions_st(max_part=12, max_len=8):
@@ -467,6 +468,26 @@ def test_wrong_call_raises_value_error(call):
     fn, *args = call
     with pytest.raises(ValueError):
         fn(*args)
+
+
+class I(int):
+    """An int subclass, which the one int rule does not count as an int."""
+
+
+@pytest.mark.parametrize("call", [
+    lambda: build_lattice((I(2), 2)),
+    lambda: brute_force_scd(build_lattice((1, 1)), I(5)),
+    lambda: as_partition([I(2)]),
+    lambda: ChainDecomposition((2, 2), [((I(2), 0, 0),)]),
+    lambda: edge_color((I(0), 1), (1, 0)),
+    lambda: weight_string((1, 0, 1, 0), I(2), (2, 3)),
+    lambda: root_color(I(1)),
+], ids=["dimension", "budget", "part", "key-entry", "edge-color-entry",
+        "weight-string-root", "root-color-root"])
+def test_an_int_subclass_is_refused(call):
+    # each of these was accepted as the int it stands for
+    with pytest.raises(ValueError):
+        call()
 
 
 SMALL_VALUES = st.one_of(st.integers(-3, 12), st.booleans(), st.floats(), st.none(),

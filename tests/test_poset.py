@@ -325,9 +325,15 @@ class TestBuildLattice:
         with pytest.raises(NotACoverError):
             edge_color((0, 0, 2), (2, 0, 0))  # known keys, two ranks apart
         assert (0, 1, 1) in p and (9, 9, 9) not in p
-        # root steps with one end outside the lattice: edge_color gives them
-        # a color, and membership refuses them
-        assert edge_color((-1, 1, 2), (0, 0, 2)) == edge_color((0, 0, 2), (1, -1, 2)) == 1
+        # a root step between keys outside the lattice (sum 3): edge_color
+        # gives it a color, and membership refuses both ends
+        assert edge_color((0, 1, 2), (1, 0, 2)) == 1
+        assert (0, 1, 2) not in p and (1, 0, 2) not in p
+        # a root step with one end outside by a negative entry: that end is
+        # no key, so edge_color refuses it, and membership refuses it too
+        for lower, upper in (((-1, 1, 2), (0, 0, 2)), ((0, 0, 2), (1, -1, 2))):
+            with pytest.raises(ValueError, match=r"^keys must be tuples of ints >= 0$"):
+                edge_color(lower, upper)
         assert (0, 0, 2) in p and (-1, 1, 2) not in p and (1, -1, 2) not in p
 
     def test_q_factorial_rejects_negative(self):

@@ -52,6 +52,14 @@ class TestEdgeColor:
     def test_blue_step(self):
         assert edge_color((1, 0, 0, 2), (1, 0, 1, 1)) == 3
 
+    # the first was colored 1; the others raised TypeError and OverflowError
+    @pytest.mark.parametrize("lower, upper", [((0.5, 0.5), (1.5, -0.5)), ((0,), (None,)),
+                                              ((10**5000,), (1.5,))],
+                             ids=["floats", "none", "huge-and-float"])
+    def test_a_vector_that_is_no_key_is_refused(self, lower, upper):
+        with pytest.raises(ValueError, match=r"^keys must be tuples of ints >= 0$"):
+            edge_color(lower, upper)
+
     def test_not_a_cover(self):
         with pytest.raises(NotACoverError):
             edge_color((1, 0, 1, 1), (1, 3, 0, 0))
@@ -103,7 +111,10 @@ class TestRankAndDistanceRule:
 
 
 def _edge_color_by_delta(lower, upper):
-    """The vector-difference form of edge_color, kept as its reference."""
+    """The vector-difference form of edge_color, kept as its reference; a
+    vector with a negative entry is no key, and both refuse it."""
+    if any(v < 0 for v in (*lower, *upper)):
+        raise ValueError("keys must be tuples of ints >= 0")
     if len(lower) != len(upper):
         raise NotACoverError(f"slot counts differ: {upper} vs {lower}")
     delta = [u - l for u, l in zip(upper, lower)]
@@ -121,8 +132,8 @@ def _edge_color_by_delta(lower, upper):
 def _outcome(f, lower, upper):
     try:
         return f(lower, upper)
-    except NotACoverError as exc:
-        return str(exc)
+    except ValueError as exc:  # NotACoverError, or the refusal of a vector that is no key
+        return type(exc), str(exc)
 
 
 _keys = st.lists(st.integers(-2, 3), min_size=0, max_size=6).map(tuple)

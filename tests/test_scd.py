@@ -1,5 +1,6 @@
 import random
 import sys
+from itertools import product
 from math import comb
 from typing import Iterator
 
@@ -8,8 +9,9 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from conftest import (CORRUPTIONS, chain_lengths, corrupted, mutated_text,
-                      reference_serialize_decomposition, reference_verify_scd)
-from younglat.partitions import Shape
+                      reference_serialize_decomposition, reference_verify_scd, traced_peak)
+from test_partitions import SMALL_VALUES
+from younglat.partitions import Shape, parse_composition
 from younglat.poset import (
     GradedPoset,
     ParseError,
@@ -19,6 +21,7 @@ from younglat.poset import (
     rank_profile,
     serialize_poset,
 )
+from younglat.render import RenderSpec, to_dot, to_svg
 from younglat.scd import (
     DEFAULT_BUDGET,
     ChainDecomposition,
@@ -325,11 +328,12 @@ class TestVerifier:
         assert str(err.value) == "shape mismatch: poset L'(2,3) vs decomposition L'(3,3)"
 
     def test_report_lines_bracket_a_key_with_a_negative_entry(self):
-        # in digits (-1, 3, 0) would read "-130", and (1, 3, 0) as "130"
+        # a negative entry cannot reach a report (the constructor refuses it);
+        # an entry over 9 is bracketed, since in digits (12, 0, 0) reads "1200"
         p = build_lattice(Shape(2, 2), "composition")
-        chains = [((-1, 3, 0),), ((2, 0, 0), (1, 1, 0), (1, 0, 1), (0, 1, 1), (0, 0, 2))]
+        chains = [((12, 0, 0),), ((2, 0, 0), (1, 1, 0), (1, 0, 1), (0, 1, 1), (0, 0, 2))]
         lines = verify_scd(ChainDecomposition(Shape(2, 2), chains), p).lines()
-        assert lines[lines.index("unknown elements: 1") + 1] == "  [-1,3,0]"
+        assert lines[lines.index("unknown elements: 1") + 1] == "  [12,0,0]"
         # a key with entries 0..9 keeps its digit form
         assert lines[lines.index("missing elements: 1") + 1] == "  020"
 
@@ -606,15 +610,25 @@ class TestDecompositionFiles:
         with pytest.raises(ValueError):
             serialize_decomposition(ChainDecomposition((2, 2), ["ab"]))
 
-    # each of these was written as a text that reads back as another
-    # decomposition ("100", " 101") or as none ("[-1,3,0]", an empty line)
+    # each of these was once written as a text that reads back as another
+    # decomposition ("100", " 101") or as none ("[-1,3,0]", an empty line);
+    # the constructor refuses them, so no decomposition holds them
     @pytest.mark.parametrize("chains", [[((1.5, 0.5, 0),)], [((-1, 3, 0),)], [((True, 1, 0),)],
                                         [((), (1, 0, 1))], [((),)]],
                              ids=["float", "negative", "bool", "empty-key", "empty-only-key"])
     def test_keys_the_reader_cannot_give_back_are_not_written(self, chains):
         with pytest.raises(ValueError) as err:
-            serialize_decomposition(ChainDecomposition((2, 2), chains))
-        assert str(err.value) == "keys must be nonempty tuples of ints >= 0 to be written"
+            ChainDecomposition((2, 2), chains)
+        assert str(err.value) == "chains must be nonempty, of nonempty keys of ints >= 0"
+
+    # each of these once got through the constructor, or raised TypeError
+    # from its sort, and then failed in the verifier or the renderer
+    @pytest.mark.parametrize("chains", [[((None, 0),)], [(("a", 0, 1),)], [((1, 0, [1]),)]],
+                             ids=["none", "string", "list"])
+    def test_keys_that_are_no_tuples_of_ints_are_refused(self, chains):
+        with pytest.raises(ValueError) as err:
+            ChainDecomposition((2, 2), chains)
+        assert str(err.value) == "chains must be nonempty, of nonempty keys of ints >= 0"
 
     # entries over 9 as often as digits, so keys of both spellings, of any
     # length: most keys are not elements of the shape or of the poset
@@ -662,6 +676,65 @@ class TestDecompositionFiles:
             assert isinstance(parse_with_and_without(text, p), ChainDecomposition)
         except ParseError:
             pass
+
+
+# key entries of every kind: small ints of either sign, bools, floats, None,
+# short strings, an int too long for "%d", and tuples and lists of those
+KEY_ENTRIES = st.one_of(SMALL_VALUES, st.just(10**5000), st.tuples(SMALL_VALUES),
+                        st.lists(SMALL_VALUES, max_size=2))
+SMALL_POSETS = {shape: build_lattice(shape, "composition")
+                for shape in product(range(5), repeat=2)}
+
+
+@st.composite
+def shapes_and_chains(draw):
+    """A shape with m, n <= 4 and chains for it.  Half the cases draw chains
+    of any length whose keys have any entries or are good; the others draw
+    nonempty chains of good keys only (nonempty keys of 0..12 or
+    ``10**5000``, or elements of the lattice), so that many are accepted."""
+    shape = draw(st.sampled_from(sorted(SMALL_POSETS)))
+    elements = SMALL_POSETS[shape].elements
+    good = st.one_of(st.lists(st.sampled_from([*range(13), 10**5000]), min_size=1, max_size=5),
+                     *([st.sampled_from(elements)] if elements else []))
+    chain = draw(st.sampled_from([st.lists(good, min_size=1, max_size=4), st.lists(
+        st.one_of(st.lists(KEY_ENTRIES, max_size=5), good), max_size=4)]))
+    return shape, draw(st.lists(chain, max_size=4))
+
+
+class TestEveryKeyEndsInAResultOrAValueError:
+    @given(shapes_and_chains())
+    @example(((2, 2), [((None, 0),)]))
+    @example(((2, 2), [((1, 0, [1]),)]))
+    def test_constructor_and_every_reader_of_its_keys(self, case):
+        shape, chains = case
+        p = SMALL_POSETS[shape]
+
+        def calls():
+            try:
+                d = ChainDecomposition(shape, chains)
+            except ValueError:
+                return
+            report = verify_scd(d, p)
+            try:
+                lines = report.lines()
+            except ValueError:
+                pass
+            else:  # every key a report lists reads back to itself
+                listed = [*report.missing, *report.duplicated, *report.unknown]
+                key_lines = [line[2:] for line in lines if line.startswith("  ")]
+                assert [*map(parse_composition, key_lines[:len(listed)])] == listed
+            for draw in (to_dot, to_svg):
+                try:
+                    draw(p, RenderSpec(highlight=d))
+                except ValueError:
+                    pass
+            try:
+                text = serialize_decomposition(d)
+            except ValueError:
+                return
+            assert parse_with_and_without(text, p) == d
+
+        assert traced_peak(calls) < 64 * 2**20
 
 
 class TestVerifierCatchesCorruption:
