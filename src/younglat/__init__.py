@@ -61,6 +61,6 @@ from .scd import (
     serialize_decomposition,
     verify_scd,
 )
-from .render import DiagramSizeError, RenderSpec, to_dot, to_svg
+from .render import DiagramSizeError, to_dot, to_svg
 
 __version__ = "0.1.0"

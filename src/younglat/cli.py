@@ -36,10 +36,9 @@ from .poset import (
     gaussian_binomial,
     parse_poset,
 )
-from .render import RenderSpec, _dot_blocks, to_svg
+from .render import _dot_blocks, to_svg
 from .scd import (
     DEFAULT_BUDGET,
-    _require_same_shape,
     brute_force_scd,
     lindstrom,
     parse_decomposition,
@@ -172,17 +171,13 @@ def _cmd_scd_verify(args) -> int:
 
 def _cmd_render(args) -> int:
     p = _load(parse_poset, args.poset_file)
-    highlight = None
-    if args.scd:
-        highlight = _load(partial(parse_decomposition, poset=p), args.scd)
-        _require_same_shape(highlight, p)
-    spec = RenderSpec(labels=args.labels, highlight=highlight)
-    # too tall, or a highlight key not in the poset: ValueError, exit 2,
-    # raised before the first block is written
+    d = _load(partial(parse_decomposition, poset=p), args.scd) if args.scd else None
+    # another shape, too tall for SVG, or an overlay key not in the poset:
+    # the renderers' ValueError, exit 2, raised before the first block is written
     if args.format == "dot":
-        sys.stdout.writelines(_dot_blocks(p, spec))
+        sys.stdout.writelines(_dot_blocks(p, args.labels, d))
     else:
-        sys.stdout.write(to_svg(p, spec))
+        sys.stdout.write(to_svg(p, args.labels, d))
     return 0
 
 

@@ -2,28 +2,28 @@
 
 Both renderers emit one node per element and one edge per cover, lay levels
 out by rank, color edges by root index, and optionally overlay a chain
-decomposition (chain edges bold, the rest dimmed).  Output is a pure
-function of the inputs, byte for byte.  Both take their edge attributes
-from one table, :func:`_edge_styles`, and write their lines of a fixed
-template in the poset writer's blocks (``poset._blocks``): ``render``
-writes the DOT blocks out as they come, so the command never holds the
-whole drawing, and :func:`to_dot` joins them.  :func:`to_svg` makes each
-coordinate string once and reuses it wherever it is written, with the
-bytes of formatting it at each place.  Labels and Young cells take a
-node's parts from ``partitions._parts``, and ``format_compositions`` spells
-partition labels, except for ``n <= 9``, where each part is one digit.
+decomposition (chain edges bold, the rest dimmed), which must be of the
+poset's shape, as the verifier requires (``scd._require_same_shape``).
+Output is a pure function of the inputs, byte for byte.  Both take their
+edge attributes from one table, :func:`_edge_styles`, and write their lines
+of a fixed template in the poset writer's blocks (``poset._blocks``):
+``render`` writes the DOT blocks out as they come, so the command never
+holds the whole drawing, and :func:`to_dot` joins them.  :func:`to_svg`
+makes each coordinate string once and reuses it wherever it is written,
+with the bytes of formatting it at each place.  Labels and Young cells take
+a node's parts from ``partitions._parts``, and ``format_compositions``
+spells partition labels, except for ``n <= 9``, where each part is one digit.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import islice, repeat
 from operator import itemgetter, mul
 
 from .partitions import _parts, format_compositions
 from .poset import GradedPoset, _blocks, _positions
 from .roots import root_color
-from .scd import ChainDecomposition
+from .scd import ChainDecomposition, _require_same_shape
 
 
 MAX_HEIGHT = 60  # to_svg refuses taller posets
@@ -33,36 +33,28 @@ class DiagramSizeError(ValueError):
     """Poset too tall for the requested drawing."""
 
 
-@dataclass(frozen=True)
-class RenderSpec:
-    """How to draw: node labels and an optional chain highlight."""
-
-    labels: str = "partition"  # partition | composition | young
-    highlight: ChainDecomposition | None = None
-
-
-def _node_labels(p: GradedPoset, spec: RenderSpec) -> list[str]:
-    """One label per element, in element order.
+def _node_labels(p: GradedPoset, labels: str) -> list[str]:
+    """One label per element, in element order, in the mode ``labels``.
 
     Partition and Young labels are made straight from the composition, by
     :func:`_parts`: the partition as ``format_partition`` writes it, or as
     rows of Young cells.
     """
     comps = p.elements
-    if spec.labels == "composition":
+    if labels == "composition":
         return list(p.key_strings)
-    if spec.labels == "young":
+    if labels == "young":
         return ["\\n".join(map("■".__mul__, _parts(c))) or "∅" for c in comps]
-    if spec.labels == "partition":
+    if labels == "partition":
         n = p.shape.n if comps else 0
         if 0 < n <= 9:  # one C-level pass, a column per slot; element 0 has no parts
             columns = (map(mul, repeat(str(n - j)), map(itemgetter(j), comps)) for j in range(n))
             return ["∅", *islice(map("".join, zip(*columns)), 1, None)]
         return [text or "∅" for text in format_compositions(list(map(_parts, comps)))]
-    raise ValueError(f"unknown label mode {spec.labels!r}")
+    raise ValueError(f"unknown label mode {labels!r}")
 
 
-def _chain_steps(p: GradedPoset, spec: RenderSpec) -> set[int] | None:
+def _chain_steps(p: GradedPoset, highlight: ChainDecomposition | None) -> set[int] | None:
     """The overlay's steps as codes ``lower * len(p) + upper`` of element
     indices, or None without one; a cover ``(lo, hi, color)`` is on a chain
     when ``lo * len(p) + hi`` is in the set.
@@ -71,11 +63,11 @@ def _chain_steps(p: GradedPoset, spec: RenderSpec) -> set[int] | None:
     Every key of every chain must be an element of ``p``; otherwise
     ``ValueError`` names the first step (or lone key) that is not.
     """
-    if spec.highlight is None:
+    if highlight is None:
         return None
     size = len(p)
     steps = set()
-    for chain in spec.highlight.chains:
+    for chain in highlight.chains:
         at = _positions(p, chain)
         if None in at:
             k = max(at.index(None) - 1, 0)  # the first step, or lone key, with an absent key
@@ -95,15 +87,17 @@ def _edge_styles(p: GradedPoset, steps, plain: str, on: str, off: str):
     return [(), *([template % root_color(color) for template in kinds] for color in colors)]
 
 
-def _dot_blocks(p: GradedPoset, spec: RenderSpec):
+def _dot_blocks(p: GradedPoset, labels: str, highlight: ChainDecomposition | None):
     """The DOT text of ``p``: the header, then the rank, node and edge lines
     in the poset writer's blocks, and the closing brace.
 
-    The overlay's keys are checked and the labels made before the first
-    block, so a refused drawing yields nothing.
+    The overlay's shape, then its keys, are checked and the labels made
+    before the first block, so a refused drawing yields nothing.
     """
-    steps = _chain_steps(p, spec)
-    labels = _node_labels(p, spec)
+    if highlight is not None:
+        _require_same_shape(highlight, p)
+    steps = _chain_steps(p, highlight)
+    texts = _node_labels(p, labels)
     styles = _edge_styles(p, steps, 'color="%s"', 'color="%s", penwidth=2.4',
                           'color="%s", style=dotted, penwidth=0.8')
     keys = p.key_strings
@@ -115,20 +109,22 @@ def _dot_blocks(p: GradedPoset, spec: RenderSpec):
     yield from _blocks('  { rank=same; "%s"; }\n',
                        (('"; "'.join(map(keys.__getitem__, level)),)
                         for level in p.levels() if level))
-    yield from _blocks('  "%s" [label="%s"];\n', zip(keys, labels))
+    yield from _blocks('  "%s" [label="%s"];\n', zip(keys, texts))
     yield from _blocks('  "%s" -> "%s" [%s];\n',
                        ((keys[lo], keys[hi], styles[color][lo * size + hi in chained])
                         for lo, hi, color in p.covers))
     yield "}\n"
 
 
-def to_dot(p: GradedPoset, spec: RenderSpec | None = None) -> str:
+def to_dot(p: GradedPoset, labels="partition", highlight: ChainDecomposition | None = None) -> str:
     """Graphviz digraph: edges point upward, levels grouped rank=same.
 
-    The text of :func:`_dot_blocks`, joined; ``render --format dot`` writes
-    the blocks out one by one instead.
+    ``labels`` is "partition", "composition" or "young", ``highlight`` a chain
+    overlay or None; ``ValueError`` for another mode, another shape or a key
+    not in ``p``.  The text of :func:`_dot_blocks`, joined; ``render --format
+    dot`` writes the blocks out one by one instead.
     """
-    return "".join(_dot_blocks(p, spec or RenderSpec()))
+    return "".join(_dot_blocks(p, labels, highlight))
 
 
 _DX, _DY, _MARGIN, _RADIUS, _CELL = 64, 48, 40, 9, 7
@@ -149,23 +145,26 @@ class _CellRows(dict):
         return pieces
 
 
-def to_svg(p: GradedPoset, spec: RenderSpec | None = None) -> str:
+def to_svg(p: GradedPoset, labels="partition", highlight: ChainDecomposition | None = None) -> str:
     """Standalone SVG 1.1, nodes on rank rows, centered within each level.
 
+    Arguments and refusals as for :func:`to_dot`, with a poset over
+    ``MAX_HEIGHT`` (:class:`DiagramSizeError`) refused after another shape.
     Every coordinate string is made once: a node's x and y for its lines,
     circle and text, the x strings of a row of Young cells for each x and
     row length (:class:`_CellRows`), and the y of each row for each level
     and number of rows.  The text is, byte for byte, that of formatting
     each coordinate where it is written.
     """
-    spec = spec or RenderSpec()
+    if highlight is not None:
+        _require_same_shape(highlight, p)
     if p.height > MAX_HEIGHT:
         raise DiagramSizeError(
             f"poset height {p.height} exceeds the drawing limit {MAX_HEIGHT}"
         )
-    steps = _chain_steps(p, spec)
-    young = spec.labels == "young"
-    labels = None if young else _node_labels(p, spec)
+    steps = _chain_steps(p, highlight)
+    young = labels == "young"
+    texts = None if young else _node_labels(p, labels)
     comps = p.elements
     keys = p.key_strings
     size = len(p)
@@ -203,7 +202,7 @@ def to_svg(p: GradedPoset, spec: RenderSpec | None = None) -> str:
                     f'      <circle cx="{x_text[i]}" cy="{y_text[i]}" r="{_RADIUS}" '
                     'fill="white" stroke="black"/>\n'
                     f'      <text x="{x_text[i]}" y="{label_y}" text-anchor="middle" '
-                    f'font-size="8">{labels[i]}</text>\n    </g>\n'
+                    f'font-size="8">{texts[i]}</text>\n    </g>\n'
                     for i in level]
         elif r == 0:
             out += [f'    <g class="node" data-key="{keys[i]}">\n'

@@ -366,8 +366,6 @@ def brute_force_scd(p: GradedPoset, budget: int = DEFAULT_BUDGET) -> SearchResul
     if not _ints_at_least((budget,), 0):
         raise ValueError(f"budget must be an int >= 0, got {budget!r}")
     n_el = len(p)
-    if n_el == 0:
-        return SearchResult("found", ChainDecomposition(p.shape, ()), 0)
     ht = p.height
     counts = rank_profile(p)
 
@@ -495,8 +493,7 @@ def parse_decomposition(text: str, poset: GradedPoset | None = None) -> ChainDec
         if not line.strip():
             raise ParseError(line_no, "empty chain line")
         try:
-            chains.append(tuple(known[tok] if tok in known else parse_composition(tok)
-                                for tok in line.split()))
+            chains.append(tuple(known.get(tok) or parse_composition(tok) for tok in line.split()))
         except ValueError as exc:
             raise ParseError(line_no, str(exc)) from None
     if len(chains) != declared:

@@ -28,7 +28,7 @@ from younglat.poset import (
     gaussian_binomial,
     rank_profile,
 )
-from younglat.render import RenderSpec, to_dot, to_svg
+from younglat.render import to_dot, to_svg
 from younglat.roots import weight_string
 from younglat.scd import brute_force_scd, lindstrom, scd_n2, verify_scd
 
@@ -220,7 +220,7 @@ def test_criterion_10_rendering_soundness(capsys):
                 dot = to_dot(p)
                 assert dot.count("[label=") == len(p), (m, n)
                 assert dot.count(" -> ") == len(p.covers), (m, n)
-                svg = to_svg(p, RenderSpec())
+                svg = to_svg(p)
                 assert svg.count('class="node"') == len(p), (m, n)
                 assert svg.count("<line ") == len(p.covers), (m, n)
         import re

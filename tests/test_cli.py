@@ -136,6 +136,16 @@ class TestScdCommands:
         assert code == 0
         assert out.startswith("scd L'(3,3) chains=3\n")
 
+    def test_brute_on_an_empty_lattice(self, capsys):
+        assert run(capsys, "scd", "brute", "0", "5") == (0, "scd L'(0,5) chains=0\n", "")
+
+    def test_brute_not_found_line(self, capsys, monkeypatch):
+        # no lattice lacks a decomposition, so the search's proof is stubbed
+        monkeypatch.setattr(cli, "brute_force_scd",
+                            lambda p, budget: scd.SearchResult("not-found", None, 7))
+        assert run(capsys, "scd", "brute", "3", "3") == (
+            1, "not-found: no symmetric chain decomposition (7 assignments)\n", "")
+
     def test_brute_budget_exhaustion(self, capsys):
         code, out, _ = run(capsys, "scd", "brute", "4", "3", "--budget", "2")
         assert code == 1
@@ -205,6 +215,24 @@ class TestRender:
         poset_file = tmp_path / "p.poset"
         run(capsys, "lattice", "8", "8", "--out", str(poset_file))
         assert run(capsys, "render", str(poset_file), "--format", "svg") == (
+            2, "", "error: poset height 64 exceeds the drawing limit 60\n")
+
+    def test_svg_refuses_another_shape_before_the_height(self, tmp_path, capsys):
+        poset_file = tmp_path / "p.poset"
+        scd_file = tmp_path / "d.scd"
+        run(capsys, "lattice", "8", "8", "--coords", "composition", "--out", str(poset_file))
+        run(capsys, "scd", "lindstrom", "3", "--out", str(scd_file))
+        argv = ["render", str(poset_file), "--scd", str(scd_file), "--format", "svg"]
+        assert run(capsys, *argv) == (
+            2, "", "error: shape mismatch: poset L'(8,8) vs decomposition L'(3,3)\n")
+
+    def test_svg_refuses_the_height_before_an_absent_key(self, tmp_path, capsys):
+        poset_file = tmp_path / "p.poset"
+        scd_file = tmp_path / "d.scd"
+        run(capsys, "lattice", "8", "8", "--coords", "composition", "--out", str(poset_file))
+        scd_file.write_text("scd L'(8,8) chains=1\n900000000\n", encoding="utf-8")
+        argv = ["render", str(poset_file), "--scd", str(scd_file), "--format", "svg"]
+        assert run(capsys, *argv) == (
             2, "", "error: poset height 64 exceeds the drawing limit 60\n")
 
 

@@ -48,7 +48,7 @@ from younglat.poset import (
     rank_profile,
     serialize_poset,
 )
-from younglat.render import RenderSpec, to_dot, to_svg
+from younglat.render import to_dot, to_svg
 from younglat.roots import NotACoverError, edge_color
 from younglat.scd import ChainDecomposition, brute_force_scd, lindstrom, scd_n2
 
@@ -1248,7 +1248,7 @@ class TestIndexStaysInPoset:
         p = build_lattice(Shape(6, 3), "composition")
         serialize_poset(p)
         to_dot(p)
-        to_svg(p, RenderSpec(labels="young"))
+        to_svg(p, labels="young")
         brute_force_scd(p, 1000)
         assert "_index" not in vars(p)
         assert (0, 0, 0, 6) in p

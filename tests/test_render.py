@@ -14,7 +14,6 @@ from younglat.partitions import Shape, format_composition, format_partition, fro
 from younglat.poset import build_lattice, parse_poset, serialize_poset
 from younglat.render import (
     DiagramSizeError,
-    RenderSpec,
     _chain_steps,
     _node_labels,
     to_dot,
@@ -74,14 +73,13 @@ class TestStructuralCounts:
 class TestDeterminism:
     def test_identical_across_runs(self):
         p = build_lattice(Shape(3, 3))
-        spec = RenderSpec(labels="composition")
-        assert to_dot(p, spec) == to_dot(p, spec)
-        assert to_svg(p, spec) == to_svg(p, spec)
+        assert to_dot(p, labels="composition") == to_dot(p, labels="composition")
+        assert to_svg(p, labels="composition") == to_svg(p, labels="composition")
 
     def test_label_mode_does_not_change_structure(self):
         p = build_lattice(Shape(3, 2))
         counts = {
-            dot_counts(to_dot(p, RenderSpec(labels=mode)))
+            dot_counts(to_dot(p, labels=mode))
             for mode in ("partition", "composition", "young")
         }
         assert len(counts) == 1
@@ -93,7 +91,7 @@ class TestHighlight:
         p = build_lattice(Shape(3, 2), "composition")
         d = scd_n2(3)
         assert len(d.chains) == 2
-        svg = to_svg(p, RenderSpec(highlight=d))
+        svg = to_svg(p, highlight=d)
         bold = svg.count('stroke-width="2.6"')
         assert bold == sum(len(ch) - 1 for ch in d.chains) == 8
         dimmed = svg.count('stroke-opacity="0.35"')
@@ -101,32 +99,39 @@ class TestHighlight:
 
     def test_dot_highlight_uses_bold_and_dotted(self):
         p = build_lattice(Shape(3, 2), "composition")
-        dot = to_dot(p, RenderSpec(highlight=scd_n2(3)))
+        dot = to_dot(p, highlight=scd_n2(3))
         assert dot.count("penwidth=2.4") == 8
         assert dot.count("style=dotted") == len(p.covers) - 8
 
     def test_highlight_shape_mismatch_raises(self):
         p = build_lattice(Shape(2, 2), "composition")
         with pytest.raises(ValueError):
-            to_dot(p, RenderSpec(highlight=scd_n2(3)))
+            to_dot(p, highlight=scd_n2(3))
+
+    @pytest.mark.parametrize("draw", [to_dot, to_svg])
+    def test_highlight_of_another_shape_is_refused_as_the_verifier_does(self, draw):
+        p = build_lattice(Shape(2, 3), "composition")
+        with pytest.raises(ValueError) as err:
+            draw(p, highlight=lindstrom(3))
+        assert str(err.value) == "shape mismatch: poset L'(2,3) vs decomposition L'(3,3)"
 
 
 class TestLabels:
     def test_young_glyphs_in_dot(self):
         p = build_lattice(Shape(2, 2))
-        dot = to_dot(p, RenderSpec(labels="young"))
+        dot = to_dot(p, labels="young")
         assert '[label="∅"]' in dot
         assert '[label="■■\\n■■"]' in dot
 
     def test_partition_labels(self):
         p = build_lattice(Shape(2, 2))
-        dot = to_dot(p, RenderSpec(labels="partition"))
+        dot = to_dot(p, labels="partition")
         assert '[label="21"]' in dot
 
     def test_unknown_mode_rejected(self):
         p = build_lattice(Shape(2, 2))
         with pytest.raises(ValueError):
-            to_dot(p, RenderSpec(labels="roman"))
+            to_dot(p, labels="roman")
 
     def test_labels_match_partition_conversion(self):
         # n = 10 and n = 12 mix digit labels with bracketed ones
@@ -136,10 +141,10 @@ class TestLabels:
             for coords in ("partition", "composition"):
                 p = build_lattice(Shape(*shape), coords)
                 parts = [from_multiplicity(c, p.shape) for c in p.elements]
-                assert _node_labels(p, RenderSpec(labels="partition")) == [
+                assert _node_labels(p, "partition") == [
                     format_partition(a) for a in parts
                 ]
-                assert _node_labels(p, RenderSpec(labels="young")) == [
+                assert _node_labels(p, "young") == [
                     "\\n".join(young_rows(a)) or "∅" for a in parts
                 ]
 
@@ -154,7 +159,7 @@ class TestLabels:
         monkeypatch.setattr(partitions, "from_multiplicity", counting)
         assert not hasattr(render, "from_multiplicity")
         p = build_lattice(Shape(3, 3), "composition")
-        to_svg(p, RenderSpec(labels="young"))
+        to_svg(p, labels="young")
         assert calls == []
 
 
@@ -184,7 +189,7 @@ class TestOverlayKeys:
         p = build_lattice(Shape(2, 2), "composition")
         overlay = ChainDecomposition(Shape(2, 2), [((0, 1, 1), (0, 0, 2)), ((2, 0, 2),)])
         with pytest.raises(ValueError) as err:
-            draw(p, RenderSpec(highlight=overlay))
+            draw(p, highlight=overlay)
         assert str(err.value) == "highlight element (2, 0, 2) not in poset"
 
     @pytest.mark.parametrize("draw", [to_dot, to_svg])
@@ -192,7 +197,7 @@ class TestOverlayKeys:
         p = build_lattice(Shape(2, 2), "composition")
         overlay = ChainDecomposition(Shape(2, 2), [((0, 2, 0), (0, 1, 1), (3, 0, 0))])
         with pytest.raises(ValueError) as err:
-            draw(p, RenderSpec(highlight=overlay))
+            draw(p, highlight=overlay)
         assert str(err.value) == "highlight element (0, 1, 1) or (3, 0, 0) not in poset"
 
 
@@ -200,12 +205,12 @@ class TestOverlayKeys:
 # element-index codes of render._chain_steps.
 
 
-def reference_chain_steps(p, spec):
+def reference_chain_steps(p, highlight):
     """The overlay's ``(lower key, upper key)`` steps, or None without one."""
-    if spec.highlight is None:
+    if highlight is None:
         return None
     steps = set()
-    for chain in spec.highlight.chains:
+    for chain in highlight.chains:
         if not all(map(p.__contains__, chain)):
             for upper, lower in zip(chain, chain[1:]):
                 if upper not in p or lower not in p:
@@ -215,17 +220,17 @@ def reference_chain_steps(p, spec):
     return steps
 
 
-def reference_on_chain(p, spec):
+def reference_on_chain(p, highlight):
     """For each cover of ``p``, in order: is its key pair a step of the overlay?"""
-    steps = reference_chain_steps(p, spec)
+    steps = reference_chain_steps(p, highlight)
     comps = p.elements
     return [(comps[lo], comps[hi]) in steps for lo, hi, _ in p.covers]
 
 
-def reference_dot(p, spec):
+def reference_dot(p, labels, highlight):
     """``to_dot`` with the overlay styles put onto the plain drawing's edges."""
-    on_chain = iter(reference_on_chain(p, spec))
-    lines = to_dot(p, RenderSpec(labels=spec.labels)).splitlines(keepends=True)
+    on_chain = iter(reference_on_chain(p, highlight))
+    lines = to_dot(p, labels).splitlines(keepends=True)
     for i, line in enumerate(lines):
         if " -> " in line:
             style = ", penwidth=2.4" if next(on_chain) else ", style=dotted, penwidth=0.8"
@@ -234,11 +239,11 @@ def reference_dot(p, spec):
     return "".join(lines)
 
 
-def reference_svg(p, spec):
+def reference_svg(p, labels, highlight):
     """``to_svg`` with the overlay strokes put onto the lines of the frozen
     plain drawing, :func:`reference_to_svg`."""
-    on_chain = iter(reference_on_chain(p, spec))
-    lines = reference_to_svg(p, RenderSpec(labels=spec.labels)).splitlines(keepends=True)
+    on_chain = iter(reference_on_chain(p, highlight))
+    lines = reference_to_svg(p, labels).splitlines(keepends=True)
     for i, line in enumerate(lines):
         if line.startswith("    <line "):
             extra = (' stroke-width="2.6"' if next(on_chain)
@@ -273,24 +278,24 @@ class TestOverlayMatchesKeyPairReference:
     def test_partial_overlays(self, shape, overlay, coords):
         p = build_lattice(shape, coords)
         for labels in ("partition", "composition", "young"):
-            spec = RenderSpec(labels=labels, highlight=overlay)
-            assert to_dot(p, spec) == reference_dot(p, spec)
-            assert to_svg(p, spec) == reference_svg(p, spec) == reference_to_svg(p, spec)
+            assert to_dot(p, labels, overlay) == reference_dot(p, labels, overlay)
+            assert (to_svg(p, labels, overlay) == reference_svg(p, labels, overlay)
+                    == reference_to_svg(p, labels, overlay))
 
     def test_skipping_chain_has_no_bold_edge(self):
         p = build_lattice(Shape(4, 3), "composition")
         longest = max(lindstrom(4).chains, key=len)
-        spec = RenderSpec(highlight=ChainDecomposition(Shape(4, 3), [longest[::2]]))
-        assert "penwidth=2.4" not in to_dot(p, spec)
-        assert 'stroke-width="2.6"' not in to_svg(p, spec)
+        overlay = ChainDecomposition(Shape(4, 3), [longest[::2]])
+        assert "penwidth=2.4" not in to_dot(p, highlight=overlay)
+        assert 'stroke-width="2.6"' not in to_svg(p, highlight=overlay)
 
     @pytest.mark.parametrize("n, top, construct", [(3, 6, lindstrom), (2, 8, scd_n2)])
     def test_construction_overlays(self, n, top, construct):
         for m in range(1, top + 1):
             p = build_lattice(Shape(m, n), "composition")
-            spec = RenderSpec(labels="composition", highlight=construct(m))
-            assert to_dot(p, spec) == reference_dot(p, spec)
-            assert to_svg(p, spec) == reference_svg(p, spec)
+            overlay = construct(m)
+            assert to_dot(p, "composition", overlay) == reference_dot(p, "composition", overlay)
+            assert to_svg(p, "composition", overlay) == reference_svg(p, "composition", overlay)
 
     @pytest.mark.parametrize("chains", [
         [((0, 1, 1), (0, 0, 2)), ((2, 0, 2),)],
@@ -301,11 +306,11 @@ class TestOverlayMatchesKeyPairReference:
     @pytest.mark.parametrize("draw", [to_dot, to_svg])
     def test_absent_key_message(self, chains, draw):
         p = build_lattice(Shape(2, 2), "composition")
-        spec = RenderSpec(highlight=ChainDecomposition(Shape(2, 2), chains))
+        overlay = ChainDecomposition(Shape(2, 2), chains)
         with pytest.raises(ValueError) as expected:
-            reference_chain_steps(p, spec)
+            reference_chain_steps(p, overlay)
         with pytest.raises(ValueError) as err:
-            draw(p, spec)
+            draw(p, highlight=overlay)
         assert str(err.value) == str(expected.value)
 
     @pytest.mark.parametrize("kind", CORRUPTIONS)
@@ -316,31 +321,30 @@ class TestOverlayMatchesKeyPairReference:
             p = build_lattice(Shape(m, 3), "composition")
             size = len(p)
             for seed in range(5):
-                spec = RenderSpec(highlight=corrupted(lindstrom(m), [kind], random.Random(seed)))
+                overlay = corrupted(lindstrom(m), [kind], random.Random(seed))
                 try:
-                    want = reference_chain_steps(p, spec)
+                    want = reference_chain_steps(p, overlay)
                 except ValueError as expected:
                     with pytest.raises(ValueError) as err:
-                        _chain_steps(p, spec)
+                        _chain_steps(p, overlay)
                     assert str(err.value) == str(expected)
                     continue
-                steps = _chain_steps(p, spec)
+                steps = _chain_steps(p, overlay)
                 assert {(p.elements[c // size], p.elements[c % size]) for c in steps} == want
 
 
-def reference_to_svg(p, spec=None):
+def reference_to_svg(p, labels="partition", highlight=None):
     """``to_svg`` as it was before it formatted each position once: every
     coordinate of every line, circle, text and cell formatted where it is
     written, every line in one list, joined once."""
     _DX, _DY, _MARGIN, _RADIUS = 64, 48, 40, 9
-    spec = spec or RenderSpec()
     if p.height > render.MAX_HEIGHT:
         raise DiagramSizeError(
             f"poset height {p.height} exceeds the drawing limit {render.MAX_HEIGHT}"
         )
-    steps = render._chain_steps(p, spec)
-    young = spec.labels == "young"
-    labels = None if young else _node_labels(p, spec)
+    steps = render._chain_steps(p, highlight)
+    young = labels == "young"
+    labels = None if young else _node_labels(p, labels)
     comps = p.elements
     n = p.shape.n
     size = len(p)
@@ -426,8 +430,8 @@ class TestSvgMatchesTheFrozenDrawing:
                     overlays.append(scd_n2(m))
                 for overlay in overlays:
                     for labels in ("partition", "composition", "young"):
-                        spec = RenderSpec(labels=labels, highlight=overlay)
-                        assert to_svg(p, spec) == reference_to_svg(p, spec), (m, n, labels)
+                        assert (to_svg(p, labels, overlay)
+                                == reference_to_svg(p, labels, overlay)), (m, n, labels)
 
     def test_peak_memory_of_the_largest_small_diagram(self):
         # L'(3,16) with Young cells, the largest drawing of the small-diagram
@@ -435,17 +439,16 @@ class TestSvgMatchesTheFrozenDrawing:
         # text and its copy with the last newline, peaked at 5.7 times its
         # length; one string per row of cells and one join peak at 3.7.
         p = build_lattice(Shape(3, 16), "composition")
-        spec = RenderSpec(labels="young")
-        size = len(to_svg(p, spec))
+        size = len(to_svg(p, "young"))
         assert size == 2_197_394
-        assert traced_peak(to_svg, p, spec) < 4.5 * size
+        assert traced_peak(to_svg, p, "young") < 4.5 * size
 
 
-def reference_young_svg(p, spec):
+def reference_young_svg(p, highlight):
     """``to_svg`` with Young labels as it was drawn: each key converted with
     ``from_multiplicity`` and its cells taken from the partition's rows, the
     overlay from key pairs."""
-    steps = reference_chain_steps(p, spec)
+    steps = reference_chain_steps(p, highlight)
     comps = p.elements
     levels = [[i for i, r in enumerate(p.ranks) if r == rank] for rank in range(p.height + 1)]
     widest = max((len(level) for level in levels), default=1) or 1
@@ -501,21 +504,18 @@ class TestYoungCellsMatchThePartitionReference:
         for m, n in SMALL_SHAPES:
             p = build_lattice(Shape(m, n), "composition")
             overlay = scd_n2(m) if n == 2 else lindstrom(m) if n == 3 else None
-            spec = RenderSpec(labels="young", highlight=overlay)
-            assert to_svg(p, spec) == reference_young_svg(p, spec), (m, n)
+            assert to_svg(p, "young", overlay) == reference_young_svg(p, overlay), (m, n)
 
     def test_partition_coordinates_and_no_overlay(self):
         for shape in ((3, 3), (1, 5), (5, 1), (4, 2)):
             p = build_lattice(Shape(*shape))
-            spec = RenderSpec(labels="young")
-            assert to_svg(p, spec) == reference_young_svg(p, spec), shape
+            assert to_svg(p, "young") == reference_young_svg(p, None), shape
 
 
-def reference_to_dot(p, spec=None):
+def reference_to_dot(p, labels="partition", highlight=None):
     """``to_dot`` as it was before it wrote blocks: every line in one list,
     joined once."""
-    spec = spec or RenderSpec()
-    steps = render._chain_steps(p, spec)
+    steps = render._chain_steps(p, highlight)
     styles = {}
     for color in range(1, p.shape.n + 1):
         name = root_color(color)
@@ -535,7 +535,7 @@ def reference_to_dot(p, spec=None):
     out += ['  { rank=same; "%s"; }' % '"; "'.join(map(keys.__getitem__, level))
             for level in p.levels() if level]
     out += [f'  "{key}" [label="{label}"];'
-            for key, label in zip(keys, _node_labels(p, spec))]
+            for key, label in zip(keys, _node_labels(p, labels))]
     out += [f'  "{keys[lo]}" -> "{keys[hi]}" [{styles[color, lo * size + hi in chained]}];'
             for lo, hi, color in p.covers]
     out.append("}")
@@ -563,12 +563,11 @@ class TestDotBlocks:
         monkeypatch.setattr(poset, "_BLOCK_LINES", block_lines)
         p = build_lattice(Shape(*shape), coords)
         overlay = construct(shape[0]) if construct else None
-        spec = RenderSpec(labels=labels, highlight=overlay)
-        want = reference_to_dot(p, spec)
-        header, *blocks = render._dot_blocks(p, spec)
+        want = reference_to_dot(p, labels, overlay)
+        header, *blocks = render._dot_blocks(p, labels, overlay)
         assert header.count("\n") == 3
         assert all(0 < block.count("\n") <= block_lines for block in blocks)
-        assert to_dot(p, spec) == header + "".join(blocks) == want
+        assert to_dot(p, labels, overlay) == header + "".join(blocks) == want
         poset_file, scd_file = tmp_path / "p.poset", tmp_path / "d.scd"
         poset_file.write_text(serialize_poset(p), encoding="utf-8")
         argv = ["render", str(poset_file), "--format", "dot", "--labels", labels]
@@ -592,8 +591,8 @@ class TestDotBlocks:
                     overlays.append(scd_n2(m))
                 for overlay in overlays:
                     for labels in ("partition", "composition", "young"):
-                        spec = RenderSpec(labels=labels, highlight=overlay)
-                        assert to_dot(p, spec) == reference_to_dot(p, spec), (m, n, labels)
+                        assert (to_dot(p, labels, overlay)
+                                == reference_to_dot(p, labels, overlay)), (m, n, labels)
 
     def test_render_holds_one_block_at_a_time(self, tmp_path, monkeypatch):
         # L'(30,3) with Lindström's chains: 5,456 elements, 14,880 covers and
@@ -604,7 +603,7 @@ class TestDotBlocks:
         poset_file, scd_file = tmp_path / "p.poset", tmp_path / "d.scd"
         poset_file.write_text(text, encoding="utf-8")
         scd_file.write_text(serialize_decomposition(lindstrom(30)), encoding="utf-8")
-        size = len(to_dot(p, RenderSpec(highlight=lindstrom(30))))
+        size = len(to_dot(p, highlight=lindstrom(30)))
         with open(os.devnull, "w", encoding="utf-8") as sink:
             monkeypatch.setattr(sys, "stdout", sink)
             argv = ["render", str(poset_file), "--scd", str(scd_file), "--format", "dot"]

@@ -21,7 +21,7 @@ from younglat.poset import (
     rank_profile,
     serialize_poset,
 )
-from younglat.render import RenderSpec, to_dot, to_svg
+from younglat.render import to_dot, to_svg
 from younglat.scd import (
     DEFAULT_BUDGET,
     ChainDecomposition,
@@ -438,6 +438,16 @@ class TestBruteForce:
         assert result.status == "found"
         assert len(result.decomposition) == 0
 
+    @pytest.mark.parametrize("budget", [0, DEFAULT_BUDGET])
+    @pytest.mark.parametrize("shape", [(0, 0), (0, 5), (5, 0), (0, 10**9), (10**9, 0)])
+    def test_empty_lattice_is_found_with_no_assignment(self, shape, budget):
+        # the search loop itself ends an empty lattice: no top, so no chain
+        p = build_lattice(Shape(*shape), "composition")
+        result = brute_force_scd(p, budget)
+        assert (result.status, result.assignments) == ("found", 0)
+        assert result.decomposition.chains == ()
+        assert result.decomposition.shape == p.shape == shape
+
     def test_works_in_partition_coordinates(self):
         p = build_lattice(Shape(3, 3), "partition")
         result = brute_force_scd(p)
@@ -601,6 +611,16 @@ class TestDecompositionFiles:
         with pytest.raises(ValueError):
             ChainDecomposition(Shape(1, 3), [()])
 
+    @pytest.mark.parametrize("text, line", [
+        ("scd L'(1,3) chains=1\n\n1000 0100 0010 0001\n", 2),
+        ("scd L'(1,3) chains=1\n \t \n1000 0100 0010 0001\n", 2),
+        ("scd L'(1,3) chains=1\n1000 0100 0010 0001\n\n", 3),
+    ], ids=["empty", "blanks", "trailing"])
+    def test_parse_rejects_an_empty_chain_line(self, text, line):
+        with pytest.raises(ParseError) as err:
+            parse_with_and_without(text, build_lattice(Shape(1, 3), "composition"))
+        assert (err.value.line, str(err.value)) == (line, f"line {line}: empty chain line")
+
     @pytest.mark.parametrize("chains", [[((1,), 1, 0)], [(None,)], [(5,)], 5])
     def test_chains_of_entries_that_are_not_keys_are_rejected(self, chains):
         with pytest.raises(ValueError):
@@ -725,7 +745,7 @@ class TestEveryKeyEndsInAResultOrAValueError:
                 assert [*map(parse_composition, key_lines[:len(listed)])] == listed
             for draw in (to_dot, to_svg):
                 try:
-                    draw(p, RenderSpec(highlight=d))
+                    draw(p, highlight=d)
                 except ValueError:
                     pass
             try:
