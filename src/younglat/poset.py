@@ -32,12 +32,12 @@ from __future__ import annotations
 
 import re
 from bisect import bisect_left
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import (accumulate, chain, combinations_with_replacement, compress, count,
                        islice, repeat)
 from math import comb
 from operator import itemgetter, sub
+from typing import NamedTuple
 
 from .partitions import (
     KEY_ENTRY_LIMIT,
@@ -65,41 +65,35 @@ class ParseError(ValueError):
         self.line = line
 
 
-@dataclass(frozen=True)
-class RankPolynomial:
-    """Nonnegative integer coefficients; index ``k`` counts rank-``k`` elements."""
+class RankPolynomial(tuple):
+    """Nonnegative integer coefficients, as the tuple's items; item ``k``
+    counts rank-``k`` elements, so it compares equal to the plain tuple."""
 
-    coefficients: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "coefficients", tuple(self.coefficients))
+    def __repr__(self) -> str:
+        return f"RankPolynomial(coefficients={tuple(self)!r})"
 
-    def __len__(self) -> int:
-        return len(self.coefficients)
-
-    def __getitem__(self, k: int) -> int:
-        return self.coefficients[k]
-
-    def __iter__(self):
-        return iter(self.coefficients)
+    @property
+    def coefficients(self) -> tuple[int, ...]:
+        return tuple(self)
 
     @property
     def total(self) -> int:
-        return sum(self.coefficients)
+        return sum(self)
 
     @property
     def is_symmetric(self) -> bool:
-        return self.coefficients == self.coefficients[::-1]
+        return self == self[::-1]
 
     @property
     def is_unimodal(self) -> bool:
         """Weakly increasing, then weakly decreasing."""
-        c = self.coefficients
         falling = False
-        for i in range(1, len(c)):
-            if c[i] < c[i - 1]:
+        for i in range(1, len(self)):
+            if self[i] < self[i - 1]:
                 falling = True
-            elif c[i] > c[i - 1] and falling:
+            elif self[i] > self[i - 1] and falling:
                 return False
         return True
 
@@ -337,9 +331,9 @@ def _plus_shifted(a: list[int], b: list[int], k: int) -> list[int]:
     return out
 
 
-@dataclass(frozen=True)
-class SplitCheck:
-    """Result of the one-step splitting checks for an ``(m, n)`` box."""
+class SplitCheck(NamedTuple):
+    """Result of the one-step splitting checks for an ``(m, n)`` box, a named
+    tuple; it is true when every check passed."""
 
     shape: Shape
     first_identity: bool

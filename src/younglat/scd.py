@@ -24,10 +24,9 @@ file that parses is the writer's text up to line ends and runs of blanks.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
 from itertools import chain, compress, islice
 from operator import sub
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .partitions import (
     Shape,
@@ -82,9 +81,9 @@ class ChainDecomposition:
         return (self.shape, self.chains) == (other.shape, other.chains)
 
 
-@dataclass(frozen=True)
-class ScdReport:
-    """Verification outcome: defect lists plus the chain-start profile."""
+class ScdReport(NamedTuple):
+    """Verification outcome, a named tuple: the lattice's size, the defect
+    lists and the chain-start profile."""
 
     shape: Shape
     height: int
@@ -95,7 +94,7 @@ class ScdReport:
     unknown: tuple
     unsaturated: tuple[int, ...]
     asymmetric: tuple[int, ...]
-    start_profile: dict[int, int] = field(default_factory=dict)
+    start_profile: dict[int, int]
 
     @property
     def passed(self) -> bool:
@@ -298,9 +297,8 @@ def lindstrom(m: int) -> ChainDecomposition:
 # brute-force oracle
 
 
-@dataclass(frozen=True)
-class SearchResult:
-    """Outcome of the backtracking search.
+class SearchResult(NamedTuple):
+    """Outcome of the backtracking search, a named tuple.
 
     ``status`` is ``"found"``, ``"not-found"`` (proven), or
     ``"budget-exhausted"`` (gave up after the assignment budget).

@@ -583,6 +583,17 @@ class TestParserBuiltOnce:
                               capture_output=True, text=True, check=True)
         assert done.stdout == "0\n"
 
+    def test_import_loads_no_code_generators(self):
+        # dataclasses writes and execs source at class creation and loads
+        # inspect with it; compared with the modules present before the
+        # import, so a site hook that preloads either cannot fail this
+        probe = ("import sys; before = set(sys.modules); import younglat.cli; "
+                 "print(sorted({'dataclasses', 'inspect'} & (set(sys.modules) - before)))")
+        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+        done = subprocess.run([sys.executable, "-c", probe], env=env,
+                              capture_output=True, text=True, check=True)
+        assert done.stdout == "[]\n"
+
 
 # valid files of three shapes, the decomposition of each shape at the same index
 _POSETS = [serialize_poset(build_lattice(Shape(*shape))) for shape in ((2, 2), (3, 3), (2, 3))]

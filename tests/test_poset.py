@@ -218,6 +218,31 @@ class TestRankPolynomialType:
     def test_not_symmetric_detected(self):
         assert not RankPolynomial((1, 2)).is_symmetric
 
+    def test_is_the_tuple_of_its_coefficients(self):
+        poly = RankPolynomial((1, 2, 1))
+        assert poly == (1, 2, 1)
+        assert type(poly.coefficients) is tuple and poly.coefficients == (1, 2, 1)
+
+    @pytest.mark.parametrize("poly", [gaussian_binomial(4, 3),
+                                      rank_profile(build_lattice((4, 3)))],
+                             ids=["gaussian_binomial", "rank_profile"])
+    def test_reads_as_before(self, poly):
+        # the figures the dataclass gave for the (4, 3) box
+        assert type(poly) is RankPolynomial
+        assert len(poly) == 13
+        assert (poly[0], poly[6], poly[-1]) == (1, 5, 1)
+        assert list(poly) == [1, 1, 2, 3, 4, 4, 5, 4, 4, 3, 2, 1, 1]
+        assert poly.total == 35 == comb(7, 3)
+        assert poly.is_symmetric and poly.is_unimodal
+        assert repr(poly) == "RankPolynomial(coefficients=(1, 1, 2, 3, 4, 4, 5, 4, 4, 3, 2, 1, 1))"
+
+    def test_is_read_only(self):
+        poly = gaussian_binomial(2, 2)
+        for name in ("coefficients", "other"):
+            with pytest.raises(AttributeError):
+                setattr(poly, name, (1,))
+        assert poly == (1, 1, 2, 1, 1)
+
 
 class TestBuildLattice:
     def test_l33_has_twenty_elements(self):
@@ -968,6 +993,19 @@ def reference_splitting_identities(m, n):
 
 
 class TestSplittingIdentities:
+    def test_is_a_named_tuple_of_the_old_fields(self):
+        check = check_splitting_identities(3, 2)
+        assert SplitCheck._fields == ("shape", "first_identity", "second_identity",
+                                      "with_largest", "without_largest", "split_bijective")
+        assert check == (Shape(3, 2), True, True, 6, 4, True)
+        assert bool(check) == check.passed is True
+        with pytest.raises(AttributeError):
+            check.first_identity = False
+
+    def test_bool_is_passed_when_a_check_fails(self):
+        check = check_splitting_identities(3, 2)._replace(split_bijective=False)
+        assert bool(check) == check.passed is False
+
     def test_composition_replay_matches_the_partition_sets(self):
         for m in range(1, 9):
             for n in range(1, 9):

@@ -25,6 +25,7 @@ from younglat.render import to_dot, to_svg
 from younglat.scd import (
     DEFAULT_BUDGET,
     ChainDecomposition,
+    ScdReport,
     SearchResult,
     brute_force_scd,
     lindstrom,
@@ -282,6 +283,16 @@ class TestIsSymmetricChain:
 
 
 class TestVerifier:
+    def test_report_is_a_named_tuple_of_the_old_fields(self):
+        report = verify_scd(lindstrom(3), build_lattice(Shape(3, 3)))
+        assert ScdReport._fields == ("shape", "height", "poset_size", "chain_count", "missing",
+                                     "duplicated", "unknown", "unsaturated", "asymmetric",
+                                     "start_profile")
+        assert report == (Shape(3, 3), 9, 20, 3, (), (), (), (), (), {0: 1, 2: 1, 3: 1})
+        assert report.passed
+        with pytest.raises(AttributeError):
+            report.missing = ((0, 0, 0, 3),)
+
     def test_single_chain_decomposition_passes(self):
         p = build_lattice(Shape(1, 3), "composition")
         d = ChainDecomposition(Shape(1, 3), [L13_CHAIN])
@@ -384,6 +395,14 @@ class TestAlternatingConstruction:
 
 
 class TestBruteForce:
+    def test_result_is_a_named_tuple_of_the_old_fields(self):
+        result = brute_force_scd(build_lattice(Shape(2, 2)))
+        assert SearchResult._fields == ("status", "decomposition", "assignments")
+        status, decomposition, assignments = result
+        assert (status, decomposition.shape, assignments) == ("found", Shape(2, 2), 6)
+        with pytest.raises(AttributeError):
+            result.status = "not-found"
+
     def test_l33_found_and_valid(self):
         p = build_lattice(Shape(3, 3), "composition")
         result = brute_force_scd(p)

@@ -1,7 +1,8 @@
 """The sources parse as Python 3.10, the oldest version ``pyproject.toml``
 declares, and compile on the running interpreter with every warning an
 error, so a ``SyntaxWarning`` (an invalid escape such as ``"\\d"``) fails
-here instead of only being printed.  Standard-library use is not checked."""
+here instead of only being printed.  Standard-library use is not checked,
+except that no module of the package imports ``dataclasses``."""
 
 import ast
 import re
@@ -31,3 +32,17 @@ def test_compiles_with_warnings_as_errors(path):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         compile(path.read_text(encoding="utf-8"), str(path), "exec", dont_inherit=True)
+
+
+@pytest.mark.parametrize("path", sorted((ROOT / "src").rglob("*.py")),
+                         ids=lambda path: str(path.relative_to(ROOT)))
+def test_package_does_not_import_dataclasses(path):
+    # a dataclass generates and execs its methods' source at import, and
+    # dataclasses loads inspect, ast and dis: records here are tuples
+    imported = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            imported.add(node.module)
+    assert "dataclasses" not in {name.partition(".")[0] for name in imported}
