@@ -113,7 +113,7 @@ def _cmd_lattice(args) -> int:
 
 def _cmd_ranks(args) -> int:
     # palindromic: format the lower half once and write it, then its mirror
-    c = gaussian_binomial(args.m, args.n).coefficients
+    c = gaussian_binomial(args.m, args.n)
     lines = list(map(str, c[: (len(c) + 1) // 2]))
     lines += lines[: len(c) // 2][::-1]
     sys.stdout.write("\n".join(lines) + "\n")

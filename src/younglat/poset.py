@@ -30,7 +30,6 @@ come, and the parser compares a text with them block by block, in place.
 
 from __future__ import annotations
 
-import re
 from bisect import bisect_left
 from functools import cached_property
 from itertools import (accumulate, chain, combinations_with_replacement, compress, count,
@@ -48,9 +47,6 @@ from .partitions import (
     format_compositions,
     parse_natural,
 )
-
-# the header line: up to the first character at which str.splitlines ends a line
-_FIRST_LINE = re.compile(r"[^\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029]*")
 
 ELEMENT_LIMIT = 4_000_000  # above L(12,12); build_lattice refuses larger lattices
 DEGREE_LIMIT = 90_000  # m * n of L(300,300); gaussian_binomial refuses larger boxes
@@ -385,10 +381,10 @@ def check_splitting_identities(m: int, n: int) -> SplitCheck:
 
 def _blocks(template: str, rows):
     """``template`` filled from ``rows``, equal-length tuples of its values,
-    ``_BLOCK_LINES`` rows to a block: one ``%`` over the block's values, one
-    line per ``len(row)`` of them.  ``rows`` is read as an iterator, never
-    sliced, so any iterable will do, and no row is held once its values are
-    taken, so ``zip`` can reuse its tuple for the next row."""
+    ``_BLOCK_LINES`` rows to a block: one ``%`` per block, one line per
+    ``len(row)`` values.  ``rows`` is read once, as an iterator, so ``zip``
+    may reuse its tuple.  For text that streams: the poset writer's
+    (``lattice``, :func:`parse_poset`'s comparison) and ``render --format dot``'s."""
     rows = iter(rows)
     for first in rows:
         values = (*first, *chain.from_iterable(islice(rows, _BLOCK_LINES - 1)))
@@ -434,12 +430,13 @@ def _parse_label(label: str) -> tuple[Shape, str]:
 def _parse_header(text: str) -> tuple[Shape, str]:
     """Shape and coordinates named by the header, the first line of ``text``.
 
-    The line is cut where ``str.splitlines`` would cut it, without splitting
-    the rest of the text.  Only the word ``poset``, the label and the size
-    limit are checked here; ``height=`` and ``count=`` are compared with the
-    rest of the text.
+    The line is cut by ``str.splitlines`` from the text before the first
+    newline, so the rest of the text is not copied.  Only the word
+    ``poset``, the label and the size limit are checked here; ``height=``
+    and ``count=`` are compared with the rest of the text.
     """
-    line = _FIRST_LINE.match(text).group()
+    head = text[:end] if (end := text.find("\n")) >= 0 else text
+    line = (head.splitlines() or [""])[0]
     parts = line.split()
     if len(parts) != 4 or parts[0] != "poset":
         raise ParseError(1, f"bad poset header: {line!r}")

@@ -5,11 +5,11 @@ out by rank, color edges by root index, and optionally overlay a chain
 decomposition (chain edges bold, the rest dimmed), which must be of the
 poset's shape, as the verifier requires (``scd._require_same_shape``).
 Output is a pure function of the inputs, byte for byte.  Both take their
-edge attributes from one table, :func:`_edge_styles`, and write their lines
-of a fixed template in the poset writer's blocks (``poset._blocks``):
-``render`` writes the DOT blocks out as they come, so the command never
-holds the whole drawing, and :func:`to_dot` joins them.  :func:`to_svg`
-makes each coordinate string once and reuses it wherever it is written,
+edge attributes from one table, :func:`_edge_styles`.  The DOT lines come in
+the poset writer's blocks (``poset._blocks``): ``render`` writes them out as
+they come, so the command never holds the whole drawing, and :func:`to_dot`
+joins them.  :func:`to_svg` returns one string, one f-string per edge line,
+and makes each coordinate string once and reuses it wherever it is written,
 with the bytes of formatting it at each place.  Labels and Young cells take
 a node's parts from ``partitions._parts``, and ``format_compositions``
 spells partition labels, except for ``n <= 9``, where each part is one digit.
@@ -33,7 +33,7 @@ class DiagramSizeError(ValueError):
     """Poset too tall for the requested drawing."""
 
 
-def _node_labels(p: GradedPoset, labels: str) -> list[str]:
+def _node_labels(p: GradedPoset, labels: str) -> tuple[str, ...] | list[str]:
     """One label per element, in element order, in the mode ``labels``.
 
     Partition and Young labels are made straight from the composition, by
@@ -42,7 +42,7 @@ def _node_labels(p: GradedPoset, labels: str) -> list[str]:
     """
     comps = p.elements
     if labels == "composition":
-        return list(p.key_strings)
+        return p.key_strings
     if labels == "young":
         return ["\\n".join(map("■".__mul__, _parts(c))) or "∅" for c in comps]
     if labels == "partition":
@@ -188,10 +188,8 @@ def to_svg(p: GradedPoset, labels="partition", highlight: ChainDecomposition | N
         f"  <title>{p.label()}</title>\n"
         '  <g class="edges">\n'
     ]
-    out += _blocks('    <line x1="%s" y1="%s" x2="%s" y2="%s" %s/>\n',
-                   ((x_text[lo], y_text[lo], x_text[hi], y_text[hi],
-                     styles[color][lo * size + hi in chained])
-                    for lo, hi, color in p.covers))
+    out += [f'    <line x1="{x_text[lo]}" y1="{y_text[lo]}" x2="{x_text[hi]}" y2="{y_text[hi]}" '
+            f'{styles[color][lo * size + hi in chained]}/>\n' for lo, hi, color in p.covers]
     out.append('  </g>\n  <g class="nodes">\n')
     cells = _CellRows()
     for r, level in enumerate(levels):

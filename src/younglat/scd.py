@@ -38,8 +38,8 @@ from .partitions import (
     parse_natural,
     weighted_sum,
 )
-from .poset import (GradedPoset, ParseError, _lattice_label, _parse_label, _positions,
-                    _require_within_limit, rank_profile)
+from .poset import (ELEMENT_LIMIT, GradedPoset, ParseError, _lattice_label, _parse_label,
+                    _positions, _require_within_limit, rank_profile)
 
 Chain = tuple[WeakComposition, ...]
 
@@ -51,8 +51,9 @@ class ChainDecomposition:
 
     Chains are sorted by (bottom rank, bottom key, whole chain).  The one
     door for keys: ``ValueError`` unless ``shape`` is two ints >= 0 and each
-    chain and key is nonempty, of ints >= 0.  A key of the wrong length or
-    sum is accepted, for the verifier to report.
+    chain and key is nonempty, of ints in ``0..ELEMENT_LIMIT``, a bound no
+    entry of a lattice ``build_lattice`` makes exceeds.  A key of the wrong
+    length or sum is accepted, for the verifier to report.
     """
 
     __slots__ = ("shape", "chains")
@@ -64,8 +65,11 @@ class ChainDecomposition:
         except TypeError as exc:
             raise ValueError(f"chains must be iterables of keys: {exc}") from None
         keys = [*chain.from_iterable(normalized)]
-        if not (all(normalized) and all(keys) and _ints_at_least([*chain.from_iterable(keys)], 0)):
+        entries = [*chain.from_iterable(keys)]
+        if not (all(normalized) and all(keys) and _ints_at_least(entries, 0)):
             raise ValueError("chains must be nonempty, of nonempty keys of ints >= 0")
+        if max(entries, default=0) > ELEMENT_LIMIT:
+            raise ValueError(f"key entries must be at most ELEMENT_LIMIT = {ELEMENT_LIMIT:,}")
         normalized.sort(key=lambda ch: (weighted_sum(ch[-1]), ch[-1], ch))
         self.chains = tuple(normalized)
 
@@ -449,7 +453,7 @@ def brute_force_scd(p: GradedPoset, budget: int = DEFAULT_BUDGET) -> SearchResul
 def serialize_decomposition(d: ChainDecomposition) -> str:
     """Render ``d`` in the decomposition file format, every key by one
     :func:`format_compositions` call; the constructor admits only keys the
-    reader gives back, so only an entry too long for ``%d`` is refused."""
+    reader gives back, and no entry too long to write in decimal."""
     keys = iter(format_compositions([*chain.from_iterable(d.chains)]))
     lines = [f"scd {_lattice_label(d.shape, 'composition')} chains={len(d.chains)}"]
     lines += [" ".join(islice(keys, len(c))) for c in d.chains]

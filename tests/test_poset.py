@@ -5,7 +5,7 @@ from math import comb
 from time import perf_counter
 
 import pytest
-from hypothesis import example, given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from conftest import (
@@ -972,7 +972,12 @@ class TestOneParseRule:
     @given(st.one_of(st.text(), st.text(alphabet="poset L(2)\n\r\x0b\x0c\x1c\x1d\x1e\x85"
                                                   "\u2028\u2029\t")))
     def test_header_is_the_first_line_splitlines_cuts(self, text):
-        assert poset._FIRST_LINE.match(text).group() == (text.splitlines() or [""])[0]
+        first = (text.splitlines() or [""])[0]
+        words = first.split()
+        assume(len(words) != 4 or words[0] != "poset")
+        with pytest.raises(ParseError) as err:
+            parse_poset(text)
+        assert str(err.value) == f"line 1: bad poset header: {first!r}"
 
 
 def reference_splitting_identities(m, n):

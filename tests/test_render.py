@@ -419,7 +419,12 @@ class TestSvgMatchesTheFrozenDrawing:
     one ``%``; the text is byte for byte that of :func:`reference_to_svg`."""
 
     @pytest.mark.parametrize("coords", ["partition", "composition"])
-    def test_every_shape_up_to_6_6(self, coords):
+    def test_every_shape_up_to_6_6(self, monkeypatch, coords):
+        # the SVG is one string; poset._blocks is for text that streams
+        def refuse(*args):
+            raise AssertionError("to_svg called poset._blocks")
+
+        monkeypatch.setattr(render, "_blocks", refuse)
         for m in range(7):
             for n in range(7):
                 p = build_lattice(Shape(m, n), coords)
