@@ -35,7 +35,6 @@ need no coordination.
 
 from __future__ import annotations
 
-import re
 from collections import Counter
 from functools import lru_cache
 from itertools import accumulate, chain, repeat
@@ -63,10 +62,20 @@ class InvalidCompositionError(ValueError):
     """Raised when a weak composition has the wrong length, sum, or sign."""
 
 
+def _spell(value, spec: str = "") -> str:
+    """A caller's value as a message spells it: ``format(value, spec)``, with
+    no ``spec`` its ``repr``, and a fixed text for an int too long for decimal."""
+    try:
+        return format(value, spec) if spec else repr(value)
+    except ValueError:
+        return "<an int too long to spell>"
+
+
 def _require_entries(count: int) -> None:
     """``ValueError`` for a result of ``count`` entries, over ``KEY_ENTRY_LIMIT``."""
     if count > KEY_ENTRY_LIMIT:
-        raise ValueError(f"a result of {count:,} entries, over the limit of {KEY_ENTRY_LIMIT:,}")
+        raise ValueError(f"a result of {_spell(count, ',')} entries, over the limit of "
+                         f"{KEY_ENTRY_LIMIT:,}")
 
 
 def _ints_at_least(values: Sequence, least: int) -> bool:
@@ -79,9 +88,9 @@ def _checked_shape(shape, least: int = 0) -> Shape:
     """``Shape(*shape)``; ``ValueError`` unless ``shape`` is a tuple or list of
     exactly two ints of at least ``least``."""
     if not isinstance(shape, (tuple, list)) or len(shape) != 2:
-        raise ValueError(f"a shape is two lattice dimensions (m, n), got {shape!r}")
+        raise ValueError(f"a shape is two lattice dimensions (m, n), got {_spell(shape)}")
     if not _ints_at_least(shape, least):
-        raise ValueError(f"lattice dimensions must be ints >= {least}, got {shape!r}")
+        raise ValueError(f"lattice dimensions must be ints >= {least}, got {_spell(shape)}")
     return Shape(*shape)
 
 
@@ -91,12 +100,12 @@ def as_partition(parts: Iterable[int]) -> Partition:
     rule for what a partition is."""
     out = tuple(parts)
     if not _ints_at_least(out, 0):
-        raise ValueError(f"parts must be ints >= 0, got {out!r}")
+        raise ValueError(f"parts must be ints >= 0, got {_spell(out)}")
     size = len(out)
     while size and not out[size - 1]:
         size -= 1
     if any(map(lt, out[:size], out[1:size])):
-        raise ValueError(f"parts must be positive and non-increasing, got {out}")
+        raise ValueError(f"parts must be positive and non-increasing, got {_spell(out)}")
     return out[:size]
 
 
@@ -109,7 +118,7 @@ def _require_fits(a: Iterable[int], shape: Shape) -> tuple[int, ...]:
     _require_entries(m)
     a = as_partition(a)
     if len(a) > m or (a and a[0] > n):
-        raise InvalidElementError(f"partition {a} does not fit in a {m} x {n} box")
+        raise InvalidElementError(f"partition {_spell(a)} does not fit in a {m} x {_spell(n)} box")
     return padded(a, m)
 
 
@@ -118,11 +127,13 @@ def require_composition(c: WeakComposition, shape: Shape) -> None:
     entries, each an int >= 0, for a ``shape`` of two ints >= 0."""
     m, n = _checked_shape(shape)
     if len(c) != n + 1:
-        raise InvalidCompositionError(f"expected {n + 1} entries, got {len(c)} in {c}")
+        raise InvalidCompositionError(f"expected {_spell(n + 1)} entries, got {len(c)} in "
+                                      f"{_spell(c)}")
     if not _ints_at_least(c, 0):
-        raise InvalidCompositionError(f"entries must be ints >= 0, got {c!r}")
+        raise InvalidCompositionError(f"entries must be ints >= 0, got {_spell(c)}")
     if sum(c) != m:
-        raise InvalidCompositionError(f"entries of {c} sum to {sum(c)}, expected {m}")
+        raise InvalidCompositionError(f"entries of {_spell(c)} sum to {_spell(sum(c))}, "
+                                      f"expected {_spell(m)}")
 
 
 def padded(a: Partition, m: int) -> tuple[int, ...]:
@@ -209,9 +220,11 @@ def enumerate_compositions(k: int, p: int) -> list[WeakComposition]:
     of its units one slot left and the rest of it to the last slot.
     """
     if not (_ints_at_least((k,), 0) and _ints_at_least((p,), 1)):
-        raise ValueError(f"need an int total >= 0 and int parts >= 1, got {k!r} and {p!r}")
+        raise ValueError("need an int total >= 0 and int parts >= 1, got "
+                         f"{_spell(k)} and {_spell(p)}")
     if min(k, p - 1) > 32 or comb(k + p - 1, k) * p > KEY_ENTRY_LIMIT:  # C(66, 33) > 7e18
-        raise ValueError(f"{k} into {p} parts: over the limit of {KEY_ENTRY_LIMIT:,} entries")
+        raise ValueError(f"{_spell(k)} into {_spell(p)} parts: over the limit of "
+                         f"{KEY_ENTRY_LIMIT:,} entries")
     c = [0] * (p - 1) + [k]
     out = [tuple(c)]
     while c[0] < k:
@@ -235,10 +248,6 @@ def parse_partition(text: str) -> Partition:
     :func:`parse_composition` reads it, whose entries :func:`as_partition`
     then checks ("320" and "0" still read, as (3, 2) and ())."""
     return () if text == "∅" else as_partition(parse_composition(text))
-
-
-# the bracketed key spelling: ASCII numbers without leading zeros, comma-separated
-_BRACKETED_KEY = re.compile(r"\[(?:0|[1-9][0-9]*)(?:,(?:0|[1-9][0-9]*))*\]")
 
 
 @lru_cache(maxsize=64)  # bounded: key lengths come from input files too
@@ -285,15 +294,13 @@ def parse_natural(text: str) -> int:
 
 def parse_composition(text: str) -> WeakComposition:
     """Inverse of :func:`format_composition`, accepting only the strings it
-    writes: one ASCII digit per entry or, when an entry exceeds 9, a
-    bracketed list of numbers without leading zeros (syntax check only)."""
-    if text.startswith("["):
-        if not _BRACKETED_KEY.fullmatch(text):
-            raise ValueError(f"not a composition key: {text!r}")
-        key = tuple(map(int, text[1:-1].split(",")))
-        if len(text) == 2 * len(key) + 1:  # every entry is one digit
-            raise ValueError(f"bracketed key with no entry over 9: {text!r}")
-        return key
-    if not (text.isascii() and text.isdigit()):
-        raise ValueError(f"not a composition key: {text!r}")
-    return tuple(map(int, text))
+    writes: one ASCII digit per entry or, when an entry exceeds 9, a bracketed
+    list; each entry is a number as :func:`parse_natural` reads it."""
+    bracketed = text.startswith("[") and text.endswith("]")
+    try:  # the digit spelling reads each character, and "" as one empty entry
+        key = tuple(map(parse_natural, text[1:-1].split(",") if bracketed else text or [""]))
+    except ValueError:
+        raise ValueError(f"not a composition key: {text!r}") from None
+    if bracketed and len(text) == 2 * len(key) + 1:  # every entry is one digit
+        raise ValueError(f"bracketed key with no entry over 9: {text!r}")
+    return key

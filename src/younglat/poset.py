@@ -43,6 +43,7 @@ from .partitions import (
     Shape,
     _checked_shape,
     _shape_template,
+    _spell,
     enumerate_compositions,
     format_compositions,
     parse_natural,
@@ -161,8 +162,8 @@ def gaussian_binomial(m: int, n: int) -> RankPolynomial:
     """
     m, n = _checked_shape((m, n))
     if m * n > DEGREE_LIMIT:
-        raise ValueError(f"the {m} x {n} box has degree {m * n:,}, over the "
-                         f"limit of {DEGREE_LIMIT:,}")
+        raise ValueError(f"the {_spell(m)} x {_spell(n)} box has degree "
+                         f"{_spell(m * n, ',')}, over the limit of {DEGREE_LIMIT:,}")
     m, n = max(m, n), min(m, n)
     lower = [1]
     for i in range(1, n + 1):
@@ -252,7 +253,7 @@ def _require_within_limit(m: int, n: int) -> None:
     """``ValueError`` when the ``(m, n)`` lattice has over ``ELEMENT_LIMIT``
     elements or, if not empty, its keys hold over ``KEY_ENTRY_LIMIT`` entries."""
     if min(m, n) > 32 or comb(m + n, m) > ELEMENT_LIMIT:  # C(66, 33) > 7e18
-        raise ValueError(f"L({m},{n}) has more than {ELEMENT_LIMIT:,} elements")
+        raise ValueError(f"L({_spell(m)},{_spell(n)}) has more than {ELEMENT_LIMIT:,} elements")
     if m and n and comb(m + n, m) * (n + 1) > KEY_ENTRY_LIMIT:
         raise ValueError(f"L({m},{n}) has {comb(m + n, m):,} keys of {n + 1:,} "
                          f"entries, over the limit of {KEY_ENTRY_LIMIT:,} entries")
@@ -293,7 +294,7 @@ def build_lattice(shape: Shape, coordinates: str = "partition") -> GradedPoset:
     shape = _checked_shape(shape)
     m, n = shape
     if coordinates not in ("partition", "composition"):
-        raise ValueError(f"unknown coordinate system {coordinates!r}")
+        raise ValueError(f"unknown coordinate system {_spell(coordinates)}")
     if m == 0 or n == 0:
         return GradedPoset(shape, coordinates, (), (), ())
     _require_within_limit(m, n)

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from operator import sub
 
-from .partitions import (Shape, WeakComposition, _ints_at_least, _require_entries,
+from .partitions import (Shape, WeakComposition, _ints_at_least, _require_entries, _spell,
                          require_composition)
 
 
@@ -28,14 +28,14 @@ def edge_color(lower: WeakComposition, upper: WeakComposition) -> int:
     if not _ints_at_least((*lower, *upper), 0):
         raise ValueError("keys must be tuples of ints >= 0")
     if len(lower) != len(upper):
-        raise NotACoverError(f"slot counts differ: {upper} vs {lower}")
+        raise NotACoverError(f"slot counts differ: {_spell(upper)} vs {_spell(lower)}")
     # upper - lower must be e_j - e_(j+1): a 1, a -1 right after it, zeros elsewhere
     delta = tuple(map(sub, upper, lower))
     if delta.count(0) == len(delta) - 2 and 1 in delta:
         j = delta.index(1)
         if delta[j + 1 : j + 2] == (-1,):
             return j + 1
-    raise NotACoverError(f"{upper} does not cover {lower}")
+    raise NotACoverError(f"{_spell(upper)} does not cover {_spell(lower)}")
 
 
 def weight_string(gamma: WeakComposition, j: int, shape: Shape) -> tuple[WeakComposition, ...]:
@@ -49,7 +49,7 @@ def weight_string(gamma: WeakComposition, j: int, shape: Shape) -> tuple[WeakCom
     """
     require_composition(gamma, shape)
     if not _ints_at_least((j,), 1) or j >= len(gamma):
-        raise ValueError(f"root index must be an int in 1..{len(gamma) - 1}, got {j!r}")
+        raise ValueError(f"root index must be an int in 1..{len(gamma) - 1}, got {_spell(j)}")
     room_up = gamma[j]        # units that can move left into slot j
     room_down = gamma[j - 1]  # units that can move right out of slot j
     _require_entries((room_up + room_down + 1) * len(gamma))
@@ -73,5 +73,5 @@ def root_color(j: int) -> str:
     extended palette after, hex beyond; distinct for distinct roots.  A ``j``
     that is not an int >= 1 raises ``ValueError``."""
     if not _ints_at_least((j,), 1):
-        raise ValueError(f"root index must be an int >= 1, got {j!r}")
+        raise ValueError(f"root index must be an int >= 1, got {_spell(j)}")
     return _PALETTE[j - 1] if j <= len(_PALETTE) else f"#{j:06x}"

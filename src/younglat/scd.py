@@ -33,9 +33,9 @@ from .partitions import (
     WeakComposition,
     _checked_shape,
     _ints_at_least,
+    _spell,
     format_compositions,
     parse_composition,
-    parse_natural,
     weighted_sum,
 )
 from .poset import (ELEMENT_LIMIT, GradedPoset, ParseError, _lattice_label, _parse_label,
@@ -127,7 +127,7 @@ def _require_same_shape(d: ChainDecomposition, p: GradedPoset) -> None:
     """Raise ``ValueError`` unless ``d`` decomposes a lattice of ``p``'s shape."""
     if d.shape != p.shape:
         raise ValueError(f"shape mismatch: poset {p.label()} vs decomposition "
-                         + _lattice_label(d.shape, "composition"))
+                         + _lattice_label(Shape(*map(_spell, d.shape)), "composition"))
 
 
 def verify_scd(d: ChainDecomposition, p: GradedPoset) -> ScdReport:
@@ -366,7 +366,7 @@ def brute_force_scd(p: GradedPoset, budget: int = DEFAULT_BUDGET) -> SearchResul
     raises ``ValueError`` before any work.
     """
     if not _ints_at_least((budget,), 0):
-        raise ValueError(f"budget must be an int >= 0, got {budget!r}")
+        raise ValueError(f"budget must be an int >= 0, got {_spell(budget)}")
     n_el = len(p)
     ht = p.height
     counts = rank_profile(p)
@@ -450,12 +450,16 @@ def brute_force_scd(p: GradedPoset, budget: int = DEFAULT_BUDGET) -> SearchResul
 # file format
 
 
+def _header(shape: Shape, chains: int) -> str:
+    return f"scd {_lattice_label(shape, 'composition')} chains={chains}"
+
+
 def serialize_decomposition(d: ChainDecomposition) -> str:
-    """Render ``d`` in the decomposition file format, every key by one
-    :func:`format_compositions` call; the constructor admits only keys the
-    reader gives back, and no entry too long to write in decimal."""
+    """Render ``d`` in the decomposition file format: :func:`_header`, then
+    every key by one :func:`format_compositions` call; the constructor admits
+    only keys the reader gives back, and no entry too long to write in decimal."""
     keys = iter(format_compositions([*chain.from_iterable(d.chains)]))
-    lines = [f"scd {_lattice_label(d.shape, 'composition')} chains={len(d.chains)}"]
+    lines = [_header(d.shape, len(d.chains))]
     lines += [" ".join(islice(keys, len(c))) for c in d.chains]
     return "\n".join(lines) + "\n"
 
@@ -463,9 +467,10 @@ def serialize_decomposition(d: ChainDecomposition) -> str:
 def parse_decomposition(text: str, poset: GradedPoset | None = None) -> ChainDecomposition:
     """Parse a decomposition file; semantic checks are left to the verifier.
 
-    The chains must come in canonical order, so a text that parses is
-    :func:`serialize_decomposition` of the result up to line ends and runs
-    of blanks.
+    As :func:`poset.parse_poset` does, it takes only the writer's text, up
+    to line ends and runs of blanks: line 1 (``scd`` and a label) is compared
+    with :func:`_header` after the chain lines, so a wrong count fails at
+    line 1, and the chains must come in canonical order.
 
     With ``poset``, a token equal to one of its :attr:`GradedPoset.key_strings`
     reads as that element, and any other token goes through
@@ -474,34 +479,23 @@ def parse_decomposition(text: str, poset: GradedPoset | None = None) -> ChainDec
     the result, and every :class:`ParseError` with its line and message, is
     the same with any poset or none: the poset only saves parsing.
     """
-    lines = text.splitlines()
-    if not lines:
-        raise ParseError(1, "empty decomposition file")
+    lines = text.splitlines() or [""]
     fields = lines[0].split()
-    if len(fields) != 3 or fields[0] != "scd" or not fields[1].startswith("L'("):
+    if len(fields) != 3 or fields[0] != "scd":
         raise ParseError(1, f"bad decomposition header: {lines[0]!r}")
     shape, _ = _parse_label(fields[1])
-    key_name, _, value = fields[2].partition("=")
-    try:
-        if key_name != "chains":
-            raise ValueError(key_name)
-        declared = parse_natural(value)
-    except ValueError:
-        raise ParseError(1, f"bad header field: {fields[2]!r}") from None
     known = dict(zip(poset.key_strings, poset.elements)) if poset is not None else {}
     chains = []
-    for offset, line in enumerate(lines[1:]):
-        line_no = offset + 2
+    for line_no, line in enumerate(lines[1:], 2):
         if not line.strip():
             raise ParseError(line_no, "empty chain line")
         try:
             chains.append(tuple(known.get(tok) or parse_composition(tok) for tok in line.split()))
         except ValueError as exc:
             raise ParseError(line_no, str(exc)) from None
-    if len(chains) != declared:
-        raise ParseError(
-            len(lines), f"header declares {declared} chains, found {len(chains)}"
-        )
+    header = _header(shape, len(chains))
+    if fields != header.split():
+        raise ParseError(1, f"expected {header!r}, got {lines[0]!r}")
     d = ChainDecomposition(shape, chains)
     for line_no, (chain, canonical) in enumerate(zip(chains, d.chains), 2):
         if chain != canonical:

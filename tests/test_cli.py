@@ -409,11 +409,13 @@ class TestErrorPaths:
         code, out, err = run(capsys, "scd", "verify", str(poset_file), str(scd_file))
         assert code == 2
         assert out == ""
-        # a poset header's fields are compared with the writer's, after the
-        # line count: the one-line poset file fails on its missing second line
+        # both headers' fields are compared with the writer's: a poset header
+        # after the line count, so the one-line poset file fails on its
+        # missing second line, a decomposition header after the chain lines
         expected = {
             "height=\u00b2": f"{poset_file}: line 2: expected 13 lines, got 1",
-            "chains=\u00b2": f"{scd_file}: line 1: bad header field: {field!r}",
+            "chains=\u00b2": f"{scd_file}: line 1: expected \"scd L'(2,2) chains=0\", "
+                             f"got \"scd L'(2,2) {field}\"",
         }
         assert err == f"error: {expected[field]}\n"
 

@@ -1,4 +1,5 @@
 import random
+import re
 from itertools import combinations, product
 from math import comb
 
@@ -24,6 +25,7 @@ from younglat.partitions import (
     InvalidCompositionError,
     InvalidElementError,
     Shape,
+    _checked_shape,
     as_partition,
     complement,
     conjugate,
@@ -42,9 +44,24 @@ from younglat.partitions import (
     to_multiplicity,
     weighted_sum,
 )
-from younglat.poset import build_lattice
+from younglat.poset import build_lattice, check_splitting_identities, gaussian_binomial
 from younglat.roots import edge_color, root_color, weight_string
-from younglat.scd import ChainDecomposition, brute_force_scd
+from younglat.scd import ChainDecomposition, brute_force_scd, lindstrom, scd_n2
+
+
+# the bracketed key spelling as a regex grammar once read it: ASCII numbers
+# without leading zeros, comma-separated; frozen here as the reference
+_BRACKETED_KEY = re.compile(r"\[(?:0|[1-9][0-9]*)(?:,(?:0|[1-9][0-9]*))*\]")
+
+
+def reference_parse_composition(text):
+    """The key ``text`` spells by the frozen grammar and the digit form, or None."""
+    if text.startswith("["):
+        if not _BRACKETED_KEY.fullmatch(text):
+            return None
+        key = tuple(map(int, text[1:-1].split(",")))
+        return None if len(text) == 2 * len(key) + 1 else key
+    return tuple(map(int, text)) if text.isascii() and text.isdigit() else None
 
 
 def partitions_st(max_part=12, max_len=8):
@@ -404,6 +421,27 @@ class TestStrings:
         with pytest.raises(ValueError):
             parse_natural(text)
 
+    @given(st.text(alphabet="[],019-+_ \u0663", max_size=12))
+    @example("[10,0,2,0]")
+    @example("[10,,0]")
+    @example("[]")
+    @example("")
+    @example("[9]")
+    def test_keys_read_as_the_bracket_grammar_read_them(self, text):
+        # the same key for every text the earlier regex grammar accepted, and
+        # a refusal for every other
+        try:
+            key = parse_composition(text)
+        except ValueError:
+            key = None
+        assert key == reference_parse_composition(text)
+
+    def test_an_entry_too_long_for_decimal_is_not_a_key(self):
+        text = "[" + "1" * 5001 + ",0]"
+        with pytest.raises(ValueError) as err:
+            parse_composition(text)
+        assert str(err.value) == f"not a composition key: {text!r}"
+
     def test_parse_rejects_garbage(self):
         with pytest.raises(ValueError):
             parse_composition("12a0")
@@ -488,6 +526,62 @@ def test_an_int_subclass_is_refused(call):
     # each of these was accepted as the int it stands for
     with pytest.raises(ValueError):
         call()
+
+
+BIG = 10**5000  # too long for Python to spell in decimal
+
+# every int position of the public callables with int arguments, each filled
+# by one value while the others stay valid
+INT_POSITIONS = {
+    "shape-m": lambda v: _checked_shape((v, -1)),
+    "shape-n": lambda v: _checked_shape((-1, v)),
+    "part": lambda v: as_partition((v, -1)),
+    "decomposition-shape-m": lambda v: ChainDecomposition((v, -1), []),
+    "decomposition-shape-n": lambda v: ChainDecomposition((3, v), []),
+    "lattice-m": lambda v: build_lattice((v, 1)),
+    "lattice-n": lambda v: build_lattice((1, v)),
+    "lindstrom": lindstrom,
+    "scd_n2": scd_n2,
+    "identities-m": lambda v: check_splitting_identities(v, 1),
+    "identities-n": lambda v: check_splitting_identities(1, v),
+    "gaussian-m": lambda v: gaussian_binomial(v, 1),
+    "gaussian-n": lambda v: gaussian_binomial(1, v),
+    "compositions-total": lambda v: enumerate_compositions(v, 2),
+    "compositions-parts": lambda v: enumerate_compositions(2, v),
+    "root_color": root_color,
+    "budget": lambda v: brute_force_scd(build_lattice((1, 1)), v),
+    "edge-color-slots": lambda v: edge_color((v, 0), (0,)),
+    "edge-color-entry": lambda v: edge_color((v, 0), (0, 1)),
+    "weight-string-root": lambda v: weight_string((1, 0, 1, 0), v, (2, 3)),
+    "leq-shape-m": lambda v: leq((1,), (2,), (v, 3)),
+    "leq-shape-n": lambda v: leq((1,), (2,), (2, v)),
+    "covers-shape-m": lambda v: covers((2,), (1,), (v, 3)),
+    "covers-shape-n": lambda v: covers((2,), (1,), (2, v)),
+    "complement-shape-m": lambda v: complement((1,), (v, 3)),
+    "complement-shape-n": lambda v: complement((1,), (2, v)),
+    "to-multiplicity-shape-m": lambda v: to_multiplicity((1,), (v, 3)),
+    "to-multiplicity-shape-n": lambda v: to_multiplicity((1,), (2, v)),
+    "from-multiplicity-shape-m": lambda v: from_multiplicity((1, 0, 1, 0), (v, 3)),
+    "from-multiplicity-shape-n": lambda v: from_multiplicity((1, 0, 1, 0), (2, v)),
+    "require-composition-shape-m": lambda v: require_composition((1, 0, 1, 0), (v, 3)),
+    "require-composition-shape-n": lambda v: require_composition((1, 0, 1, 0), (2, v)),
+    "weight-string-shape-m": lambda v: weight_string((1, 0, 1, 0), 1, (v, 3)),
+    "weight-string-shape-n": lambda v: weight_string((1, 0, 1, 0), 1, (2, v)),
+}
+
+
+@pytest.mark.parametrize("fill", INT_POSITIONS.values(), ids=INT_POSITIONS.keys())
+def test_an_int_argument_ends_in_a_result_or_a_message_of_its_own(fill):
+    # a message that spelled an int too long for decimal raised Python's
+    # "Exceeds the limit (4300 digits)" in place of its own text
+    def fill_all():
+        for value in (0, 1, -1, True, BIG, -BIG):
+            try:
+                fill(value)
+            except ValueError as exc:
+                assert "Exceeds the limit" not in str(exc)
+
+    assert traced_peak(fill_all) < 64 * 2**20
 
 
 SMALL_VALUES = st.one_of(st.integers(-3, 12), st.booleans(), st.floats(), st.none(),

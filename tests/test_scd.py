@@ -627,6 +627,32 @@ class TestDecompositionFiles:
         with pytest.raises(ParseError):
             parse_decomposition("scd L'(1,3) chains=2\n1000 0100 0010 0001\n")
 
+    # the header is compared with the writer's, as a poset header is: a field
+    # spelled another way, another field name, a count of chains the body does
+    # not have, and the partition-side label are all one refusal, at line 1
+    @pytest.mark.parametrize("header", ["scd L'(1,3) chains=01", "scd L'(1,3) chains=\u00b2",
+                                        "scd L'(1,3) chainz=1", "scd L'(1,3) chains=2",
+                                        "scd L(1,3) chains=1"])
+    def test_a_header_that_is_not_the_writers_is_refused_at_line_1(self, header):
+        p = build_lattice(Shape(1, 3), "composition")
+        with pytest.raises(ParseError) as err:
+            parse_with_and_without(f"{header}\n1000 0100 0010 0001\n", p)
+        assert err.value.line == 1
+        assert str(err.value) == f"line 1: expected \"scd L'(1,3) chains=1\", got {header!r}"
+
+    def test_an_empty_file_is_a_bad_header(self):
+        with pytest.raises(ParseError) as err:
+            parse_decomposition("")
+        assert str(err.value) == "line 1: bad decomposition header: ''"
+
+    def test_an_entry_too_long_for_decimal_is_refused_at_its_line(self):
+        # the entry once reached int() and ended in Python's "Exceeds the limit"
+        key = "[" + "1" * 5001 + ",0]"
+        p = build_lattice(Shape(1, 1), "composition")
+        with pytest.raises(ParseError) as err:
+            parse_with_and_without(f"scd L'(1,1) chains=1\n{key}\n", p)
+        assert str(err.value) == f"line 2: not a composition key: {key!r}"
+
     def test_empty_chain_rejected(self):
         with pytest.raises(ValueError):
             ChainDecomposition(Shape(1, 3), [()])
