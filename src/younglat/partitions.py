@@ -273,11 +273,13 @@ def format_compositions(keys: Sequence[WeakComposition]) -> list[str]:
     """Each key bracketed ("[10,0,2,0]", "[-1,3,0]"), by one ``%`` of the keys'
     templates joined by newlines over all their entries, then cut to its
     digits ("1120") when its text is ``2 * len(key) + 1`` long: when every
-    entry is one character, 0..9.  A non-number entry raises ``ValueError``."""
+    entry is one character, 0..9.  A non-number or overlong entry raises ``ValueError``."""
     try:
         text = "\n".join(map(_key_templates, map(len, keys))) % tuple(chain.from_iterable(keys))
     except TypeError as exc:
         raise ValueError(f"keys must be tuples of ints: {exc}") from None
+    except ValueError:
+        raise ValueError("key entries must be numbers short enough to write in decimal") from None
     return [s if len(s) != 2 * len(c) + 1 else s[1:-1:2] for s, c in zip(text.split("\n"), keys)]
 
 

@@ -225,7 +225,7 @@ class GradedPoset:
         try:
             return self._index[key]
         except KeyError:
-            raise KeyError(f"unknown element {key}") from None
+            raise KeyError(f"unknown element {_spell(key)}") from None
 
     def levels(self) -> list[range]:
         """Element indices grouped by rank, rank 0 first: the ranges between

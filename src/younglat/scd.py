@@ -218,49 +218,42 @@ def scd_n2(m: int) -> ChainDecomposition:
     return ChainDecomposition(Shape(m, 2), chains)
 
 
-def _chain(k: int, i: int, s: int, cut: int, detour: Chain = ()) -> Chain:
+def _chain(k: int, i: int, s: int, detour: Chain = ()) -> Chain:
     """Chain ``i`` of the shell of ``k`` at offset ``s``, by the one rule of
     every Lindström chain: the :func:`_zigzag` from ``(k - 2i, 2i, 0)`` on the
-    last-slot-zero face of layer ``s`` less its last ``cut`` keys, ``detour``,
-    and a sweep of one key per rank down to rank ``2i`` (from the layer's
-    bottom ``3s``) on the first-slot-zero face.  With ``e = cut - len(detour)``
-    it starts at rank ``k - 1 + 2i + e``, one below the head, and its second
-    slot climbs from ``i`` one every two ranks above rank ``k - 1 - e``."""
+    last-slot-zero face of layer ``s`` less its last ``e + len(detour)`` keys,
+    ``detour``, and a sweep of one key per rank down to rank ``2i`` (from the
+    layer's bottom ``3s``) on the first-slot-zero face; ``e`` is 1 for even
+    ``k``, whose shell is two layers deep, else 0.  The sweep starts at rank
+    ``k - 1 + 2i + e``, one below the head, and its second slot climbs from
+    ``i`` one every two ranks above rank ``k - 1 - e``."""
     face = _zigzag(k - 2 * i, 2 * i)
-    chain = [(a + s, b, c, s) for a, b, c in face[:len(face) - cut]] + [*detour]
-    e = cut - len(detour)
+    e = 1 - k % 2
+    chain = [(a + s, b, c, s) for a, b, c in face[:len(face) - e - len(detour)]] + [*detour]
     for r in range(k - 1 + 2 * i + e, 2 * i - 1, -1):
         b = i + max(0, (r - k + 1 + e) // 2)
         chain.append((s, b, r - 2 * b, k - r + b + s))
     return tuple(chain)
 
 
-def _odd_shell(m: int, s: int) -> list[Chain]:
-    """Chains covering the two outer faces of the simplex for odd ``m``, at
-    offset ``s`` (``s`` added to the first and last entry of every key, which
-    moves the chains ``s`` layers into a larger simplex, their endpoint ranks
-    up by ``3s`` and the height to ``3m + 6s``).  Chain ``i`` is the whole
-    zigzag from ``(m - 2i, 2i, 0, 0)`` and its sweep, from rank ``3m - 2i``
-    down to ``2i``; together they cover the keys with a first or last 0."""
-    return [_chain(m, i, s, 0) for i in range((m + 1) // 2)]
-
-
-def _even_shell(m: int, s: int) -> list[Chain]:
-    """Chains covering the outer two layers of the simplex for even ``m``,
-    at offset ``s`` as in :func:`_odd_shell`: ``(s, 0, 0, s)`` for ``m = 0``,
-    ``_TWO_COLUMN`` for ``m = 2``.  From ``m = 4`` on, one chain runs the
-    edge shared by the outer faces; outer chains stop their zigzag two keys
-    short of it and detour through one inner-layer element, and inner chains
-    stop one short of the inner edge, whose even positions the detours took.
-    Odd or negative ``m`` raises ``ValueError``."""
-    if m < 0 or m % 2:
-        raise ValueError(f"even shell needs even m >= 0, got {m}")
-    if m == 2:
+def _shell(k: int, s: int) -> list[Chain]:
+    """The chains of the shell of ``k`` at offset ``s`` (``s`` added to the
+    first and last entry of every key, which moves the chains ``s`` layers
+    into a larger simplex, their endpoint ranks up by ``3s`` and the height
+    to ``3k + 6s``).  Odd ``k``: chain ``i`` is the whole zigzag from
+    ``(k - 2i, 2i, 0, 0)`` and its sweep, from rank ``3k - 2i`` down to
+    ``2i``, covering the keys with a first or last 0.  Even ``k``, two
+    layers: ``_TWO_COLUMN`` for ``k = 2``, else a chain down the edge of the
+    outer faces (all of ``k = 0``), outer chains that stop two keys short of
+    it and detour into the inner layer, and inner chains one key short of
+    the inner edge, whose even positions the detours took."""
+    if k % 2:
+        return [_chain(k, i, s) for i in range((k + 1) // 2)]
+    if k == 2:
         return [tuple((a + s, b, c, d + s) for a, b, c, d in chain) for chain in _TWO_COLUMN]
-    return [tuple((s, m - k, k, s) for k in range(m + 1)),
-            *(_chain(m, i, s, 2, ((1 + s, 2 * i, m - 2 - 2 * i, 1 + s),))
-              for i in range(m // 2)),
-            *(_chain(m - 2, j, s + 1, 1) for j in range(m // 2 - 1))]
+    return [tuple((s, k - j, j, s) for j in range(k + 1)),
+            *(_chain(k, i, s, ((1 + s, 2 * i, k - 2 - 2 * i, 1 + s),)) for i in range(k // 2)),
+            *(_chain(k - 2, j, s + 1) for j in range(k // 2 - 1))]
 
 
 # the two chains of the (2, 3) lattice: the conjugated alternating chains of the (3, 2) box
@@ -278,10 +271,10 @@ def lindstrom(m: int) -> ChainDecomposition:
     by adding ``step / 2`` to the first and last entry of every key (ranks
     shift by ``3 * step / 2``, the height by ``3 * step``, so symmetry is
     preserved), and the outer ``step / 2`` layers are filled by the shell of
-    ``m``: :func:`_odd_shell` with step 2 for odd ``m``, :func:`_even_shell`
-    with step 4 for even ``m``.  The recursion bottoms out at ``m % step``,
-    itself a shell: the four-element chain of ``m = 1``, the two-column
-    decomposition of ``m = 2``, or the single node of ``m = 0``.
+    ``m``, :func:`_shell`, with step 2 for odd ``m`` and 4 for even ``m``.
+    The recursion bottoms out at ``m % step``, itself a shell: the
+    four-element chain of ``m = 1``, the two-column decomposition of
+    ``m = 2``, or the single node of ``m = 0``.
 
     Unrolled, shell ``k`` sits at offset ``(m - k) / 2`` for ``k`` from
     ``m % step`` up to ``m`` in steps of ``step``, so each chain is written
@@ -292,8 +285,8 @@ def lindstrom(m: int) -> ChainDecomposition:
     """
     _checked_shape((m, 3), 1)
     _require_within_limit(m, 3)
-    shell, step = (_odd_shell, 2) if m % 2 else (_even_shell, 4)
-    chains = [ch for k in range(m % step, m + 1, step) for ch in shell(k, (m - k) // 2)]
+    step = 2 if m % 2 else 4
+    chains = [ch for k in range(m % step, m + 1, step) for ch in _shell(k, (m - k) // 2)]
     return ChainDecomposition(Shape(m, 3), chains)
 
 

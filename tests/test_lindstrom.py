@@ -12,8 +12,7 @@ from younglat.poset import build_lattice, gaussian_binomial
 from younglat.scd import (
     Chain,
     ChainDecomposition,
-    _even_shell,
-    _odd_shell,
+    _shell,
     lindstrom,
     scd_n2,
     serialize_decomposition,
@@ -111,12 +110,12 @@ def reference_lindstrom(m):
             chains = [shift(ch, 1) for ch in chains]
             chains.extend(reference_odd_shell(k, 0))
     elif m == 2:
-        chains = _even_shell(2, 0)
+        chains = _shell(2, 0)
     else:
         if m % 4 == 0:
             chains, start = [((2, 0, 0, 2),)], 4
         else:
-            chains, start = [shift(ch, 2) for ch in _even_shell(2, 0)], 6
+            chains, start = [shift(ch, 2) for ch in _shell(2, 0)], 6
         chains.extend(reference_even_shell(start, 0))
         for k in range(start + 4, m + 1, 4):
             chains = [shift(ch, 2) for ch in chains]
@@ -228,34 +227,90 @@ class TestShellsMatchTheFrozenReference:
     @pytest.mark.parametrize("s", range(4))
     def test_odd_shell(self, s):
         for m in range(1, 121, 2):
-            assert _odd_shell(m, s) == reference_odd_shell(m, s), (m, s)
+            assert _shell(m, s) == reference_odd_shell(m, s), (m, s)
 
     @pytest.mark.parametrize("s", range(4))
     def test_even_shell(self, s):
         for m in range(4, 121, 2):
-            assert _even_shell(m, s) == reference_even_shell(m, s), (m, s)
+            assert _shell(m, s) == reference_even_shell(m, s), (m, s)
 
     @pytest.mark.parametrize("s", range(4))
     def test_two_column_seed(self, s):
-        assert _even_shell(2, s) == reference_two_column_seed(s)
+        assert _shell(2, s) == reference_two_column_seed(s)
 
     @pytest.mark.parametrize("s", range(4))
     def test_core(self, s):
-        assert _even_shell(0, s) == [((s, 0, 0, s),)]
+        assert _shell(0, s) == [((s, 0, 0, s),)]
 
-    @pytest.mark.parametrize("m", [-4, -2, -1, 1, 3, 5])
-    def test_odd_or_negative_m_is_refused(self, m):
-        with pytest.raises(ValueError):
-            _even_shell(m, 0)
+
+def down(m: int, key) -> tuple | None:
+    """The key one rank below ``key`` on its chain of ``lindstrom(m)``, or
+    None at the chain's bottom, read off the key alone.
+
+    The key's shell ``k = m - 2s`` sits at offset ``s = min(key[0], key[3])``,
+    rounded down to even for even ``m``, whose shells are two layers deep.
+    In the shell's own coordinates ``(a, b, c, d)`` an odd shell has two
+    cases: on the last-slot-zero face with ``a > 0`` the zigzag of
+    ``i = b // 2`` steps ``(a - 1, b + 1, c)`` from even ``b`` and
+    ``(a, b - 1, c + 1)`` from odd ``b``; any other key is on the sweep down
+    the first-slot-zero face.  At rank ``r = 2b + c`` the sweep is chain
+    ``i = b - max(0, (r - k + 1 + e) // 2)`` and goes on to second slot
+    ``i + max(0, (r - k + e) // 2)`` at rank ``r - 1``, down to rank ``2i``;
+    ``e`` is 1 in an even shell and 0 in an odd one.  An even shell adds the
+    chain down the edge of its outer faces, the step of each outer zigzag
+    into its detour ``(1, 2i, c, 1)``, the detour's step to
+    ``(0, 2i + 1, c, 1)``, and the odd rules for the rest of the inner layer
+    as the shell of ``k - 2`` one offset further in.  ``k = 2`` is the
+    two-column table, and ``k = 0`` a single node.
+    """
+    t = min(key[0], key[3])
+    s = t if m % 2 else t - t % 2
+    k = m - 2 * s
+    a, b, c, d = key[0] - s, key[1], key[2], key[3] - s
+    if k == 2:
+        chain = next(ch for ch in reference_two_column_seed(s) if key in ch)
+        return dict(zip(chain, chain[1:])).get(key)
+    if k % 2 == 0:
+        if k == 0 or a == d == 0:  # the single node, or the edge chain
+            return (s, b - 1, c + 1, s) if b else None
+        if a == d == 1 and b % 2 == 0:  # a detour steps into its sweep
+            return (s, b + 1, c, s + 1)
+        if a == 1 and d == 0 and b % 2 == 0:  # an outer zigzag steps into its detour
+            return (s + 1, b, c - 1, s + 1)
+        if min(a, d) == 1:  # the rest of the inner layer: the shell of k - 2
+            s, k, a, d = s + 1, k - 2, a - 1, d - 1
+    e = 1 - k % 2
+    if d == 0 and a > 0:
+        return (a - 1 + s, b + 1, c, s) if b % 2 == 0 else (a + s, b - 1, c + 1, s)
+    r = 2 * b + c
+    i = b - max(0, (r - k + 1 + e) // 2)
+    if r - 1 < 2 * i:
+        return None
+    b = i + max(0, (r - k + e) // 2)
+    return (s, b, r - 1 - 2 * b, k - r + 1 + b + s)
+
+
+def assert_down_walks_every_chain(m: int) -> None:
+    for chain in lindstrom(m).chains:
+        assert [*map(down, [m] * len(chain), chain)] == [*chain[1:], None], (m, chain)
+
+
+class TestDownOracle:
+    # the rule checks every key of _chain's output; m <= 121 runs outside
+    # tier-1: PYTHONPATH=src:tests python3 -c "import test_lindstrom as t;
+    # [t.assert_down_walks_every_chain(m) for m in range(1, 122)]"
+    @pytest.mark.parametrize("m", range(1, 61))
+    def test_down_gives_the_next_key_of_every_chain(self, m):
+        assert_down_walks_every_chain(m)
 
 
 class TestDispatch:
     def test_m1_goes_to_odd(self):
-        assert lindstrom(1) == ChainDecomposition(Shape(1, 3), _odd_shell(1, 0))
+        assert lindstrom(1) == ChainDecomposition(Shape(1, 3), _shell(1, 0))
 
     def test_m4_goes_to_even(self):
         assert lindstrom(4) == ChainDecomposition(
-            Shape(4, 3), [((2, 0, 0, 2),)] + _even_shell(4, 0))
+            Shape(4, 3), [((2, 0, 0, 2),)] + _shell(4, 0))
 
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):

@@ -567,6 +567,8 @@ INT_POSITIONS = {
     "require-composition-shape-n": lambda v: require_composition((1, 0, 1, 0), (2, v)),
     "weight-string-shape-m": lambda v: weight_string((1, 0, 1, 0), 1, (v, 3)),
     "weight-string-shape-n": lambda v: weight_string((1, 0, 1, 0), 1, (2, v)),
+    "format-composition-entry": lambda v: format_composition((v, 0)),
+    "format-partition-part": lambda v: format_partition((v,)),
 }
 
 

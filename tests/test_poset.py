@@ -323,6 +323,13 @@ class TestBuildLattice:
         for name in ("rank_of", "is_cover", "color_of"):
             assert not hasattr(p, name)
 
+    def test_unknown_key_too_long_to_spell_is_a_key_error(self):
+        # the message once spelled the key in an f-string and raised Python's
+        # "Exceeds the limit (4300 digits)" ValueError in place of KeyError
+        with pytest.raises(KeyError) as err:
+            build_lattice((1, 1)).index_of((10**5000, 0))
+        assert "Exceeds the limit" not in str(err.value)
+
     def test_cover_relation_decided_from_keys(self):
         # every ordered pair of every shape up to 5 x 5, in both coordinate systems
         pairs = 0

@@ -46,3 +46,26 @@ def test_package_does_not_import_dataclasses(path):
         elif isinstance(node, ast.ImportFrom) and not node.level:
             imported.add(node.module)
     assert "dataclasses" not in {name.partition(".")[0] for name in imported}
+
+
+def test_every_private_name_of_the_package_is_used_in_the_package():
+    # a private helper kept alive only by a test is dead code: every function,
+    # class and module-level name with one leading underscore must be loaded
+    # in src/younglat, as a name or as an attribute
+    defined, loaded = set(), set()
+    for path in (ROOT / "src" / "younglat").glob("*.py"):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                defined.add(node.name)
+            elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                loaded.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                loaded.add(node.attr)
+        for node in tree.body:
+            if isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                defined.update(n.id for t in targets for n in ast.walk(t)
+                               if isinstance(n, ast.Name))
+    private = {name for name in defined if re.fullmatch(r"_[^_]\w*", name)}
+    assert private and not private - loaded, sorted(private - loaded)
